@@ -59,16 +59,31 @@ cargo build --release --workspace --all-targets
 stage "lint coverage: every workspace member lives under a linted root"
 # demodq-lint scans the crates/, vendor/ and src/ trees. A workspace
 # member added anywhere else would silently escape the determinism and
-# safety lints, so any Cargo.toml outside those roots fails the gate.
+# safety lints, so a member manifest outside those roots fails the gate.
+# The members come from cargo itself: a separate workspace such as
+# perfbench/ is not a member, and its manifest is not checked.
+members=$(cargo metadata --offline --no-deps --format-version 1 | python3 -c '
+import json, os, sys
+meta = json.load(sys.stdin)
+ids = set(meta["workspace_members"])
+for pkg in meta["packages"]:
+    if pkg["id"] in ids:
+        print(os.path.relpath(pkg["manifest_path"], meta["workspace_root"]))
+')
+[ -n "$members" ] || {
+    echo "FAIL: cargo metadata listed no workspace members"
+    exit 1
+}
 while IFS= read -r manifest; do
     case "$manifest" in
-        ./Cargo.toml | ./crates/*/Cargo.toml | ./vendor/*/Cargo.toml) ;;
+        Cargo.toml | crates/*/Cargo.toml | vendor/*/Cargo.toml) ;;
         *)
-            echo "FAIL: $manifest is outside demodq-lint coverage (crates/, vendor/, root)"
+            echo "FAIL: workspace member $manifest is outside demodq-lint coverage (crates/, vendor/, root)"
             exit 1
             ;;
     esac
-done < <(find . -name Cargo.toml -not -path './target/*')
+done <<< "$members"
+echo "lint coverage OK ($(wc -l <<< "$members") workspace members)"
 
 stage "demodq-lint (determinism & safety lints vs lint-baseline.txt)"
 cargo run -q --release -p demodq-lint -- --format json

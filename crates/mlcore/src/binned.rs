@@ -31,12 +31,18 @@ pub struct BinnedMatrix {
     /// (column-major so per-feature histogram accumulation scans a
     /// contiguous block).
     bins: Vec<u8>,
-    /// Row-major copy of the bin indices: row `i`'s codes occupy
-    /// `i * n_cols..(i + 1) * n_cols`. The histogram kernel's serial path
-    /// streams whole rows (one contiguous `u8` read per row) instead of
-    /// gathering one feature at a time; duplicating ≤ `n·d` bytes buys
-    /// that locality.
+    /// Row-major copy of the bin indices of the [`split
+    /// features`](BinnedMatrix::split_features) only: row `i`'s codes
+    /// occupy `i * k..(i + 1) * k` for `k` split features. The histogram
+    /// kernel's serial path streams whole rows (one contiguous `u8` read
+    /// per row) instead of gathering one feature at a time; single-bin
+    /// features can never split, so their codes are left out.
     row_bins: Vec<u8>,
+    /// The features with at least two bins, ascending.
+    split_features: Vec<usize>,
+    /// Whether any raw value is NaN (bin routing sends NaN to bin 0, raw
+    /// threshold routing sends it right).
+    has_nan: bool,
     n_rows: usize,
     n_cols: usize,
     /// Per-feature strictly increasing cut points; feature `j` has
@@ -82,7 +88,7 @@ impl BinnedMatrix {
     {
         assert!((2..=256).contains(&max_bins), "max_bins must be in 2..=256");
         let mut bins = vec![0u8; n * d];
-        let mut row_bins = vec![0u8; n * d];
+        let mut has_nan = false;
         let mut cuts = Vec::with_capacity(d);
         let mut offsets = Vec::with_capacity(d);
         let mut total_bins = 0usize;
@@ -95,6 +101,7 @@ impl BinnedMatrix {
         let mut sorted: Vec<f64> = Vec::with_capacity(n);
         for j in 0..d {
             fill(j, &mut column_values);
+            has_nan |= column_values.iter().any(|v| v.is_nan());
             sorted.clear();
             sorted.extend_from_slice(&column_values);
             sorted.sort_by(f64::total_cmp);
@@ -108,16 +115,26 @@ impl BinnedMatrix {
             for (i, slot) in column.iter_mut().enumerate() {
                 let v = column_values[i];
                 *slot = feature_cuts.partition_point(|t| *t < v) as u8;
-                row_bins[i * d + j] = *slot;
                 let flat = offset + usize::from(*slot);
                 bin_lo[flat] = bin_lo[flat].min(v);
                 bin_hi[flat] = bin_hi[flat].max(v);
             }
             cuts.push(feature_cuts);
         }
+        let split_features: Vec<usize> = (0..d).filter(|&j| !cuts[j].is_empty()).collect();
+        let mut row_bins = vec![0u8; n * split_features.len()];
+        if !split_features.is_empty() {
+            for (i, codes) in row_bins.chunks_exact_mut(split_features.len()).enumerate() {
+                for (code, &j) in codes.iter_mut().zip(&split_features) {
+                    *code = bins[j * n + i];
+                }
+            }
+        }
         BinnedMatrix {
             bins,
             row_bins,
+            split_features,
+            has_nan,
             n_rows: n,
             n_cols: d,
             cuts,
@@ -149,7 +166,11 @@ impl BinnedMatrix {
         self.bins.capacity()
             + self.row_bins.capacity()
             + self.cuts.iter().map(|c| c.capacity() * 8).sum::<usize>()
-            + (self.offsets.capacity() + self.bin_lo.capacity() + self.bin_hi.capacity()) * 8
+            + (self.offsets.capacity()
+                + self.split_features.capacity()
+                + self.bin_lo.capacity()
+                + self.bin_hi.capacity())
+                * 8
     }
 
     /// Number of rows.
@@ -174,10 +195,19 @@ impl BinnedMatrix {
         &self.bins[j * self.n_rows..(j + 1) * self.n_rows]
     }
 
-    /// The contiguous bin-index row of row `i` (all features).
+    /// The contiguous bin-index row of row `i`: its codes of the
+    /// [`split features`](BinnedMatrix::split_features), in that order.
     #[inline]
     pub fn row_bins(&self, i: usize) -> &[u8] {
-        &self.row_bins[i * self.n_cols..(i + 1) * self.n_cols]
+        let k = self.split_features.len();
+        &self.row_bins[i * k..(i + 1) * k]
+    }
+
+    /// The features with at least two bins (the only ones a split can
+    /// use), ascending.
+    #[inline]
+    pub fn split_features(&self) -> &[usize] {
+        &self.split_features
     }
 
     /// Number of bins of feature `j`.
@@ -229,6 +259,31 @@ impl BinnedMatrix {
         } else {
             hi // midpoint overflowed; `hi` still separates the bins
         }
+    }
+
+    /// Whether a tree split "bin ≤ `b` goes left" on feature `j`, whose
+    /// threshold came from [`BinnedMatrix::split_threshold`] or
+    /// [`BinnedMatrix::threshold`] and whose lowest occupied bin right of
+    /// the cut in the node is `right_bin` (`None`: that side is empty),
+    /// routes the node's raw rows exactly as their bins do: raw
+    /// `v <= threshold` iff `bin(v) <= b`.
+    ///
+    /// The left side always agrees: its values are at most the left bin's
+    /// maximum, which neither threshold undercuts (rounding is monotone).
+    /// The right side agrees when the right bin's minimum lies strictly
+    /// above the threshold; a midpoint could only round onto it if the
+    /// two values were adjacent floats, and then the binning's own cut
+    /// between them — the same midpoint of the same two values — would
+    /// have put that minimum in the left bin, so this check guards the
+    /// invariant rather than firing on real data. NaN breaks routing: it
+    /// bins to 0 but compares false, so any NaN in the matrix fails.
+    pub(crate) fn routes_like_bins(
+        &self,
+        j: usize,
+        right_bin: Option<usize>,
+        threshold: f64,
+    ) -> bool {
+        !self.has_nan && right_bin.is_none_or(|r| self.bin_lo[self.offsets[j] + r] > threshold)
     }
 
     /// The strictly increasing cut points of feature `j`.
@@ -465,20 +520,61 @@ mod tests {
     }
 
     #[test]
-    fn row_bins_mirror_column_bins() {
+    fn row_bins_mirror_column_bins_of_split_features() {
+        // Feature 1 is constant: a single bin, so no row-major codes.
         let x = DenseMatrix::from_vec(
             4,
-            3,
-            vec![0.0, 9.0, 1.0, 1.0, 9.0, 1.0, 2.0, 8.0, 0.0, 3.0, 8.0, 0.0],
+            4,
+            vec![
+                0.0, 5.0, 9.0, 1.0, 1.0, 5.0, 9.0, 1.0, 2.0, 5.0, 8.0, 0.0, 3.0, 5.0, 8.0, 0.0,
+            ],
         );
         let b = BinnedMatrix::from_matrix(&x, 8);
+        assert_eq!(b.split_features(), &[0, 2, 3]);
         for i in 0..4 {
             let row = b.row_bins(i);
             assert_eq!(row.len(), 3);
-            for (j, &code) in row.iter().enumerate() {
+            for (&code, &j) in row.iter().zip(b.split_features()) {
                 assert_eq!(code, b.bin(i, j));
             }
         }
+    }
+
+    #[test]
+    fn routing_certificate_holds_on_adjacent_floats_and_fails_on_nan() {
+        // Consecutive floats, so every midpoint is a ties-to-even rounding
+        // onto one of its two ends: the centred threshold of adjacent
+        // occupied bins is computed exactly as the binning's cut was, and
+        // stays below the right bin's smallest value.
+        let mut v = 1.0f64;
+        let values: Vec<f64> = (0..12)
+            .map(|_| {
+                v = v.next_up();
+                v
+            })
+            .collect();
+        let x = matrix_of(values.iter().chain(&values).copied().collect());
+        let b = BinnedMatrix::from_matrix(&x, 4);
+        for left in 0..b.n_bins(0) - 1 {
+            for right in left + 1..b.n_bins(0) {
+                let t = b.split_threshold(0, left, right);
+                assert!(b.routes_like_bins(0, Some(right), t));
+                for i in 0..x.n_rows() {
+                    let bin = usize::from(b.bin(i, 0));
+                    if bin <= left || bin >= right {
+                        assert_eq!(x.get(i, 0) <= t, bin <= left);
+                    }
+                }
+            }
+        }
+        // A threshold on the right bin's smallest value would send it left.
+        assert!(!b.routes_like_bins(0, Some(1), b.split_threshold(0, 0, 1).next_up()));
+        // A NaN anywhere fails every split.
+        let b = BinnedMatrix::from_matrix(
+            &DenseMatrix::from_vec(2, 2, vec![0.0, f64::NAN, 4.0, 1.0]),
+            8,
+        );
+        assert!(!b.routes_like_bins(0, Some(1), b.split_threshold(0, 0, 1)));
     }
 
     #[test]
@@ -492,6 +588,8 @@ mod tests {
     fn assert_binned_identical(a: &BinnedMatrix, b: &BinnedMatrix) {
         assert_eq!(a.bins, b.bins);
         assert_eq!(a.row_bins, b.row_bins);
+        assert_eq!(a.split_features, b.split_features);
+        assert_eq!(a.has_nan, b.has_nan);
         assert_eq!(a.n_rows, b.n_rows);
         assert_eq!(a.n_cols, b.n_cols);
         assert_eq!(a.offsets, b.offsets);

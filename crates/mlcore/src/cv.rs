@@ -8,7 +8,7 @@
 //! the score samples.
 
 use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
-use crate::knn::KnnClassifier;
+use crate::knn;
 use crate::metrics::accuracy;
 use crate::model::{Classifier, ModelKind, ModelSpec};
 use rayon::prelude::*;
@@ -52,6 +52,29 @@ pub fn tune_and_fit(
     let folds = kfold(x.n_rows(), n_folds, rng.next_u64()).expect("valid fold arguments");
     let fit_seed = rng.next_u64();
 
+    // k-NN scores the whole grid, cross-validation and training accuracy
+    // alike, from one distance pass over all row pairs
+    // ([`knn::knn_grid_scores`]); its per-(spec, fold) accuracies and
+    // training accuracies equal those of fitting each configuration
+    // separately, so the winner and the refit model cannot change.
+    if kind == ModelKind::Knn {
+        let ks: Vec<usize> = grid
+            .iter()
+            .map(|spec| match spec {
+                ModelSpec::Knn { k } => *k,
+                _ => unreachable!("knn grid contains only knn specs"),
+            })
+            .collect();
+        let scores = knn::knn_grid_scores(x, y, &folds, &ks);
+        let (best, val_accuracy) = select_best(&scores.fold_accuracy, folds.len());
+        return TunedModel {
+            model: grid[best].fit(x, y, fit_seed),
+            best_spec: grid[best],
+            val_accuracy,
+            train_accuracy: scores.train_accuracy[best],
+        };
+    }
+
     // Tree-based families train on quantile bins: bin the full training
     // matrix once and share it across every fold and every grid
     // configuration. (Bin edges come from the full matrix, LightGBM-style
@@ -82,74 +105,23 @@ pub fn tune_and_fit(
     // cannot affect any score; the per-spec reduction below then runs
     // sequentially in grid order, summing fold scores in fold order —
     // float-identical to the old nested loop at any thread count.
-    //
-    // k-NN gets a fold-level fast path: neighbour distances do not depend
-    // on `k`, and the `k`-nearest set of any grid `k` is a prefix of the
-    // max-`k` neighbour order, so one blocked distance scan per fold
-    // scores the whole grid ([`KnnClassifier::predict_proba_grid`]). The
-    // per-(spec, fold) accuracies are identical to fitting each `k`
-    // separately, so the winner — and the refit model — cannot change.
     let n_folds_actual = fold_data.len();
-    let knn_ks: Option<Vec<usize>> = (kind == ModelKind::Knn).then(|| {
-        grid.iter()
-            .map(|spec| match spec {
-                ModelSpec::Knn { k } => *k,
-                _ => unreachable!("knn grid contains only knn specs"),
-            })
-            .collect()
-    });
-    let fold_scores: Vec<f64> = if let Some(ks) = &knn_ks {
-        let kmax = ks.iter().copied().max().unwrap_or(1);
-        let per_fold: Vec<Vec<f64>> = fold_data
-            .par_iter()
-            .map(|(_, x_val, y_val, dense_train)| {
-                let (x_train, y_train) =
-                    dense_train.as_ref().unwrap_or_else(|| {
-                        unreachable!("dense folds exist whenever binning is off")
-                    });
-                let model = KnnClassifier::fit(x_train, y_train, kmax);
-                model
-                    .predict_proba_grid(x_val, ks)
-                    .iter()
-                    .map(|probas| {
-                        let preds: Vec<u8> =
-                            probas.iter().map(|&p| u8::from(p >= 0.5)).collect();
-                        accuracy(y_val, &preds)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Re-lay out as [spec-major] to match the generic unit order.
-        (0..grid.len() * n_folds_actual)
-            .map(|unit| per_fold[unit % n_folds_actual][unit / n_folds_actual])
-            .collect()
-    } else {
-        (0..grid.len() * n_folds_actual)
-            .into_par_iter()
-            .map(|unit| {
-                let spec = &grid[unit / n_folds_actual];
-                let (train_idx, x_val, y_val, dense_train) = &fold_data[unit % n_folds_actual];
-                let model = match (&binned, dense_train) {
-                    (Some(b), _) => spec.fit_binned(b, x, train_idx, y, fit_seed),
-                    (None, Some((x_train, y_train))) => spec.fit(x_train, y_train, fit_seed),
-                    (None, None) => unreachable!("dense folds exist whenever binning is off"),
-                };
-                accuracy(y_val, &model.predict(x_val))
-            })
-            .collect()
-    };
+    let fold_scores: Vec<f64> = (0..grid.len() * n_folds_actual)
+        .into_par_iter()
+        .map(|unit| {
+            let spec = &grid[unit / n_folds_actual];
+            let (train_idx, x_val, y_val, dense_train) = &fold_data[unit % n_folds_actual];
+            let model = match (&binned, dense_train) {
+                (Some(b), _) => spec.fit_binned(b, x, train_idx, y, fit_seed),
+                (None, Some((x_train, y_train))) => spec.fit(x_train, y_train, fit_seed),
+                (None, None) => unreachable!("dense folds exist whenever binning is off"),
+            };
+            accuracy(y_val, &model.predict(x_val))
+        })
+        .collect();
 
-    let mut best: Option<(f64, ModelSpec)> = None;
-    for (k, spec) in grid.iter().enumerate() {
-        let scores = &fold_scores[k * n_folds_actual..(k + 1) * n_folds_actual];
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        // Strict improvement keeps the first (seed-shuffled) winner on ties.
-        if best.is_none_or(|(b, _)| mean > b) {
-            best = Some((mean, *spec));
-        }
-    }
-    // lint:allow(P001, default_grid() is statically non-empty for every model kind)
-    let (val_accuracy, best_spec) = best.expect("non-empty grid");
+    let (best, val_accuracy) = select_best(&fold_scores, n_folds_actual);
+    let best_spec = grid[best];
     let model = match &binned {
         Some(b) => {
             let all_rows: Vec<usize> = (0..x.n_rows()).collect();
@@ -159,6 +131,22 @@ pub fn tune_and_fit(
     };
     let train_accuracy = accuracy(y, &model.predict(x));
     TunedModel { model, best_spec, val_accuracy, train_accuracy }
+}
+
+/// The winning grid entry of grid-major per-(spec, fold) scores and its
+/// mean score: fold scores are summed in fold order, and only a strict
+/// improvement replaces the incumbent, so ties keep the first
+/// (seed-shuffled) winner.
+fn select_best(fold_scores: &[f64], n_folds: usize) -> (usize, f64) {
+    let mut best: Option<(usize, f64)> = None;
+    for (spec, scores) in fold_scores.chunks(n_folds).enumerate() {
+        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+        if best.is_none_or(|(_, b)| mean > b) {
+            best = Some((spec, mean));
+        }
+    }
+    // lint:allow(P001, default_grid() is statically non-empty for every model kind)
+    best.expect("non-empty grid")
 }
 
 #[cfg(test)]

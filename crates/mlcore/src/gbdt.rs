@@ -15,7 +15,7 @@ use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
 use crate::linalg::sigmoid;
 use crate::model::Classifier;
 use crate::scratch;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{LeafRows, RegressionTree, TreeParams};
 use tabular::{DenseMatrix, Rng64};
 
 /// A trained gradient-boosted tree ensemble.
@@ -80,7 +80,14 @@ impl GbdtClassifier {
         assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
         let params = BoostParams { max_depth, n_rounds, learning_rate, reg_lambda, seed };
         Self::boost(params, rows, y, x.n_rows(), |grad, hess, sample| {
-            RegressionTree::fit_binned(binned, sample, grad, hess, Self::tree_params(&params))
+            let (tree, routed) = RegressionTree::fit_binned_routed(
+                binned,
+                sample,
+                grad,
+                hess,
+                Self::tree_params(&params),
+            );
+            (tree, Some(routed))
         }, |tree, i| tree.predict_row(x.row(i)))
     }
 
@@ -105,7 +112,7 @@ impl GbdtClassifier {
             let sub_x = x.take_rows(sample);
             let sub_g: Vec<f64> = sample.iter().map(|&i| grad[i]).collect();
             let sub_h: Vec<f64> = sample.iter().map(|&i| hess[i]).collect();
-            RegressionTree::fit_exact(&sub_x, &sub_g, &sub_h, Self::tree_params(&params))
+            (RegressionTree::fit_exact(&sub_x, &sub_g, &sub_h, Self::tree_params(&params)), None)
         }, |tree, i| tree.predict_row(x.row(i)))
     }
 
@@ -119,14 +126,15 @@ impl GbdtClassifier {
     }
 
     /// The shared boosting loop. `fit_tree(grad, hess, sample_rows)`
-    /// fits one weak learner (gradients indexed by global row id);
-    /// `predict(tree, i)` scores global row `i`.
+    /// fits one weak learner (gradients indexed by global row id), with
+    /// the leaf groups of the sampled rows when the learner partitioned
+    /// them; `predict(tree, i)` scores global row `i`.
     fn boost(
         params: BoostParams,
         rows: &[usize],
         y: &[u8],
         n_global: usize,
-        mut fit_tree: impl FnMut(&[f64], &[f64], &[usize]) -> RegressionTree,
+        mut fit_tree: impl FnMut(&[f64], &[f64], &[usize]) -> (RegressionTree, Option<LeafRows>),
         predict: impl Fn(&RegressionTree, usize) -> f64,
     ) -> Self {
         let n = rows.len();
@@ -152,23 +160,49 @@ impl GbdtClassifier {
         let mut rng = Rng64::seed_from_u64(params.seed);
         let subsample = ((n as f64) * 0.8).ceil() as usize;
         let mut sample = scratch::take_usize();
+        let mut unsampled = scratch::take_usize();
         for _ in 0..params.n_rounds {
             // Stochastic row subsample (without replacement), drawn into a
-            // pooled buffer and mapped to global row ids in place.
+            // pooled buffer as ascending positions into `rows`; the rest
+            // go to `unsampled`, then both become global row ids.
             rng.sample_indices_into(n, subsample.min(n), &mut sample);
+            unsampled.clear();
+            let mut drawn = sample.iter().peekable();
+            for (k, &row) in rows.iter().enumerate() {
+                if drawn.next_if_eq(&&k).is_none() {
+                    unsampled.push(row);
+                }
+            }
             sample.iter_mut().for_each(|k| *k = rows[*k]);
             // Gradients/hessians are per-row functions of the current
             // score, so only the rows this round's tree will read need a
             // refresh — the unsampled 20% would go unread.
             crate::kernels::logistic_grad_hess(&sample, &scores, y, &mut grad, &mut hess);
-            let tree = fit_tree(&grad, &hess, &sample);
+            let (tree, routed) = fit_tree(&grad, &hess, &sample);
             if tree.n_nodes() == 1 && tree.predict_row(&[]).abs() < 1e-12 {
                 // Degenerate round (no usable split, near-zero leaf); the
                 // remaining rounds would be identical — stop early.
                 break;
             }
-            for &i in rows {
-                scores[i] += learning_rate * predict(&tree, i);
+            // Every row gains `learning_rate` times its leaf's value. When
+            // the build certified that raw routing agrees with the bins,
+            // a sampled row's leaf is the one the build partitioned it
+            // into; only the unsampled rows walk the tree.
+            match routed.filter(|r| r.exact) {
+                Some(routed) => {
+                    for (value, group) in routed.leaves() {
+                        let step = learning_rate * value;
+                        group.iter().for_each(|&i| scores[i] += step);
+                    }
+                    for &i in unsampled.iter() {
+                        scores[i] += learning_rate * predict(&tree, i);
+                    }
+                }
+                None => {
+                    for &i in rows {
+                        scores[i] += learning_rate * predict(&tree, i);
+                    }
+                }
             }
             trees.push(tree);
         }

@@ -8,7 +8,9 @@
 //! * [`HistF32`] — per-node (gradient, hessian, count) histograms over a
 //!   [`BinnedMatrix`], stored as interleaved `[g, h, count, pad]` `f32`
 //!   quads so one 16-byte load-add-store updates a whole cell (counts
-//!   are integers far below 2^24, where `f32` stays exact). The serial
+//!   are integers far below 2^24, where `f32` stays exact). Only the
+//!   features with at least two bins are accumulated: a single-bin
+//!   feature can never split, so its cell is never read. The serial
 //!   path streams the matrix's row-major bin codes — one contiguous `u8`
 //!   row plus one gradient/hessian load per row instead of per-feature
 //!   gathers — while large nodes split the feature range across pool
@@ -76,7 +78,8 @@ impl HistF32 {
     }
 
     /// Accumulates the histogram of `rows` (global row ids into `grad` /
-    /// `hess`).
+    /// `hess`) over the matrix's split features; the cells of single-bin
+    /// features stay zero.
     ///
     /// Every `(feature, bin)` slot receives its contributions in
     /// ascending row position — the **fixed accumulation order** both
@@ -96,9 +99,9 @@ impl HistF32 {
     ) -> HistF32 {
         let mut quads = scratch::take_f32();
         quads.resize(HIST_QUAD * binned.total_bins(), 0.0);
-        let n_cols = binned.n_cols();
-        if n_cols > 1
-            && rows.len().saturating_mul(n_cols) >= PARALLEL_HIST_CELLS
+        let features = binned.split_features();
+        if features.len() > 1
+            && rows.len().saturating_mul(features.len()) >= PARALLEL_HIST_CELLS
             && rayon::current_num_threads() > 1
         {
             // Position-indexed `f32` copies of the node's statistics: the
@@ -110,7 +113,7 @@ impl HistF32 {
             let mut h32 = scratch::take_f32();
             h32.clear();
             h32.extend(rows.iter().map(|&i| hess[i] as f32));
-            accumulate_feature_range(binned, rows, &g32, &h32, 0, n_cols, quads.as_mut_slice());
+            accumulate_feature_range(binned, features, rows, &g32, &h32, quads.as_mut_slice(), 0);
         } else {
             accumulate_rows_serial(binned, rows, grad, hess, quads.as_mut_slice());
         }
@@ -140,14 +143,15 @@ fn accumulate_rows_serial(
     hess: &[f64],
     quads: &mut [f32],
 ) {
-    // Per-feature cell bases, hoisted out of the row loop:
-    // bases[j] = first `f32` slot of feature j's bin 0 quad.
+    // Per-feature cell bases, hoisted out of the row loop: bases[k] =
+    // first `f32` slot of the k-th split feature's bin 0 quad, matching
+    // the k-th code of each row-major row.
     let mut bases = scratch::take_usize();
-    bases.clear();
-    bases.extend((0..binned.n_cols()).map(|j| HIST_QUAD * binned.offset(j)));
+    bases.extend(binned.split_features().iter().map(|&j| HIST_QUAD * binned.offset(j)));
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `BinnedMatrix` construction guarantees every bin code is
-    // below its feature's bin count, so `base + 4*code` addresses that
+    // below its feature's bin count, and the k-th row-major code belongs
+    // to the k-th split feature, so `base + 4*code` addresses that
     // feature's own quad and the 16-byte access ends at
     // `base + 4*code + 4 <= 4 * total_bins() == quads.len()` — always in
     // bounds. The unaligned load/store intrinsics have no alignment
@@ -184,54 +188,41 @@ fn accumulate_rows_serial(
     }
 }
 
-/// Feature `j`'s quad cells as a mutable slice of a buffer whose element
-/// 0 is feature `base`'s first slot (0 for the full buffer, the range
-/// start inside the parallel split).
-#[inline]
-fn feature_quads_mut<'a>(
-    binned: &BinnedMatrix,
-    j: usize,
-    quads: &'a mut [f32],
-    base: usize,
-) -> &'a mut [f32] {
-    let lo = HIST_QUAD * (binned.offset(j) - binned.offset(base));
-    &mut quads[lo..lo + HIST_QUAD * binned.n_bins(j)]
-}
-
-/// Accumulates features `f_lo..f_hi` into a quad slice whose element 0 is
-/// feature `f_lo`'s first slot, recursing so sibling halves can run on
-/// different pool workers (features are disjoint, so this never changes
-/// any sum). `g32` / `h32` are the position-indexed gradient/hessian
-/// buffers prepared by [`HistF32::accumulate`].
+/// Accumulates the split features `features` into a quad slice whose
+/// element 0 is flat bin slot `base`, recursing so sibling halves can run
+/// on different pool workers (features are disjoint, so this never
+/// changes any sum). `g32` / `h32` are the position-indexed
+/// gradient/hessian buffers prepared by [`HistF32::accumulate`].
 fn accumulate_feature_range(
     binned: &BinnedMatrix,
+    features: &[usize],
     rows: &[usize],
     g32: &[f32],
     h32: &[f32],
-    f_lo: usize,
-    f_hi: usize,
     quads: &mut [f32],
+    base: usize,
 ) {
-    if f_hi - f_lo <= 1 {
-        let lane = feature_quads_mut(binned, f_lo, quads, f_lo);
-        accumulate_one_feature(binned.feature_bins(f_lo), rows, g32, h32, lane);
+    if let &[j] = features {
+        let lo = HIST_QUAD * (binned.offset(j) - base);
+        let lane = &mut quads[lo..lo + HIST_QUAD * binned.n_bins(j)];
+        accumulate_one_feature(binned.feature_bins(j), rows, g32, h32, lane);
         return;
     }
-    let mid = f_lo + (f_hi - f_lo) / 2;
-    let split = HIST_QUAD * (binned.offset(mid) - binned.offset(f_lo));
-    let (quads_l, quads_r) = quads.split_at_mut(split);
+    let (left, right) = features.split_at(features.len() / 2);
+    let Some(&mid) = right.first() else {
+        return;
+    };
+    let (quads_l, quads_r) = quads.split_at_mut(HIST_QUAD * (binned.offset(mid) - base));
     rayon::join(
-        || accumulate_feature_range(binned, rows, g32, h32, f_lo, mid, quads_l),
-        || accumulate_feature_range(binned, rows, g32, h32, mid, f_hi, quads_r),
+        || accumulate_feature_range(binned, left, rows, g32, h32, quads_l, base),
+        || accumulate_feature_range(binned, right, rows, g32, h32, quads_r, binned.offset(mid)),
     );
 }
 
 /// One feature's sequential column gather over position-indexed `f32`
 /// statistics — the parallel path's per-feature unit. Rows are added in
 /// ascending position, the same per-lane order the serial row-major pass
-/// uses, so both paths produce bit-identical cells (constant features
-/// included: their single-bin cell is filled here too, exactly as the
-/// row-major pass fills it).
+/// uses, so both paths produce bit-identical cells.
 fn accumulate_one_feature(column: &[u8], rows: &[usize], g32: &[f32], h32: &[f32], lane: &mut [f32]) {
     for (r, &i) in rows.iter().enumerate() {
         let q = HIST_QUAD * usize::from(column[i]);
@@ -530,9 +521,14 @@ mod tests {
         // feature columns. Per lane both add the same values in the same
         // (ascending row position) order, so the buffers must match
         // exactly — this is what keeps exports byte-identical across
-        // thread counts.
-        let x = random_matrix(400, 6, 13);
+        // thread counts. Constant columns (one bin) are skipped by both.
+        let mut x = random_matrix(400, 6, 13);
+        for i in 0..400 {
+            x.set(i, 0, 1.5);
+            x.set(i, 3, -2.0);
+        }
         let binned = BinnedMatrix::from_matrix(&x, 16);
+        assert_eq!(binned.split_features(), &[1, 2, 4, 5]);
         let mut rng = Rng64::seed_from_u64(31);
         let grad: Vec<f64> = (0..400).map(|_| rng.normal()).collect();
         let hess: Vec<f64> = (0..400).map(|_| rng.next_f64()).collect();
@@ -541,7 +537,8 @@ mod tests {
         let g32: Vec<f32> = rows.iter().map(|&i| grad[i] as f32).collect();
         let h32: Vec<f32> = rows.iter().map(|&i| hess[i] as f32).collect();
         let mut quads = vec![0.0f32; HIST_QUAD * binned.total_bins()];
-        accumulate_feature_range(&binned, &rows, &g32, &h32, 0, 6, &mut quads);
+        let features = binned.split_features();
+        accumulate_feature_range(&binned, features, &rows, &g32, &h32, &mut quads, 0);
         assert_eq!(serial.quads.as_slice(), quads.as_slice());
     }
 

@@ -3,7 +3,7 @@
 //! With the study grid flattened to per-evaluation work units, thousands
 //! of short-lived model fits run on a handful of persistent pool
 //! workers. The big temporaries (GBDT gradient/score vectors, tree row
-//! partitions, kNN neighbour heaps) used to be allocated fresh per fit
+//! partitions, kNN neighbour candidates) used to be allocated fresh per fit
 //! or per prediction; these thread-local pools let each worker reuse the
 //! same buffers across units instead.
 //!
@@ -82,7 +82,8 @@ scratch_pool!(
     USIZE_POOL, take_usize, UsizeScratch, usize
 );
 scratch_pool!(
-    /// A pooled `Vec<(f64, usize)>` (kNN neighbour distance heaps).
+    /// A pooled `Vec<(f64, usize)>` (kNN (distance, index) candidates, tree
+    /// leaf (value, row-group end) lists).
     PAIRS_POOL, take_pairs, PairsScratch, (f64, usize)
 );
 scratch_pool!(

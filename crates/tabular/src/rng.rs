@@ -171,8 +171,8 @@ impl Rng64 {
     }
 
     /// [`Rng64::sample_indices`] writing into a caller-provided buffer —
-    /// identical draws and result, but tight loops (GBDT's per-round row
-    /// subsample) can reuse one allocation across calls.
+    /// identical draws and result, and no allocation beyond growing `out`,
+    /// so tight loops (GBDT's per-round row subsample) reuse one buffer.
     pub fn sample_indices_into(&mut self, n: usize, m: usize, out: &mut Vec<usize>) {
         assert!(m <= n, "cannot sample {m} from {n}");
         out.clear();
@@ -180,22 +180,36 @@ impl Rng64 {
         if m * 3 >= n {
             out.extend(0..n);
             self.shuffle(out);
-            out.truncate(m);
-            // The prefix holds m distinct values in [0, n); a mark-and-scan
-            // rewrite sorts it in O(n) instead of a comparison sort.
-            let mut mark = vec![false; n];
-            for &i in out.iter() {
-                mark[i] = true;
+            // The prefix holds m distinct values in [0, n); sort it in O(n)
+            // by marking value v in the top bit of slot v (values are below
+            // n <= isize::MAX, so that bit is free), then sweeping the
+            // slots in ascending order. The sweep writes slot w <= v, which
+            // it has already read.
+            const MARK: usize = 1 << (usize::BITS - 1);
+            for k in 0..m {
+                let v = out[k] & !MARK;
+                out[v] |= MARK;
             }
-            out.clear();
-            out.extend((0..n).filter(|&i| mark[i]));
+            let mut w = 0;
+            for v in 0..n {
+                let marked = out[v] >> (usize::BITS - 1);
+                out[w] = v;
+                w += marked;
+            }
+            out.truncate(m);
             return;
         }
-        let mut chosen = std::collections::BTreeSet::new();
-        while chosen.len() < m {
-            chosen.insert(self.below(n));
+        // Rejection sampling until m distinct values are held. Drawing the
+        // missing count at once, then sorting and deduplicating, consumes
+        // exactly the draws a one-at-a-time loop would: a batch reaches m
+        // distinct values only if every draw in it was new.
+        while out.len() < m {
+            for _ in out.len()..m {
+                out.push(self.below(n));
+            }
+            out.sort_unstable();
+            out.dedup();
         }
-        out.extend(chosen);
     }
 }
 
@@ -282,6 +296,33 @@ mod tests {
             }
             assert!(s.iter().all(|&i| i < n));
         }
+    }
+
+    #[test]
+    fn sample_indices_into_output_is_pinned() {
+        // FNV digest of every draw (and of the generator's next output,
+        // so the number of values each call consumes is pinned too) over
+        // both the shuffle-prefix and the rejection paths, through one
+        // reused buffer. Study scores depend on these draws (GBDT row
+        // subsamples, pool samples), so any change in what the sampler
+        // returns or consumes must move the journal fingerprint too.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut out = vec![usize::MAX; 7];
+        for n in [0usize, 1, 2, 3, 7, 10, 31, 64, 100, 257, 1000] {
+            let ms = [0, 1, n / 3, n / 3 + 1, (n * 4).div_ceil(5), n.saturating_sub(1), n];
+            for m in ms.into_iter().filter(|&m| m <= n) {
+                for seed in [0u64, 1, 42, u64::MAX] {
+                    let mut rng = Rng64::seed_from_u64(seed ^ (n as u64) << 20 ^ m as u64);
+                    rng.sample_indices_into(n, m, &mut out);
+                    assert_eq!(out.len(), m);
+                    assert!(out.windows(2).all(|w| w[0] < w[1]) && out.iter().all(|&i| i < n));
+                    out.iter().for_each(|&i| mix(i as u64));
+                    mix(rng.next_u64());
+                }
+            }
+        }
+        assert_eq!(digest, 0xb805_4776_e0bc_82e2, "sample_indices_into output moved");
     }
 
     #[test]
