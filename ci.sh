@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate. Run before pushing.
 #
-#   ./ci.sh          # build + tests + lint + analyses (tier-1 is the first two steps)
+#   ./ci.sh          # build + tests + lint + byte-identity smokes + perf gates
+#                    # (tier-1 is the first two steps)
 #   ./ci.sh quick    # tier-1 only: release build + root-package tests
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -85,90 +86,34 @@ while IFS= read -r manifest; do
 done <<< "$members"
 echo "lint coverage OK ($(wc -l <<< "$members") workspace members)"
 
-stage "demodq-lint (determinism & safety lints vs lint-baseline.txt)"
+stage "demodq-lint (token lints + flow analyses T001/L001/E001/K001 vs lint-baseline.txt)"
 cargo run -q --release -p demodq-lint -- --format json
 
-stage "demodq-analyze (flow-aware T001/L001/E001/K001 vs lint-baseline.txt)"
-cargo run -q --release -p demodq-lint --bin demodq-analyze -- --format json
-
-stage "analyzer fixture self-check (seeded violations must fail an empty baseline)"
+stage "lint fixture self-check (seeded violations must fail an empty baseline)"
 # Guards the gate itself: the committed fixture tree seeds at least one
-# violation per analysis code, so a pass against an empty baseline means
-# the analyzer has silently stopped finding anything.
+# violation per flow-analysis code, so a pass against an empty baseline
+# means the analyses have silently stopped finding anything.
 rc=0
-cargo run -q --release -p demodq-lint --bin demodq-analyze -- \
+cargo run -q --release -p demodq-lint -- \
     --root crates/lint/tests/fixtures/analyze/ws --no-baseline \
-    --format json > target/analyze_fixture.json || rc=$?
+    --format json > target/lint_fixture.json || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: seeded fixture tree exited $rc (want 1: violations found)"
     exit 1
 fi
 for code in T001 L001 E001 K001; do
-    grep -q "\"$code\"" target/analyze_fixture.json || {
+    grep -q "\"$code\"" target/lint_fixture.json || {
         echo "FAIL: $code did not fire on the seeded fixture tree"
         exit 1
     }
 done
-echo "analyzer fixture self-check OK (all four codes fired)"
+echo "lint fixture self-check OK (all four flow codes fired)"
 
 stage "cargo test --workspace -q"
 cargo test --workspace -q
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-stage "committed baseline carries the per-kernel bench sections"
-# Cheap pre-flight before the expensive bench run: the committed baseline
-# must already have every micro.kernels.* section, or the studybench
-# required-field check below would only fail after minutes of work.
-for kernel in hist knn_block logreg_batch; do
-    grep -q "\"$kernel\"" BENCH_study.json || {
-        echo "FAIL: BENCH_study.json is missing the micro.kernels.$kernel section"
-        exit 1
-    }
-done
-grep -q '"substrate"' BENCH_study.json || {
-    echo "FAIL: BENCH_study.json is missing the substrate section"
-    exit 1
-}
-
-stage "studybench perf gate (vs committed BENCH_study.json)"
-# Checks required fields on both reports (including micro.kernels.* and
-# substrate.*), the end-to-end evals/s floor, the per-kernel speedup
-# floors, the substrate rows/s floor, and the absolute peak-RSS gate on
-# the million-row block substrate (< 2x its own heap footprint).
-cargo run --release -p demodq-bench --bin studybench -- \
-    --smoke --out target/BENCH_study.json --baseline BENCH_study.json
-
-stage "serve-bench throughput gate (vs committed BENCH_serve.json)"
-# Boots the event-driven server on an ephemeral port, hammers /v1/predict
-# with the committed benchmark shape, and fails on any 5xx, any mid-run
-# connection reset, a missing fairness-drift gauge, or throughput below
-# 75% of the committed baseline (machine noise headroom; a real
-# regression in the event loop or the batcher blows well past 25%).
-SERVE_DIR=target/serve_bench
-rm -rf "$SERVE_DIR"
-mkdir -p "$SERVE_DIR"
-./target/release/demodq-serve --datasets german --models log-reg --quiet \
-    --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr" &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 150); do
-    [ -s "$SERVE_DIR/addr" ] && break
-    sleep 0.2
-done
-[ -s "$SERVE_DIR/addr" ] || {
-    echo "FAIL: demodq-serve never published its address"
-    exit 1
-}
-./target/release/loadgen --addr "$(cat "$SERVE_DIR/addr")" \
-    --connections 4 --pipeline 32 --batch-rows 1 --duration 5 \
-    --baseline BENCH_serve.json --baseline-frac 0.75 \
-    --require-drift-gauges --out "$SERVE_DIR/BENCH_serve.json"
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
-trap - EXIT
-echo "serve-bench gate OK"
 
 stage "crash-resume smoke (kill -9 mid-study, resume from journal)"
 # resume_smoke was compiled by the --workspace --all-targets build above.
@@ -275,6 +220,62 @@ cmp "$SMOKE_DIR/rectify1.json" "$SMOKE_DIR/rectify8.json" || {
     exit 1
 }
 echo "rectifying-study byte-identity smoke OK"
+
+# The perf gates run last: on a loaded or slow box they can fail on
+# timing alone, and the byte-identity smokes above must still have run
+# by then.
+stage "committed baseline carries the per-kernel bench sections"
+# Cheap pre-flight before the expensive bench run: the committed baseline
+# must already have every micro.kernels.* section, or the studybench
+# required-field check below would only fail after minutes of work.
+for kernel in hist knn_block logreg_batch; do
+    grep -q "\"$kernel\"" BENCH_study.json || {
+        echo "FAIL: BENCH_study.json is missing the micro.kernels.$kernel section"
+        exit 1
+    }
+done
+grep -q '"substrate"' BENCH_study.json || {
+    echo "FAIL: BENCH_study.json is missing the substrate section"
+    exit 1
+}
+
+stage "studybench perf gate (vs committed BENCH_study.json)"
+# Checks required fields on both reports (including micro.kernels.* and
+# substrate.*), the end-to-end evals/s floor, the per-kernel speedup
+# floors, the substrate rows/s floor, and the absolute peak-RSS gate on
+# the million-row block substrate (< 2x its own heap footprint).
+cargo run --release -p demodq-bench --bin studybench -- \
+    --smoke --out target/BENCH_study.json --baseline BENCH_study.json
+
+stage "serve-bench throughput gate (vs committed BENCH_serve.json)"
+# Boots the event-driven server on an ephemeral port, hammers /v1/predict
+# with the committed benchmark shape, and fails on any 5xx, any mid-run
+# connection reset, a missing fairness-drift gauge, or throughput below
+# 75% of the committed baseline (machine noise headroom; a real
+# regression in the event loop or the batcher blows well past 25%).
+SERVE_DIR=target/serve_bench
+rm -rf "$SERVE_DIR"
+mkdir -p "$SERVE_DIR"
+./target/release/demodq-serve --datasets german --models log-reg --quiet \
+    --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr" &
+SERVE_PID=$!
+trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+for _ in $(seq 1 150); do
+    [ -s "$SERVE_DIR/addr" ] && break
+    sleep 0.2
+done
+[ -s "$SERVE_DIR/addr" ] || {
+    echo "FAIL: demodq-serve never published its address"
+    exit 1
+}
+./target/release/loadgen --addr "$(cat "$SERVE_DIR/addr")" \
+    --connections 4 --pipeline 32 --batch-rows 1 --duration 5 \
+    --baseline BENCH_serve.json --baseline-frac 0.75 \
+    --require-drift-gauges --out "$SERVE_DIR/BENCH_serve.json"
+kill "$SERVE_PID" 2>/dev/null || true
+wait "$SERVE_PID" 2>/dev/null || true
+trap - EXIT
+echo "serve-bench gate OK"
 
 stage_summary
 echo "CI green."

@@ -18,10 +18,6 @@
 //! smoke scale. The paper's measured values are printed next to ours by
 //! each binary so the shape comparison is immediate; EXPERIMENTS.md records
 //! a full run.
-//!
-//! The Criterion benches (`cargo bench -p demodq-bench`) measure the
-//! systems cost of the building blocks: detector throughput, repair
-//! throughput, model training, and the end-to-end pipeline.
 
 use demodq::config::{StudyOptions, StudyScale};
 

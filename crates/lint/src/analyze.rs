@@ -1,8 +1,5 @@
-//! `demodq-analyze` — the AST/call-graph analyzer driver.
-//!
-//! Parses every workspace source (vendor excluded — see
-//! [`AnalyzeConfig`]), builds the call graph, and runs the four
-//! flow-aware analyses:
+//! The flow analyses: parse every source, build the workspace call
+//! graph, and run the four checks the token lints cannot express:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -11,97 +8,19 @@
 //! | E001 | blocking call (`thread::sleep`, `read_to_end`/`write_all`, lock held across `predict_batch`) reachable from an event-loop handler |
 //! | K001 | allocation (`Vec::new`/`push`/`to_vec`/`vec!`/`format!`) inside the hot scoring kernels |
 //!
-//! Findings reuse the `// lint:allow(CODE, reason)` suppression and
-//! shrink-only baseline machinery of the lexical linter; both tools
-//! share `lint-baseline.txt`, each comparing only its own code scope.
+//! Findings use the same `// lint:allow(CODE, reason)` suppressions and
+//! the same baseline as the token lints; [`crate::lint_tree`] runs both
+//! in one walk. The path policy is [`Config`]'s: T001's sinks are the
+//! D001 paths and its allowlist is D002's.
 
 use crate::callgraph::{self, Graph, RawCall};
 use crate::parser;
-use crate::{Code, Finding, Report};
-use std::path::Path;
+use crate::{Code, Config, Finding};
 
-/// Path policy for the analyzer.
-///
-/// Unlike the lexical linter, the analyzer does **not** scan `vendor/`:
-/// the call-graph over-approximation would link workspace method calls
-/// into vendored internals (rayon blocks and sleeps by design), and
-/// vendored code is frozen anyway. The parser itself is still exercised
-/// against vendor sources in tests to prove error tolerance.
-#[derive(Debug, Clone)]
-pub struct AnalyzeConfig {
-    /// Top-level directories to scan.
-    pub roots: Vec<String>,
-    /// T001 sinks: determinism-critical files (suffix match) — same
-    /// set as the lexical D001 path list.
-    pub sink_paths: Vec<String>,
-    /// T001 allowlist (prefix match): telemetry/bench files that may
-    /// read the clock and never propagate taint to their callers.
-    pub allow_paths: Vec<String>,
-    /// E001 entries: files (suffix match) whose non-test fns anchor
-    /// the event-loop reachability scan.
-    pub entry_files: Vec<String>,
-    /// E001 allowlist (prefix match): files reachability never enters
-    /// (the threaded fallback server blocks by design).
-    pub e001_allow: Vec<String>,
-    /// K001 scope: hot-kernel files (suffix match).
-    pub kernel_paths: Vec<String>,
-}
-
-impl AnalyzeConfig {
-    /// The demodq workspace policy.
-    pub fn demodq() -> AnalyzeConfig {
-        AnalyzeConfig {
-            roots: vec![
-                "crates".to_string(),
-                "src".to_string(),
-                "tests".to_string(),
-                "examples".to_string(),
-            ],
-            sink_paths: vec![
-                "crates/core/src/export.rs".to_string(),
-                "crates/core/src/journal.rs".to_string(),
-                "crates/core/src/runner.rs".to_string(),
-                "crates/core/src/results.rs".to_string(),
-                "crates/core/src/report.rs".to_string(),
-                "crates/core/src/tables.rs".to_string(),
-                "crates/serve/src/metrics.rs".to_string(),
-            ],
-            allow_paths: vec![
-                "crates/core/src/progress.rs".to_string(),
-                "crates/serve/".to_string(),
-                "crates/bench/".to_string(),
-            ],
-            entry_files: vec!["crates/serve/src/event.rs".to_string()],
-            e001_allow: vec!["crates/serve/src/server.rs".to_string()],
-            kernel_paths: vec!["crates/mlcore/src/kernels.rs".to_string()],
-        }
-    }
-
-    fn is_sink(&self, rel: &str) -> bool {
-        self.sink_paths.iter().any(|s| rel.ends_with(s.as_str()))
-    }
-
-    fn is_allowed(&self, rel: &str) -> bool {
-        self.allow_paths.iter().any(|p| rel.starts_with(p.as_str()))
-    }
-
-    fn is_entry_file(&self, rel: &str) -> bool {
-        self.entry_files.iter().any(|s| rel.ends_with(s.as_str()))
-    }
-
-    fn is_e001_allowed(&self, rel: &str) -> bool {
-        self.e001_allow.iter().any(|p| rel.starts_with(p.as_str()) || rel.ends_with(p.as_str()))
-    }
-
-    fn is_kernel(&self, rel: &str) -> bool {
-        self.kernel_paths.iter().any(|s| rel.ends_with(s.as_str()))
-    }
-}
-
-/// Analyzes a set of in-memory sources (`(rel_path, source)` pairs).
-/// This is the unit-test entry point; [`analyze_tree`] feeds it from
-/// disk.
-pub fn analyze_sources(sources: &[(String, String)], config: &AnalyzeConfig) -> Report {
+/// Analyzes a set of in-memory sources (`(rel_path, source)` pairs) and
+/// returns the findings sorted by (file, line, code); [`crate::lint_tree`]
+/// feeds it every file outside `vendor/`.
+pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Vec<Finding> {
     let mut files = Vec::with_capacity(sources.len());
     let mut lexes = Vec::with_capacity(sources.len());
     for (rel, src) in sources {
@@ -123,8 +42,8 @@ pub fn analyze_sources(sources: &[(String, String)], config: &AnalyzeConfig) -> 
     let mut findings = Vec::new();
     crate::taint::run(
         &graph,
-        &|rel| config.is_sink(rel),
-        &|rel| config.is_allowed(rel),
+        &|rel| config.d001_applies(rel),
+        &|rel| config.d002_allowed(rel),
         &excused,
         &mut findings,
     );
@@ -132,8 +51,8 @@ pub fn analyze_sources(sources: &[(String, String)], config: &AnalyzeConfig) -> 
     run_e001(&graph, config, &mut findings);
     run_k001(&graph, config, &mut findings);
 
-    // Suppressions: same machinery as the lexical linter, driven by the
-    // lex that the parse already produced.
+    // Suppressions: same machinery as the token lints, driven by the lex
+    // that the parse already produced.
     for (file, lexed) in files.iter().zip(&lexes) {
         let rel = file.rel.as_str();
         let mut slice: Vec<&mut Finding> =
@@ -147,27 +66,12 @@ pub fn analyze_sources(sources: &[(String, String)], config: &AnalyzeConfig) -> 
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
     });
-    Report { findings, files_scanned: files.len() }
-}
-
-/// Analyzes every `.rs` file under `root`'s configured roots.
-pub fn analyze_tree(root: &Path, config: &AnalyzeConfig) -> std::io::Result<Report> {
-    let mut sources = Vec::new();
-    for path in crate::collect_rs_files(root, &config.roots)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(&path)?;
-        sources.push((rel, source));
-    }
-    Ok(analyze_sources(&sources, config))
+    findings
 }
 
 /// E001: forward reachability from the event-loop handler fns; any
 /// blocking call on a reachable path is reported with its entry chain.
-fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) {
+fn run_e001(graph: &Graph, config: &Config, findings: &mut Vec<Finding>) {
     let n = graph.fns.len();
     // parent[i] = (caller index, entry distance) for the BFS tree.
     let mut parent: Vec<Option<usize>> = vec![None; n];
@@ -185,7 +89,7 @@ fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) 
         head += 1;
         for edge in &graph.fns[cur].edges {
             let callee = &graph.fns[edge.callee];
-            if reachable[edge.callee] || callee.in_test || config.is_e001_allowed(&callee.file) {
+            if reachable[edge.callee] || callee.in_test {
                 continue;
             }
             reachable[edge.callee] = true;
@@ -210,7 +114,7 @@ fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) 
     };
 
     for (i, f) in graph.fns.iter().enumerate() {
-        if !reachable[i] || config.is_e001_allowed(&f.file) {
+        if !reachable[i] {
             continue;
         }
         let mut lock_lines: Vec<usize> = Vec::new();
@@ -286,7 +190,7 @@ fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) 
 
 /// K001: allocations inside the hot-kernel files must go through the
 /// caller-provided scratch pool.
-fn run_k001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) {
+fn run_k001(graph: &Graph, config: &Config, findings: &mut Vec<Finding>) {
     for f in &graph.fns {
         if !config.is_kernel(&f.file) || f.in_test {
             continue;

@@ -7,7 +7,11 @@
 //! file in the workspace, built on a comment/string-aware Rust lexer
 //! ([`lexer`]) so patterns inside strings or comments can never fire.
 //!
-//! # Lint codes
+//! One walk of the tree ([`lint_tree`]) runs two kinds of check: token
+//! lints on every file, and flow analyses ([`analyze`]) on a parsed AST
+//! and workspace call graph of every file outside `vendor/`.
+//!
+//! # Token lints
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -18,13 +22,19 @@
 //! | P001 | `.unwrap()` / `.expect(..)` / `panic!` in library-crate code outside tests |
 //! | F001 | float `==` / `!=` comparison against a float literal in library code |
 //!
-//! The same crate also ships `demodq-analyze` — an AST/call-graph
-//! analyzer ([`analyze`], codes T001/L001/E001/K001) that catches the
-//! flow-level hazards these token lints cannot see (a tainted helper
-//! three calls away, a lock-order inversion across functions, a
-//! blocking call on an event-loop path). Both tools share the
-//! suppression syntax and the baseline file; each gates only on its own
-//! code scope ([`Code::LEXICAL`] vs [`Code::ANALYSIS`]).
+//! # Flow analyses
+//!
+//! | code | meaning |
+//! |------|---------|
+//! | T001 | determinism taint: a fn in a D001 path transitively reaches a wall-clock/entropy source outside the D002 allowlist |
+//! | L001 | lock-order cycle across `Mutex`/`RwLock` acquisition orders (one call level inlined) |
+//! | E001 | blocking call reachable from an event-loop handler |
+//! | K001 | allocation inside the hot scoring kernels |
+//!
+//! They catch what the token lints cannot see: a tainted helper three
+//! calls away, a lock-order inversion across functions, a blocking call
+//! on an event-loop path. T001 does not replace D002: D002 still flags
+//! a clock read that reaches no export at all.
 //!
 //! # Suppressions
 //!
@@ -70,13 +80,13 @@ pub enum Code {
     P001,
     /// Float `==` / `!=` comparison.
     F001,
-    /// Interprocedural determinism taint (analyzer).
+    /// Interprocedural determinism taint (flow analysis).
     T001,
-    /// Lock-order cycle (analyzer).
+    /// Lock-order cycle (flow analysis).
     L001,
-    /// Blocking call reachable from the event loop (analyzer).
+    /// Blocking call reachable from the event loop (flow analysis).
     E001,
-    /// Allocation in a hot kernel (analyzer).
+    /// Allocation in a hot kernel (flow analysis).
     K001,
 }
 
@@ -94,15 +104,6 @@ impl Code {
         Code::E001,
         Code::K001,
     ];
-
-    /// The token-level codes `demodq-lint` owns. The two tools share one
-    /// baseline file; each compares only its own scope so the other's
-    /// grandfathered entries are never reported stale.
-    pub const LEXICAL: [Code; 6] =
-        [Code::D001, Code::D002, Code::D003, Code::S001, Code::P001, Code::F001];
-
-    /// The flow-aware codes `demodq-analyze` owns.
-    pub const ANALYSIS: [Code; 4] = [Code::T001, Code::L001, Code::E001, Code::K001];
 
     /// The stable code string.
     pub fn name(self) -> &'static str {
@@ -191,18 +192,25 @@ pub fn classify(rel: &str) -> FileClass {
     FileClass::Library
 }
 
-/// Repo policy: which paths the path-scoped lints apply to.
+/// Repo policy: which paths the path-scoped checks apply to.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// D001 applies to files whose relative path ends with one of these
-    /// suffixes (the export/journal/runner/summary paths).
+    /// suffixes (the export/journal/runner/summary paths); they are also
+    /// T001's sinks.
     pub d001_paths: Vec<String>,
     /// D002 is waived for files whose relative path starts with one of
     /// these prefixes (telemetry/benchmark modules that measure time by
-    /// design and never feed seeds or exports).
+    /// design and never feed seeds or exports); T001 taint neither
+    /// starts in nor passes through them.
     pub d002_allow: Vec<String>,
     /// Top-level directories to scan (relative to the workspace root).
     pub roots: Vec<String>,
+    /// E001 entries: files (suffix match) whose non-test fns anchor the
+    /// event-loop reachability scan.
+    pub entry_files: Vec<String>,
+    /// K001 scope: hot-kernel files (suffix match).
+    pub kernel_paths: Vec<String>,
 }
 
 impl Config {
@@ -222,7 +230,6 @@ impl Config {
                 "crates/core/src/progress.rs".to_string(),
                 "crates/serve/".to_string(),
                 "crates/bench/".to_string(),
-                "vendor/criterion/".to_string(),
             ],
             roots: vec![
                 "crates".to_string(),
@@ -231,15 +238,25 @@ impl Config {
                 "tests".to_string(),
                 "examples".to_string(),
             ],
+            entry_files: vec!["crates/serve/src/event.rs".to_string()],
+            kernel_paths: vec!["crates/mlcore/src/kernels.rs".to_string()],
         }
     }
 
-    fn d001_applies(&self, rel: &str) -> bool {
+    pub(crate) fn d001_applies(&self, rel: &str) -> bool {
         self.d001_paths.iter().any(|s| rel.ends_with(s.as_str()))
     }
 
-    fn d002_allowed(&self, rel: &str) -> bool {
+    pub(crate) fn d002_allowed(&self, rel: &str) -> bool {
         self.d002_allow.iter().any(|p| rel.starts_with(p.as_str()))
+    }
+
+    pub(crate) fn is_entry_file(&self, rel: &str) -> bool {
+        self.entry_files.iter().any(|s| rel.ends_with(s.as_str()))
+    }
+
+    pub(crate) fn is_kernel(&self, rel: &str) -> bool {
+        self.kernel_paths.iter().any(|s| rel.ends_with(s.as_str()))
     }
 }
 
@@ -455,9 +472,9 @@ fn apply_suppressions(scan: &FileScan<'_>, findings: &mut [Finding]) {
     suppress_core(&scan.allows, &scan.code_lines, findings.iter_mut());
 }
 
-/// The suppression core, shared between the lexical linter (which holds
-/// a full [`FileScan`]) and the analyzer (which re-derives the allow
-/// facts from the lex it already has).
+/// The suppression core, shared between the token lints (which hold a
+/// full [`FileScan`]) and the flow analyses (which re-derive the allow
+/// facts from the lex they already have).
 fn suppress_core<'a>(
     allows: &[Allow],
     code_lines: &[bool],
@@ -502,8 +519,8 @@ fn suppress_core<'a>(
 }
 
 /// Is `line` covered by a valid (reasoned) `lint:allow` for any of
-/// `codes`? Used by the taint analysis: a wall-clock source the lexical
-/// D002 lint excused with a reason (telemetry-only timing) must not
+/// `codes`? Used by the taint analysis: a wall-clock source the token
+/// lint D002 excused with a reason (telemetry-only timing) must not
 /// seed interprocedural taint either — the human already adjudicated
 /// that call site.
 pub(crate) fn line_excused(lexed: &Lexed, line: usize, codes: &[Code]) -> bool {
@@ -523,7 +540,7 @@ pub(crate) fn line_excused(lexed: &Lexed, line: usize, codes: &[Code]) -> bool {
     dummies.iter().any(|f| f.suppressed)
 }
 
-/// Applies `lint:allow` suppressions to analyzer findings for one file,
+/// Applies `lint:allow` suppressions to flow findings for one file,
 /// deriving the allow list and code-line map from its lex.
 pub(crate) fn suppress_by_allows(lexed: &Lexed, findings: &mut [&mut Finding]) {
     let n_lines = lexed.n_lines.max(1);
@@ -797,15 +814,8 @@ fn lint_f001(scan: &FileScan<'_>, findings: &mut Vec<Finding>) {
 /// for deterministic reporting. Skips `target`, VCS metadata and lint
 /// fixture directories.
 pub fn collect_files(root: &Path, config: &Config) -> std::io::Result<Vec<PathBuf>> {
-    collect_rs_files(root, &config.roots)
-}
-
-/// Recursively collects `.rs` files under `roots`, sorted for
-/// deterministic reporting (the analyzer scans a different root set
-/// than the lexical linter, hence the root-list form).
-pub fn collect_rs_files(root: &Path, roots: &[String]) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for top in roots {
+    for top in &config.roots {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;
@@ -858,9 +868,14 @@ impl Report {
     }
 }
 
-/// Lints every collected file under `root`.
+/// Checks every collected file under `root` in one walk: token lints on
+/// every file, flow analyses on every file outside `vendor/`. Vendored
+/// code is frozen, and the call graph's name-based method resolution
+/// would link workspace calls into vendored internals (rayon blocks and
+/// sleeps by design).
 pub fn lint_tree(root: &Path, config: &Config) -> std::io::Result<Report> {
     let mut report = Report::default();
+    let mut flow_sources = Vec::new();
     for path in collect_files(root, config)? {
         let rel = path
             .strip_prefix(root)
@@ -870,7 +885,11 @@ pub fn lint_tree(root: &Path, config: &Config) -> std::io::Result<Report> {
         let source = std::fs::read_to_string(&path)?;
         report.findings.extend(lint_source(&rel, &source, config));
         report.files_scanned += 1;
+        if !rel.starts_with("vendor/") {
+            flow_sources.push((rel, source));
+        }
     }
+    report.findings.extend(analyze::analyze_sources(&flow_sources, config));
     report.findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
     });
@@ -968,46 +987,6 @@ pub fn compare(report: &Report, baseline: &Baseline) -> Verdict {
         }
     }
     verdict
-}
-
-/// Compares only the given code scope of a report against the matching
-/// slice of the baseline. The lexical linter and the analyzer share one
-/// baseline file; each gates on its own codes ([`Code::LEXICAL`] /
-/// [`Code::ANALYSIS`]) so neither sees the other's grandfathered
-/// entries as stale.
-pub fn compare_scoped(report: &Report, baseline: &Baseline, codes: &[Code]) -> Verdict {
-    let in_scope = |c: &Code| codes.contains(c);
-    let scoped_report = Report {
-        findings: report.findings.iter().filter(|f| in_scope(&f.code)).cloned().collect(),
-        files_scanned: report.files_scanned,
-    };
-    let scoped_baseline = Baseline {
-        counts: baseline
-            .counts
-            .iter()
-            .filter(|((_, c), _)| in_scope(c))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-    };
-    compare(&scoped_report, &scoped_baseline)
-}
-
-/// Rewrites the in-scope slice of a baseline from a report, preserving
-/// the other tool's entries verbatim (`--write-baseline` must never
-/// drop the sibling scope).
-pub fn rewrite_baseline_scoped(old: &Baseline, report: &Report, codes: &[Code]) -> Baseline {
-    let mut counts: BTreeMap<(String, Code), usize> = old
-        .counts
-        .iter()
-        .filter(|((_, c), _)| !codes.contains(c))
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    for ((file, code), n) in Baseline::from_report(report).counts {
-        if codes.contains(&code) {
-            counts.insert((file, code), n);
-        }
-    }
-    Baseline { counts }
 }
 
 /// Minimal JSON string escaping for the machine-readable output.

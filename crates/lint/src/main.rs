@@ -1,4 +1,5 @@
-//! `demodq-lint` CLI: lints the workspace, compares against the
+//! `demodq-lint` CLI: runs the token lints and the flow analyses over
+//! the workspace in one walk, compares the whole report against the
 //! committed baseline and exits nonzero on any drift.
 //!
 //! ```text
@@ -10,9 +11,7 @@
 //! findings or stale baseline entries, `2` usage or I/O error.
 
 use demodq_lint::output::{print_human, print_json};
-use demodq_lint::{
-    compare_scoped, lint_tree, rewrite_baseline_scoped, Baseline, Code, Config,
-};
+use demodq_lint::{compare, lint_tree, Baseline, Code, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -94,13 +93,7 @@ fn main() -> ExitCode {
 
     let baseline_path = cli.baseline.clone().unwrap_or_else(|| cli.root.join("lint-baseline.txt"));
     if cli.write_baseline {
-        // Rewrite only the lexical scope: the analyzer's grandfathered
-        // entries in the shared baseline file must survive untouched.
-        let old = std::fs::read_to_string(&baseline_path)
-            .ok()
-            .and_then(|t| Baseline::parse(&t).ok())
-            .unwrap_or_default();
-        let baseline = rewrite_baseline_scoped(&old, &report, &Code::LEXICAL);
+        let baseline = Baseline::from_report(&report);
         if let Err(e) = std::fs::write(&baseline_path, baseline.render()) {
             eprintln!("demodq-lint: cannot write {}: {e}", baseline_path.display());
             return ExitCode::from(2);
@@ -136,11 +129,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Gate only on the lexical scope — T001/L001/E001/K001 belong to
-    // demodq-analyze, which shares this baseline file.
-    let verdict = compare_scoped(&report, &baseline, &Code::LEXICAL);
+    let verdict = compare(&report, &baseline);
     match cli.format {
-        Format::Human => print_human("demodq-lint", &report, &verdict),
+        Format::Human => print_human(&report, &verdict),
         Format::Json => print_json(&report, &verdict),
     }
     if verdict.clean() {

@@ -1,10 +1,9 @@
-//! Human and JSON report rendering, shared by the `demodq-lint` and
-//! `demodq-analyze` binaries.
+//! Human and JSON report rendering for the `demodq-lint` binary.
 
 use crate::{json_escape, Code, Report, Verdict};
 
 /// Prints the actionable findings and the gate verdict for humans.
-pub fn print_human(tool: &str, report: &Report, verdict: &Verdict) {
+pub fn print_human(report: &Report, verdict: &Verdict) {
     // Only findings in (file, code) groups that exceed the baseline are
     // actionable; print them all (the grandfathered ones give context).
     let over: std::collections::BTreeSet<(&str, Code)> =
@@ -36,7 +35,7 @@ pub fn print_human(tool: &str, report: &Report, verdict: &Verdict) {
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
     let active = report.active().count();
     println!(
-        "{tool}: {} file(s), {} active finding(s) ({} suppressed), {} new, {} stale — {}",
+        "demodq-lint: {} file(s), {} active finding(s) ({} suppressed), {} new, {} stale — {}",
         report.files_scanned,
         active,
         suppressed,

@@ -1,16 +1,19 @@
-//! Integration tests for `demodq-analyze`: each analysis code has a
+//! Integration tests for the flow analyses: each analysis code has a
 //! seeded-violation case that fails without the analysis and passes
 //! with it, plus allowlist/suppression behavior and the committed
 //! fixture tree (the same tree `ci.sh` drives through the binary).
 
-use demodq_lint::analyze::{analyze_sources, analyze_tree, AnalyzeConfig};
-use demodq_lint::{compare_scoped, Baseline, Code, Finding};
+use demodq_lint::analyze::analyze_sources;
+use demodq_lint::{compare, lint_tree, Baseline, Code, Config, Finding};
 use std::path::Path;
+
+/// The four flow-analysis codes.
+const FLOW: [Code; 4] = [Code::T001, Code::L001, Code::E001, Code::K001];
 
 fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
     let sources: Vec<(String, String)> =
         files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
-    analyze_sources(&sources, &AnalyzeConfig::demodq()).findings
+    analyze_sources(&sources, &Config::demodq())
 }
 
 fn active_of(findings: &[Finding], code: Code) -> Vec<&Finding> {
@@ -207,15 +210,9 @@ fn e001_catches_lock_held_across_predict_batch() {
 }
 
 #[test]
-fn e001_ignores_the_threaded_fallback_and_unreachable_code() {
+fn e001_ignores_unreachable_code() {
     let findings = analyze(&[
-        // The event loop may fall back into server.rs, which blocks by
-        // design — reachability must not cross into it.
-        ("crates/serve/src/event.rs", "pub fn run() { accept_loop(); }"),
-        (
-            "crates/serve/src/server.rs",
-            "pub fn accept_loop() { std::thread::sleep(std::time::Duration::from_millis(1)); }",
-        ),
+        ("crates/serve/src/event.rs", "pub fn run() {}"),
         // Blocking code nobody reaches from event.rs is not flagged.
         (
             "crates/serve/src/warmup.rs",
@@ -268,13 +265,13 @@ fn k001_suppression_with_reason_is_honored() {
 #[test]
 fn seeded_fixture_tree_fails_an_empty_baseline_with_all_codes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analyze/ws");
-    let report = analyze_tree(&root, &AnalyzeConfig::demodq()).expect("analyze fixture tree");
+    let report = lint_tree(&root, &Config::demodq()).expect("lint fixture tree");
     let fired: std::collections::BTreeSet<Code> =
         report.active().map(|f| f.code).collect();
-    for code in Code::ANALYSIS {
+    for code in FLOW {
         assert!(fired.contains(&code), "{} did not fire on the fixture tree", code.name());
     }
-    let verdict = compare_scoped(&report, &Baseline::default(), &Code::ANALYSIS);
+    let verdict = compare(&report, &Baseline::default());
     assert!(!verdict.clean(), "fixture tree must fail an empty baseline");
     assert!(verdict.stale.is_empty());
 }
@@ -282,7 +279,7 @@ fn seeded_fixture_tree_fails_an_empty_baseline_with_all_codes() {
 #[test]
 fn fixture_taint_chain_crosses_module_boundaries() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analyze/ws");
-    let report = analyze_tree(&root, &AnalyzeConfig::demodq()).expect("analyze fixture tree");
+    let report = lint_tree(&root, &Config::demodq()).expect("lint fixture tree");
     let t001: Vec<_> = report.active().filter(|f| f.code == Code::T001).collect();
     assert!(
         t001.iter().any(|f| f.message.contains("export_summary -> stamp_helper -> entropy_leak")),

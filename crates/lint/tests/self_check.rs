@@ -1,10 +1,8 @@
-//! Self-check: lint and analyze the real workspace and require an exact
-//! match with the committed baseline — no new findings *and* no stale
-//! entries, so the baseline can only ever shrink. Each tool compares
-//! only its own code scope of the shared baseline file.
+//! Self-check: lint the real workspace (token lints and flow analyses)
+//! and require an exact match with the committed baseline — no new
+//! findings *and* no stale entries, so the baseline can only ever shrink.
 
-use demodq_lint::analyze::{analyze_tree, AnalyzeConfig};
-use demodq_lint::{compare_scoped, lint_tree, Baseline, Code, Config};
+use demodq_lint::{compare, lint_tree, Baseline, Config};
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -14,20 +12,17 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-fn committed_baseline(root: &Path) -> Baseline {
-    let baseline_path = root.join("lint-baseline.txt");
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", baseline_path.display()));
-    Baseline::parse(&text).expect("valid baseline")
-}
-
 #[test]
 fn workspace_matches_committed_baseline_exactly() {
     let root = workspace_root();
     let report = lint_tree(root, &Config::demodq()).expect("lint workspace");
     assert!(report.files_scanned > 100, "scanned only {} files", report.files_scanned);
 
-    let verdict = compare_scoped(&report, &committed_baseline(root), &Code::LEXICAL);
+    let baseline_path = root.join("lint-baseline.txt");
+    let text = std::fs::read_to_string(&baseline_path)
+        .unwrap_or_else(|e| panic!("missing {}: {e}", baseline_path.display()));
+    let baseline = Baseline::parse(&text).expect("valid baseline");
+    let verdict = compare(&report, &baseline);
     assert!(
         verdict.new.is_empty(),
         "new lint findings not in baseline (fix them or suppress with a reason): {:?}",
@@ -41,30 +36,10 @@ fn workspace_matches_committed_baseline_exactly() {
 }
 
 #[test]
-fn workspace_is_analyzer_clean_against_committed_baseline() {
-    let root = workspace_root();
-    let report = analyze_tree(root, &AnalyzeConfig::demodq()).expect("analyze workspace");
-    assert!(report.files_scanned > 50, "analyzed only {} files", report.files_scanned);
-
-    let verdict = compare_scoped(&report, &committed_baseline(root), &Code::ANALYSIS);
-    assert!(
-        verdict.new.is_empty(),
-        "new analyzer findings not in baseline (fix them or suppress with a reason): {:?}",
-        verdict.new
-    );
-    assert!(
-        verdict.stale.is_empty(),
-        "stale analyzer baseline entries (regenerate with demodq-analyze --write-baseline): {:?}",
-        verdict.stale
-    );
-}
-
-#[test]
 fn every_suppression_in_the_tree_carries_a_reason() {
     let root = workspace_root();
-    let lexical = lint_tree(root, &Config::demodq()).expect("lint workspace");
-    let flow = analyze_tree(root, &AnalyzeConfig::demodq()).expect("analyze workspace");
-    for finding in lexical.findings.iter().chain(&flow.findings).filter(|f| f.suppressed) {
+    let report = lint_tree(root, &Config::demodq()).expect("lint workspace");
+    for finding in report.findings.iter().filter(|f| f.suppressed) {
         let reason = finding.reason.as_deref().unwrap_or("");
         assert!(
             !reason.trim().is_empty(),

@@ -18,14 +18,14 @@
 use crate::http::{try_parse, ParseOutcome, Response};
 use crate::nb::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::routes::{App, PredictJob, Routed};
-use crate::server::{log_line, ServerConfig};
+use crate::server::ServerConfig;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Token identifying the listener in epoll events.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -85,7 +85,9 @@ struct BatchEntry {
     job: PredictJob,
 }
 
-struct Loop {
+/// The event loop's state. [`Loop::new`] runs on the caller's thread, so
+/// set-up errors reach [`crate::Server::spawn`]'s caller.
+pub(crate) struct Loop {
     epoll: Epoll,
     listener: TcpListener,
     app: Arc<App>,
@@ -99,39 +101,34 @@ struct Loop {
     shutdown: Arc<AtomicBool>,
 }
 
-/// Runs the event loop until the shutdown flag flips. Falls back to the
-/// threaded loop if epoll setup fails (containers with exotic seccomp
-/// filters).
-pub fn run(listener: TcpListener, app: Arc<App>, config: ServerConfig, shutdown: Arc<AtomicBool>) {
-    let epoll = match Epoll::new() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("serve: epoll unavailable ({e}); using the threaded loop");
-            return crate::server::accept_loop(listener, app, config, shutdown);
-        }
-    };
-    if let Err(e) = epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN) {
-        eprintln!("serve: cannot register the listener ({e}); using the threaded loop");
-        return crate::server::accept_loop(listener, app, config, shutdown);
-    }
-    let mut state = Loop {
-        epoll,
-        listener,
-        app,
-        config,
-        conns: Vec::new(),
-        active: 0,
-        pending: Vec::new(),
-        pending_rows: 0,
-        batch_started: None,
-        next_job_id: 0,
-        shutdown,
-    };
-    state.run();
-}
-
 impl Loop {
-    fn run(&mut self) {
+    /// Creates the epoll instance and registers the (nonblocking)
+    /// listener.
+    pub(crate) fn new(
+        listener: TcpListener,
+        app: Arc<App>,
+        config: ServerConfig,
+        shutdown: Arc<AtomicBool>,
+    ) -> std::io::Result<Loop> {
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        Ok(Loop {
+            epoll,
+            listener,
+            app,
+            config,
+            conns: Vec::new(),
+            active: 0,
+            pending: Vec::new(),
+            pending_rows: 0,
+            batch_started: None,
+            next_job_id: 0,
+            shutdown,
+        })
+    }
+
+    /// Serves until the shutdown flag flips, then drains.
+    pub(crate) fn run(mut self) {
         let mut events = [EpollEvent::zeroed(); MAX_EVENTS];
         let mut last_sweep = Instant::now();
         while !self.shutdown.load(Ordering::SeqCst) {
@@ -565,4 +562,24 @@ fn push_response(conn: &mut Conn, response: &Response, keep_alive: bool) {
     let mut bytes = Vec::with_capacity(response.body.len() + 128);
     let _ = response.write_to(&mut bytes, keep_alive);
     conn.slots.push_back(Slot::Ready(bytes, !keep_alive));
+}
+
+/// One structured JSON log line per request, on stderr.
+fn log_line(peer: &str, method: &str, path: &str, status: u16, elapsed: Duration, body_bytes: usize) {
+    let ts_ms = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0);
+    eprintln!(
+        "{}",
+        serde_json::json!({
+            "ts_ms": ts_ms,
+            "peer": peer,
+            "method": method,
+            "path": path,
+            "status": status,
+            "duration_us": elapsed.as_micros() as u64,
+            "body_bytes": body_bytes,
+        })
+    );
 }

@@ -1,11 +1,12 @@
-//! Minimal HTTP/1.1 request parsing and response writing over `std::io`.
+//! Minimal HTTP/1.1 request parsing over a connection's buffered bytes,
+//! and response serialisation.
 //!
 //! Only what the service needs: request line + headers + `Content-Length`
 //! bodies, keep-alive, and hard limits that map to 400/413 instead of
 //! unbounded buffering. No chunked transfer encoding — requests using it
 //! are rejected with 411 (length required).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Upper bound on the request line + headers block.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -23,18 +24,15 @@ pub enum HttpError {
     PayloadTooLarge(String),
     /// Body sent without `Content-Length` (411).
     LengthRequired,
-    /// Socket error or timeout; the connection is dropped.
-    Io(std::io::Error),
 }
 
 impl HttpError {
-    /// The response status for this error (io errors get no response).
+    /// The response status for this error.
     pub fn status(&self) -> u16 {
         match self {
             HttpError::BadRequest(_) => 400,
             HttpError::PayloadTooLarge(_) => 413,
             HttpError::LengthRequired => 411,
-            HttpError::Io(_) => 500,
         }
     }
 
@@ -44,14 +42,7 @@ impl HttpError {
             HttpError::BadRequest(m) => format!("bad request: {m}"),
             HttpError::PayloadTooLarge(m) => format!("payload too large: {m}"),
             HttpError::LengthRequired => "content-length required".to_string(),
-            HttpError::Io(e) => format!("io error: {e}"),
         }
-    }
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -83,19 +74,61 @@ impl Request {
     }
 }
 
-/// Reads one request from the stream.
-///
-/// `Ok(None)` means the peer closed the connection cleanly between
-/// requests.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
-    let mut line = Vec::new();
-    let mut header_bytes = 0usize;
+/// Outcome of a parse attempt over a connection's buffered bytes (see
+/// [`try_parse`]).
+#[derive(Debug)]
+pub enum ParseOutcome {
+    /// A complete request, plus the number of buffer bytes it consumed
+    /// (pipelined requests may follow at that offset).
+    Complete(Request, usize),
+    /// The buffer holds only a prefix of a request; read more bytes.
+    NeedMore,
+    /// The buffered bytes can never become a valid request; answer with
+    /// the error's status and close.
+    Invalid(HttpError),
+}
 
-    // Request line; EOF here is a clean close.
-    if read_line_limited(reader, &mut line, &mut header_bytes)? == 0 {
-        return Ok(None);
+/// Parses one request from the front of a partially filled buffer
+/// without blocking. The head is judged only once its blank line is
+/// buffered (a partial header line would otherwise be mistaken for a
+/// malformed one), and the body only once `Content-Length` bytes follow
+/// it.
+pub fn try_parse(buf: &[u8]) -> ParseOutcome {
+    let head_end = find_head_end(buf);
+    if head_end.unwrap_or(buf.len()) > MAX_HEADER_BYTES {
+        return ParseOutcome::Invalid(HttpError::PayloadTooLarge(format!(
+            "headers exceed the {MAX_HEADER_BYTES}-byte limit"
+        )));
     }
-    let request_line = String::from_utf8(line.clone())
+    let Some(head_end) = head_end else {
+        return ParseOutcome::NeedMore;
+    };
+    let request = match parse_head(&buf[..head_end]) {
+        Ok(request) => request,
+        Err(e) => return ParseOutcome::Invalid(e),
+    };
+    let content_length = match body_length(&request) {
+        Ok(n) => n,
+        Err(e) => return ParseOutcome::Invalid(e),
+    };
+    // Oversized bodies were rejected from the header alone, so this
+    // cannot overflow.
+    let end = head_end + content_length;
+    if buf.len() < end {
+        return ParseOutcome::NeedMore;
+    }
+    ParseOutcome::Complete(Request { body: buf[head_end..end].to_vec(), ..request }, end)
+}
+
+/// Parses a complete head: the request line, then header lines up to
+/// the blank line that ends it.
+fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
+    let mut lines = head.split_inclusive(|&b| b == b'\n').map(|raw| {
+        let line = raw.strip_suffix(b"\n").unwrap_or(raw);
+        line.strip_suffix(b"\r").unwrap_or(line)
+    });
+
+    let request_line = std::str::from_utf8(lines.next().unwrap_or_default())
         .map_err(|_| HttpError::BadRequest("request line is not UTF-8".to_string()))?;
     let mut parts = request_line.split_whitespace();
     let method = parts
@@ -113,30 +146,23 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    // Headers.
     let mut headers = Vec::new();
-    loop {
-        let n = read_line_limited(reader, &mut line, &mut header_bytes)?;
-        if n == 0 {
-            return Err(HttpError::BadRequest("connection closed mid-headers".to_string()));
-        }
-        if line.is_empty() {
-            break;
-        }
+    for line in lines.take_while(|line| !line.is_empty()) {
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::PayloadTooLarge(format!("more than {MAX_HEADERS} headers")));
         }
-        let text = String::from_utf8(line.clone())
+        let text = std::str::from_utf8(line)
             .map_err(|_| HttpError::BadRequest("header is not UTF-8".to_string()))?;
         let (name, value) = text
             .split_once(':')
             .ok_or_else(|| HttpError::BadRequest(format!("malformed header line {text:?}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    Ok(Request { method, path, headers, body: Vec::new() })
+}
 
-    let request = Request { method, path, headers, body: Vec::new() };
-
-    // Body framing.
+/// The body length the head declares.
+fn body_length(request: &Request) -> Result<usize, HttpError> {
     if request.header("transfer-encoding").is_some() {
         return Err(HttpError::LengthRequired);
     }
@@ -172,58 +198,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
             "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
         )));
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        std::io::Read::read_exact(reader, &mut body)?;
-    }
-    Ok(Some(Request { body, ..request }))
-}
-
-/// Outcome of a non-blocking parse attempt over a connection's buffered
-/// bytes (see [`try_parse`]).
-#[derive(Debug)]
-pub enum ParseOutcome {
-    /// A complete request, plus the number of buffer bytes it consumed
-    /// (pipelined requests may follow at that offset).
-    Complete(Request, usize),
-    /// The buffer holds only a prefix of a request; read more bytes.
-    NeedMore,
-    /// The buffered bytes can never become a valid request; answer with
-    /// the error's status and close.
-    Invalid(HttpError),
-}
-
-/// Attempts to parse one request from a partially filled buffer without
-/// blocking, for the event-driven server. Shares every framing rule and
-/// hardening check with [`read_request`]: the only extra logic is
-/// distinguishing "not yet complete" from "malformed", which the blocking
-/// reader never needs (it waits on the socket instead).
-pub fn try_parse(buf: &[u8]) -> ParseOutcome {
-    if buf.is_empty() {
-        return ParseOutcome::NeedMore;
-    }
-    // Only judge the head once it is fully buffered: a partial header
-    // line would otherwise be mistaken for a malformed one.
-    if find_head_end(buf).is_none() {
-        if buf.len() > MAX_HEADER_BYTES {
-            return ParseOutcome::Invalid(HttpError::PayloadTooLarge(format!(
-                "headers exceed the {MAX_HEADER_BYTES}-byte limit"
-            )));
-        }
-        return ParseOutcome::NeedMore;
-    }
-    let mut slice = buf;
-    match read_request(&mut slice) {
-        Ok(Some(request)) => ParseOutcome::Complete(request, buf.len() - slice.len()),
-        Ok(None) => ParseOutcome::NeedMore,
-        // The head was complete, so an EOF can only mean the body is
-        // still in flight (oversized bodies were already rejected as 413
-        // from the Content-Length header alone).
-        Err(HttpError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            ParseOutcome::NeedMore
-        }
-        Err(e) => ParseOutcome::Invalid(e),
-    }
+    Ok(content_length)
 }
 
 /// Index just past the blank line ending the request head, if fully
@@ -242,41 +217,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
         }
     }
     None
-}
-
-/// Reads one CRLF- (or LF-) terminated line into `line` (terminator
-/// stripped), charging its length against the shared header budget.
-/// Returns the number of raw bytes consumed (0 at EOF).
-fn read_line_limited<R: BufRead>(
-    reader: &mut R,
-    line: &mut Vec<u8>,
-    header_bytes: &mut usize,
-) -> Result<usize, HttpError> {
-    line.clear();
-    let mut consumed = 0usize;
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(consumed);
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(available.len(), |i| i + 1);
-        *header_bytes += take;
-        if *header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::PayloadTooLarge(format!(
-                "headers exceed the {MAX_HEADER_BYTES}-byte limit"
-            )));
-        }
-        line.extend_from_slice(&available[..newline.map_or(take, |i| i)]);
-        reader.consume(take);
-        consumed += take;
-        if newline.is_some() {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return Ok(consumed);
-        }
-    }
 }
 
 /// An outgoing response.
@@ -310,12 +250,14 @@ impl Response {
         Response { status, content_type: "text/plain; charset=utf-8", body: body.into() }
     }
 
-    /// Serialises the response to the wire.
-    pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> std::io::Result<()> {
+    /// Serialises the response onto the end of `out`. Appending to a
+    /// `Vec` cannot fail; the `io::Result` is kept for callers that
+    /// propagate it.
+    pub fn write_to(&self, out: &mut Vec<u8>, keep_alive: bool) -> std::io::Result<()> {
         let reason = reason_phrase(self.status);
         let connection = if keep_alive { "keep-alive" } else { "close" };
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.status,
             reason,
@@ -323,9 +265,8 @@ impl Response {
             self.body.len(),
             connection,
         )?;
-        // lint:allow(E001, generic W is an in-memory Vec<u8> on every event-loop path; only the threaded fallback passes a socket, off-loop)
-        writer.write_all(&self.body)?;
-        writer.flush()
+        out.extend_from_slice(&self.body);
+        Ok(())
     }
 }
 
@@ -349,10 +290,13 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(bytes))
+        match try_parse(bytes) {
+            ParseOutcome::Complete(request, _) => Ok(Some(request)),
+            ParseOutcome::NeedMore => Ok(None),
+            ParseOutcome::Invalid(e) => Err(e),
+        }
     }
 
     #[test]
@@ -456,9 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn truncated_headers_are_400() {
-        let err = parse(b"GET / HTTP/1.1\r\nHost: x\r\n").unwrap_err();
-        assert_eq!(err.status(), 400);
+    fn truncated_headers_need_more() {
+        assert!(parse(b"GET / HTTP/1.1\r\nHost: x\r\n").unwrap().is_none());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * `GET /healthz` — registry summary;
 //! * `GET /metrics` — Prometheus counters and latency histograms.
 //!
-//! The binary (`demodq-serve`) adds SIGTERM/SIGINT handling with graceful
+//! The server is one epoll event loop and runs on Linux only
+//! ([`Server::spawn`] returns `ErrorKind::Unsupported` elsewhere). The
+//! binary (`demodq-serve`) adds SIGTERM/SIGINT handling with graceful
 //! drain; the library pieces ([`Server::spawn`] on an ephemeral port) are
 //! designed for in-process integration tests and examples.
 

@@ -37,11 +37,9 @@ struct Args {
     addr: String,
     scale_name: String,
     seed: u64,
-    workers: Option<usize>,
     datasets: Vec<DatasetId>,
     models: Vec<ModelKind>,
     quiet: bool,
-    threaded: bool,
     batch_wait_us: Option<u64>,
     batch_max_rows: Option<usize>,
     max_connections: Option<usize>,
@@ -53,10 +51,9 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: demodq-serve [--addr HOST:PORT] [--scale smoke|default|full] \
-         [--seed N] [--workers N] [--datasets a,b] [--models a,b] [--quiet] \
-         [--threaded] [--batch-wait-us N] [--batch-max-rows N] \
-         [--max-connections N] [--drift-threshold X] [--drift-window N] \
-         [--addr-file PATH]"
+         [--seed N] [--datasets a,b] [--models a,b] [--quiet] \
+         [--batch-wait-us N] [--batch-max-rows N] [--max-connections N] \
+         [--drift-threshold X] [--drift-window N] [--addr-file PATH]"
     );
     std::process::exit(2);
 }
@@ -66,11 +63,9 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:8080".to_string(),
         scale_name: "smoke".to_string(),
         seed: 7,
-        workers: None,
         datasets: DatasetId::all().to_vec(),
         models: ModelKind::all().to_vec(),
         quiet: false,
-        threaded: false,
         batch_wait_us: None,
         batch_max_rows: None,
         max_connections: None,
@@ -91,9 +86,6 @@ fn parse_args() -> Args {
             "--scale" => args.scale_name = value("--scale"),
             "--seed" => {
                 args.seed = value("--seed").parse().unwrap_or_else(|_| usage());
-            }
-            "--workers" => {
-                args.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()));
             }
             "--datasets" => {
                 args.datasets = value("--datasets")
@@ -118,7 +110,6 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--quiet" => args.quiet = true,
-            "--threaded" => args.threaded = true,
             "--batch-wait-us" => {
                 args.batch_wait_us =
                     Some(value("--batch-wait-us").parse().unwrap_or_else(|_| usage()));
@@ -186,13 +177,6 @@ fn main() {
 
     let mut config =
         ServerConfig { addr: args.addr, log_requests: !args.quiet, ..Default::default() };
-    if let Some(workers) = args.workers {
-        config.workers = workers;
-        config.queue_capacity = workers;
-    }
-    if args.threaded {
-        config.event_driven = false;
-    }
     if let Some(us) = args.batch_wait_us {
         config.batch_wait = Duration::from_micros(us);
     }
@@ -211,7 +195,7 @@ fn main() {
     }
     let app = Arc::new(App::with_drift(registry, drift));
     let server = Server::spawn(Arc::clone(&app), config).unwrap_or_else(|e| {
-        eprintln!("bind failed: {e}");
+        eprintln!("cannot start the server: {e}");
         std::process::exit(1);
     });
     eprintln!("listening on http://{}", server.local_addr());

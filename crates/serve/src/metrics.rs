@@ -93,7 +93,8 @@ impl Metrics {
         slot.latency.observe(latency);
     }
 
-    /// Records a connection rejected because the worker queue was full.
+    /// Records a connection shed with a 503 at accept time because the
+    /// event loop already holds `max_connections` open connections.
     pub fn observe_queue_full(&self) {
         self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
     }
@@ -188,7 +189,7 @@ impl Metrics {
                 e.server_errors.load(Ordering::Relaxed)
             ));
         }
-        out.push_str("# HELP demodq_rejected_total Connections refused with 503 (queue full).\n");
+        out.push_str("# HELP demodq_rejected_total Connections refused with 503 at accept time (connection cap reached).\n");
         out.push_str("# TYPE demodq_rejected_total counter\n");
         out.push_str(&format!(
             "demodq_rejected_total {}\n",

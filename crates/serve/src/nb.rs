@@ -1,10 +1,10 @@
 //! Raw, dependency-free epoll bindings for the event-driven server.
 //!
-//! Linux-only by construction (the module is empty elsewhere; the server
-//! falls back to its threaded loop). The four syscalls the event loop
-//! needs — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `close` — are
-//! declared directly against libc, which the binary already links for
-//! `signal`. No `mio`, no `libc` crate.
+//! Linux-only by construction: the module is empty elsewhere, where
+//! `Server::spawn` returns `ErrorKind::Unsupported`. The four syscalls
+//! the event loop needs — `epoll_create1`, `epoll_ctl`, `epoll_wait`,
+//! `close` — are declared directly against libc, which the binary
+//! already links for `signal`. No `mio`, no `libc` crate.
 #![cfg(target_os = "linux")]
 
 use std::io;

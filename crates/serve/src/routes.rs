@@ -108,9 +108,10 @@ impl App {
     }
 
     /// Handles one parsed request: routes it, converts a handler panic
-    /// into a 500, and records the outcome in [`App::metrics`]. Used by
-    /// the threaded socket loop and callable directly for in-process
-    /// serving.
+    /// into a 500, and records the outcome in [`App::metrics`]. The event
+    /// loop reaches it through [`App::route_or_defer`] for every request
+    /// that is not a predict; it is also callable directly for
+    /// in-process serving.
     pub fn handle(&self, request: &Request) -> Response {
         let started = Instant::now();
         // A handler panic must cost one 500, not the calling thread.

@@ -1,21 +1,18 @@
-//! The multithreaded server loop.
+//! Server start-up and shutdown around the event loop ([`crate::event`]).
 //!
-//! A nonblocking accept thread feeds accepted connections into a bounded
-//! queue drained by a fixed pool of worker threads (keep-alive, one
-//! connection per worker at a time). When the queue is full the accept
-//! thread answers 503 immediately instead of queueing unbounded work.
-//! Shutdown is graceful: the accept thread stops accepting, the queue is
-//! closed, and workers finish their in-flight request before exiting.
+//! The server is Linux-only: it runs one epoll event loop. [`Server::spawn`]
+//! binds, creates the epoll instance and registers the listener on the
+//! caller's thread, so every set-up failure comes back as an `io::Error`;
+//! off Linux it returns [`std::io::ErrorKind::Unsupported`]. Shutdown is
+//! graceful: the loop stops accepting, answers the batch already accepted
+//! and flushes what it can within the write timeout.
 
-use crate::http::{read_request, HttpError, Request, Response};
 use crate::routes::App;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -23,45 +20,31 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (port 0 picks an ephemeral
     /// port, reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads handling connections. Each keep-alive connection
-    /// pins its worker for the connection's lifetime, so this bounds the
-    /// number of concurrent connections, not CPU use — blocking workers
-    /// are cheap, so the default oversubscribes the cores.
-    pub workers: usize,
-    /// Accepted connections waiting for a worker before 503.
-    pub queue_capacity: usize,
-    /// Per-connection socket read timeout (also bounds how long an idle
-    /// keep-alive connection can delay shutdown).
+    /// Idle budget: a connection that makes no read or write progress
+    /// for this long is closed (slow-loris senders, abandoned
+    /// keep-alives, peers that never drain their responses).
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
+    /// Write timeout for the blocking final flush at shutdown.
     pub write_timeout: Duration,
     /// Emit one structured log line per request to stderr.
     pub log_requests: bool,
-    /// Use the single-threaded epoll event loop with micro-batching
-    /// (Linux only; elsewhere the threaded loop always runs).
-    pub event_driven: bool,
     /// Flush the predict micro-batch once it holds this many rows.
     pub batch_max_rows: usize,
     /// Flush the predict micro-batch once its oldest job has waited this
     /// long, even if more traffic keeps arriving.
     pub batch_wait: Duration,
-    /// Open-connection cap for the event loop; connections beyond it are
-    /// answered 503 at accept time.
+    /// Open-connection cap; connections beyond it are answered 503 at
+    /// accept time.
     pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, usize::from);
-        let workers = (cores * 4).max(16);
         ServerConfig {
             addr: "127.0.0.1:8080".to_string(),
-            workers,
-            queue_capacity: workers,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             log_requests: true,
-            event_driven: cfg!(target_os = "linux"),
             batch_max_rows: 64,
             batch_wait: Duration::from_millis(1),
             max_connections: 1024,
@@ -74,28 +57,19 @@ impl Default for ServerConfig {
 pub struct Server {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
+    loop_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts serving `app` on background threads.
+    /// Binds, sets up the event loop and starts serving `app` on a
+    /// background thread.
     pub fn spawn(app: Arc<App>, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
-        let event_driven = config.event_driven && cfg!(target_os = "linux");
-        let accept_handle = std::thread::Builder::new()
-            .name("demodq-accept".to_string())
-            .spawn(move || {
-                if event_driven {
-                    run_event_loop(listener, app, config, accept_shutdown);
-                } else {
-                    accept_loop(listener, app, config, accept_shutdown);
-                }
-            })?;
-        Ok(Server { local_addr, shutdown, accept_handle: Some(accept_handle) })
+        let loop_handle = start(listener, app, config, Arc::clone(&shutdown))?;
+        Ok(Server { local_addr, shutdown, loop_handle: Some(loop_handle) })
     }
 
     /// The bound address (resolves port 0).
@@ -108,14 +82,14 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// Stops accepting, drains in-flight requests, and joins all threads.
+    /// Stops accepting, drains in-flight requests, and joins the loop.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.loop_handle.take() {
             let _ = handle.join();
         }
     }
@@ -128,176 +102,27 @@ impl Drop for Server {
 }
 
 #[cfg(target_os = "linux")]
-fn run_event_loop(
+fn start(
     listener: TcpListener,
     app: Arc<App>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-) {
-    crate::event::run(listener, app, config, shutdown);
+) -> std::io::Result<JoinHandle<()>> {
+    let event_loop = crate::event::Loop::new(listener, app, config, shutdown)?;
+    std::thread::Builder::new()
+        .name("demodq-event-loop".to_string())
+        .spawn(move || event_loop.run())
 }
 
 #[cfg(not(target_os = "linux"))]
-fn run_event_loop(
-    listener: TcpListener,
-    app: Arc<App>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-) {
-    accept_loop(listener, app, config, shutdown);
-}
-
-pub(crate) fn accept_loop(
-    listener: TcpListener,
-    app: Arc<App>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-) {
-    let (sender, receiver) = sync_channel::<TcpStream>(config.queue_capacity.max(1));
-    let receiver = Arc::new(Mutex::new(receiver));
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .filter_map(|i| {
-            let app = Arc::clone(&app);
-            let receiver = Arc::clone(&receiver);
-            let shutdown = Arc::clone(&shutdown);
-            let log_requests = config.log_requests;
-            std::thread::Builder::new()
-                .name(format!("demodq-worker-{i}"))
-                .spawn(move || worker_loop(&app, &receiver, &shutdown, log_requests))
-                .map_err(|e| eprintln!("serve: cannot spawn worker {i}: {e}"))
-                .ok()
-        })
-        .collect();
-    if workers.is_empty() {
-        // Degraded but not dead: serve requests on the accept thread
-        // itself rather than refusing every connection.
-        eprintln!("serve: no worker threads available; handling requests inline");
-    }
-
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(config.read_timeout));
-                let _ = stream.set_write_timeout(Some(config.write_timeout));
-                let _ = stream.set_nodelay(true);
-                if workers.is_empty() {
-                    handle_connection(&app, stream, &shutdown, config.log_requests);
-                    continue;
-                }
-                match sender.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        // Shed load instead of queueing unbounded work.
-                        app.metrics().observe_queue_full();
-                        let mut writer = BufWriter::new(stream);
-                        let _ = Response::error(503, "server is at capacity")
-                            .write_to(&mut writer, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-
-    // Close the queue; workers drain what was already accepted and exit.
-    drop(sender);
-    for worker in workers {
-        let _ = worker.join();
-    }
-}
-
-/// Receives connections off the shared queue until it closes.
-fn worker_loop(
-    app: &App,
-    receiver: &Mutex<Receiver<TcpStream>>,
-    shutdown: &AtomicBool,
-    log_requests: bool,
-) {
-    loop {
-        let stream = {
-            // A poisoned lock only means another worker panicked while
-            // holding it; the receiver itself is still sound.
-            let guard = receiver.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(app, stream, shutdown, log_requests),
-            Err(_) => return, // queue closed: shutdown
-        }
-    }
-}
-
-/// Serves one (possibly keep-alive) connection.
-fn handle_connection(
-    app: &App,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    log_requests: bool,
-) {
-    let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        // During drain, finish the in-flight request but accept no more.
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let started = Instant::now();
-        match read_request(&mut reader) {
-            Ok(None) => return, // clean close between requests
-            Ok(Some(request)) => {
-                // handle() routes, catches handler panics, and records
-                // metrics; this loop only owns the socket lifecycle.
-                let response = app.handle(&request);
-                let keep_alive = request.keep_alive() && !shutdown.load(Ordering::SeqCst);
-                if log_requests {
-                    log_request(&peer, &request, &response, started.elapsed());
-                }
-                if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(HttpError::Io(_)) => return, // timeout or reset: just close
-            Err(error) => {
-                let response = Response::error(error.status(), &error.message());
-                app.metrics().observe("other", response.status, started.elapsed());
-                if log_requests {
-                    log_line(&peer, "-", "-", response.status, started.elapsed(), 0);
-                }
-                let _ = response.write_to(&mut writer, false);
-                return;
-            }
-        }
-    }
-}
-
-fn log_request(peer: &str, request: &Request, response: &Response, elapsed: Duration) {
-    log_line(peer, &request.method, &request.path, response.status, elapsed, request.body.len());
-}
-
-/// One structured JSON log line per request, on stderr.
-pub(crate) fn log_line(peer: &str, method: &str, path: &str, status: u16, elapsed: Duration, body_bytes: usize) {
-    let ts_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    eprintln!(
-        "{}",
-        serde_json::json!({
-            "ts_ms": ts_ms,
-            "peer": peer,
-            "method": method,
-            "path": path,
-            "status": status,
-            "duration_us": elapsed.as_micros() as u64,
-            "body_bytes": body_bytes,
-        })
-    );
+fn start(
+    _listener: TcpListener,
+    _app: Arc<App>,
+    _config: ServerConfig,
+    _shutdown: Arc<AtomicBool>,
+) -> std::io::Result<JoinHandle<()>> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "demodq-serve runs an epoll event loop and needs Linux",
+    ))
 }

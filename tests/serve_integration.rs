@@ -72,8 +72,6 @@ fn serves_predict_clean_audit_over_tcp() {
         Arc::clone(&app),
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_capacity: 8,
             read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(5),
             log_requests: false,
