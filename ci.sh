@@ -221,6 +221,15 @@ cmp "$SMOKE_DIR/rectify1.json" "$SMOKE_DIR/rectify8.json" || {
 }
 echo "rectifying-study byte-identity smoke OK"
 
+stage "perfbench builds against the crates (cargo test --release, its own workspace)"
+# perfbench is a separate workspace that calls the crates by path:
+# codec::frame_from_rows / rows_from_frame, DriftStore::observe,
+# FeatureEncoder::transform_with_report, App::route_or_defer and
+# App::predict_batch among others. Building it and running its own tests
+# here turns a signature change that would break the benchmark into a
+# CI failure instead of a broken benchmark run.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # The perf gates run last: on a loaded or slow box they can fail on
 # timing alone, and the byte-identity smokes above must still have run
 # by then.

@@ -69,50 +69,55 @@ impl GroupPredicate {
         }
     }
 
-    /// Evaluates the predicate for every row.
+    /// Whether one cell satisfies the predicate. A missing cell never
+    /// does; a cell of the other kind is a kind mismatch, and an ordering
+    /// operator is rejected on a categorical value.
+    pub fn matches(&self, cell: Cell<'_>) -> Result<bool, TabularError> {
+        Ok(match (&self.value, cell) {
+            (PredicateValue::Num(v), Cell::Num(x)) => match self.op {
+                CmpOp::Eq => x == *v,
+                CmpOp::Ne => x != *v,
+                CmpOp::Gt => x > *v,
+                CmpOp::Ge => x >= *v,
+                CmpOp::Lt => x < *v,
+                CmpOp::Le => x <= *v,
+            },
+            (PredicateValue::Cat(v), Cell::Str(s)) => match self.op {
+                CmpOp::Eq => s == v,
+                CmpOp::Ne => s != v,
+                _ => {
+                    return Err(TabularError::InvalidArgument(format!(
+                        "operator {} not supported for categorical attribute '{}'",
+                        self.op.symbol(),
+                        self.attribute
+                    )))
+                }
+            },
+            (_, Cell::Missing) => false,
+            _ => {
+                return Err(TabularError::KindMismatch {
+                    column: self.attribute.clone(),
+                    expected: match self.value {
+                        PredicateValue::Num(_) => "numeric",
+                        PredicateValue::Cat(_) => "categorical",
+                    },
+                })
+            }
+        })
+    }
+
+    /// Evaluates the predicate for every row with
+    /// [`GroupPredicate::matches`].
     ///
     /// Rows with a missing sensitive attribute evaluate to `false`
     /// (they fall into the disadvantaged side of a single-attribute
     /// partition, consistent with "privileged group and all other tuples").
     pub fn evaluate(&self, frame: &DataFrame) -> Result<Vec<bool>, TabularError> {
-        let n = frame.n_rows();
-        let mut mask = Vec::with_capacity(n);
-        for i in 0..n {
-            let cell = frame.cell(i, &self.attribute)?;
-            let hit = match (&self.value, cell) {
-                (PredicateValue::Num(v), Cell::Num(x)) => match self.op {
-                    CmpOp::Eq => x == *v,
-                    CmpOp::Ne => x != *v,
-                    CmpOp::Gt => x > *v,
-                    CmpOp::Ge => x >= *v,
-                    CmpOp::Lt => x < *v,
-                    CmpOp::Le => x <= *v,
-                },
-                (PredicateValue::Cat(v), Cell::Str(s)) => match self.op {
-                    CmpOp::Eq => s == v,
-                    CmpOp::Ne => s != v,
-                    _ => {
-                        return Err(TabularError::InvalidArgument(format!(
-                            "operator {} not supported for categorical attribute '{}'",
-                            self.op.symbol(),
-                            self.attribute
-                        )))
-                    }
-                },
-                (_, Cell::Missing) => false,
-                _ => {
-                    return Err(TabularError::KindMismatch {
-                        column: self.attribute.clone(),
-                        expected: match self.value {
-                            PredicateValue::Num(_) => "numeric",
-                            PredicateValue::Cat(_) => "categorical",
-                        },
-                    })
-                }
-            };
-            mask.push(hit);
+        if frame.n_rows() == 0 {
+            return Ok(Vec::new());
         }
-        Ok(mask)
+        let column = frame.column(&self.attribute)?;
+        (0..frame.n_rows()).map(|i| self.matches(column.cell(i))).collect()
     }
 }
 
@@ -266,6 +271,24 @@ mod tests {
         assert!(GroupPredicate::num("sex", CmpOp::Eq, 1.0).evaluate(&df).is_err());
         assert!(GroupPredicate::cat("age", CmpOp::Eq, "30").evaluate(&df).is_err());
         assert!(GroupPredicate::num("nope", CmpOp::Eq, 1.0).evaluate(&df).is_err());
+    }
+
+    #[test]
+    fn per_cell_match_agrees_with_evaluate() {
+        let df = demo_frame();
+        let age = GroupPredicate::num("age", CmpOp::Gt, 25.0);
+        assert_eq!(age.matches(Cell::Num(30.0)), Ok(true));
+        assert_eq!(age.matches(Cell::Missing), Ok(false));
+        assert!(age.matches(Cell::Str("30")).is_err());
+        let sex = GroupPredicate::cat("sex", CmpOp::Ne, "male");
+        assert_eq!(sex.matches(Cell::Str("female")), Ok(true));
+        assert_eq!(sex.matches(Cell::Missing), Ok(false));
+        let column = df.column("sex").unwrap();
+        let cells: Vec<bool> = (0..4).map(|i| sex.matches(column.cell(i)).unwrap()).collect();
+        assert_eq!(cells, sex.evaluate(&df).unwrap());
+        // An empty frame evaluates to an empty mask, whatever the attribute.
+        let empty = df.take(&[]).unwrap();
+        assert_eq!(GroupPredicate::num("nope", CmpOp::Eq, 1.0).evaluate(&empty).unwrap(), vec![]);
     }
 
     #[test]

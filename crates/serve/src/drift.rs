@@ -4,8 +4,12 @@
 //! ([`demodq::serving::BaselineDisparity`]).
 //!
 //! Labeled rows reaching `/v1/predict` or `/v1/audit` are pushed through
-//! [`DriftStore::observe`]; `/metrics` and `/v1/audit` read
-//! [`DriftStore::snapshot`]. Windows are count-based and stamped with a
+//! [`DriftStore::observe_rows`] (or [`DriftStore::observe`] for a
+//! frame); `/metrics` and `/v1/audit` read [`DriftStore::snapshot`]. A
+//! row adds an observation to a group spec's window only when it carries
+//! a label and every attribute the spec reads: a row without `sex` says
+//! nothing about the `sex` window, so it must not count as disadvantaged
+//! there. Windows are count-based and stamped with a
 //! logical tick (a monotonic counter, not a wall clock), so the whole
 //! drift pipeline replays deterministically in tests. Windows survive a
 //! registry hot swap — the traffic is the same traffic — but the baseline
@@ -13,11 +17,11 @@
 //! immediately re-anchors the drift.
 
 use demodq::serving::ServingModel;
-use fairness::{disparity_drift, FairnessMetric, SlidingGroupWindow};
+use fairness::{disparity_drift, FairnessMetric, GroupPredicate, GroupSpec, SlidingGroupWindow};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use tabular::DataFrame;
+use tabular::{Cell, DataFrame};
 
 /// Tuning knobs for the drift store.
 #[derive(Debug, Clone)]
@@ -34,8 +38,11 @@ impl Default for DriftConfig {
     }
 }
 
-/// One window plus the baseline it was last compared against.
+/// One group spec's window plus the baseline it was last compared
+/// against.
 struct GroupState {
+    /// The spec's label, e.g. `sex` or `sex*age`.
+    group: String,
     window: SlidingGroupWindow,
     baseline_predictive_parity: Option<f64>,
     baseline_equal_opportunity: Option<f64>,
@@ -73,9 +80,10 @@ pub struct DriftEntry {
 
 /// The serving tier's drift accounting: one [`SlidingGroupWindow`] per
 /// (dataset, model, group-spec) triple, created lazily as labeled traffic
-/// arrives.
+/// arrives. Each (dataset, model) holds its windows in the order of the
+/// model's group specs, which every registry generation shares.
 pub struct DriftStore {
-    states: Mutex<BTreeMap<(&'static str, &'static str, String), GroupState>>,
+    states: Mutex<BTreeMap<(&'static str, &'static str), Vec<GroupState>>>,
     /// Logical clock: one tick per observed batch.
     tick: AtomicU64,
     config: DriftConfig,
@@ -97,11 +105,8 @@ impl DriftStore {
         self.config.window
     }
 
-    /// Feeds one labeled, scored batch into the windows of every group
-    /// spec of `served`. `labels[i]` is `None` for rows whose label was
-    /// absent or unparseable — those rows are skipped; rows outside both
-    /// groups of a spec (intersectional exclusion) are skipped for that
-    /// spec only. Returns the number of (row, group) observations pushed.
+    /// Feeds one labeled, scored batch of `frame` rows into the windows
+    /// of every group spec of `served`; see [`DriftStore::observe_rows`].
     pub fn observe(
         &self,
         served: &ServingModel,
@@ -110,38 +115,56 @@ impl DriftStore {
         y_pred: &[u8],
     ) -> usize {
         let n = labels.len().min(y_pred.len()).min(frame.n_rows());
+        self.observe_rows(served, &labels[..n], &y_pred[..n], |i, attribute| {
+            frame.column(attribute).map_or(Cell::Missing, |c| c.cell(i))
+        })
+    }
+
+    /// Feeds one labeled, scored batch into the windows of every group
+    /// spec of `served`; `cell(i, attribute)` is row `i`'s value of a
+    /// sensitive attribute. `labels[i]` is `None` for rows whose label
+    /// was absent — those rows are skipped. A row is also skipped for a
+    /// spec when any attribute the spec reads is missing, or when it
+    /// falls outside both groups (intersectional exclusion). Returns the
+    /// number of (row, group) observations pushed.
+    pub fn observe_rows<'c>(
+        &self,
+        served: &ServingModel,
+        labels: &[Option<u8>],
+        y_pred: &[u8],
+        cell: impl Fn(usize, &str) -> Cell<'c>,
+    ) -> usize {
+        let n = labels.len().min(y_pred.len());
         if n == 0 {
             return 0;
         }
         let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let dataset = served.dataset.name();
-        let model = served.model.name();
         let mut pushed = 0usize;
         let mut states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
-        for spec in &served.groups {
-            // A spec whose sensitive column is absent from the submitted
-            // rows simply contributes no observations.
-            let Ok(masks) = spec.evaluate(frame) else { continue };
-            let label = spec.label();
-            let baseline = served.baseline_disparities.iter().find(|b| b.group == label);
-            let state = states.entry((dataset, model, label)).or_insert_with(|| GroupState {
-                window: SlidingGroupWindow::new(self.config.window),
-                baseline_predictive_parity: None,
-                baseline_equal_opportunity: None,
+        let windows = states
+            .entry((served.dataset.name(), served.model.name()))
+            .or_insert_with(|| {
+                served
+                    .groups
+                    .iter()
+                    .map(|spec| GroupState {
+                        group: spec.label(),
+                        window: SlidingGroupWindow::new(self.config.window),
+                        baseline_predictive_parity: None,
+                        baseline_equal_opportunity: None,
+                    })
+                    .collect()
             });
+        for (spec, state) in served.groups.iter().zip(windows.iter_mut()) {
             // Re-anchor the baseline on every batch so a hot-swapped
             // registry's fresh test-split disparities take effect at once.
-            if let Some(b) = baseline {
+            if let Some(b) = served.baseline_disparities.iter().find(|b| b.group == state.group) {
                 state.baseline_predictive_parity = b.predictive_parity;
                 state.baseline_equal_opportunity = b.equal_opportunity;
             }
             for i in 0..n {
                 let Some(y_true) = labels[i] else { continue };
-                let privileged = if masks.privileged[i] {
-                    true
-                } else if masks.disadvantaged[i] {
-                    false
-                } else {
+                let Some(privileged) = side(spec, |attribute| cell(i, attribute)) else {
                     continue;
                 };
                 state.window.push(tick, privileged, y_true, y_pred[i]);
@@ -155,9 +178,12 @@ impl DriftStore {
     /// traffic for.
     pub fn snapshot(&self) -> Vec<DriftEntry> {
         let states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
-        states
+        let mut entries: Vec<DriftEntry> = states
             .iter()
-            .map(|(&(dataset, model, ref group), state)| {
+            .flat_map(|(&(dataset, model), windows)| {
+                windows.iter().map(move |state| (dataset, model, state))
+            })
+            .map(|(dataset, model, state)| {
                 let pp = state.window.absolute_disparity(FairnessMetric::PredictiveParity);
                 let eo = state.window.absolute_disparity(FairnessMetric::EqualOpportunity);
                 let drift_pp = disparity_drift(pp, state.baseline_predictive_parity);
@@ -169,7 +195,7 @@ impl DriftStore {
                 DriftEntry {
                     dataset,
                     model,
-                    group: group.clone(),
+                    group: state.group.clone(),
                     window_len: state.window.len(),
                     observed: state.window.observed(),
                     predictive_parity: pp,
@@ -181,7 +207,39 @@ impl DriftStore {
                     alert,
                 }
             })
-            .collect()
+            .collect();
+        entries.sort_by(|a, b| (a.dataset, a.model, &a.group).cmp(&(b.dataset, b.model, &b.group)));
+        entries
+    }
+}
+
+/// Which group of `spec` a row falls in: `Some(true)` privileged,
+/// `Some(false)` disadvantaged, `None` when an attribute the spec reads
+/// is missing (or of the wrong kind), or when an intersectional row
+/// belongs to neither group. `cell` gives the row's value of an
+/// attribute.
+fn side<'c>(spec: &GroupSpec, cell: impl Fn(&str) -> Cell<'c>) -> Option<bool> {
+    let hit = |p: &GroupPredicate| match cell(&p.attribute) {
+        Cell::Missing => None,
+        value => p.matches(value).ok(),
+    };
+    match spec {
+        GroupSpec::SingleAttribute(p) => hit(p),
+        GroupSpec::Intersectional(ps) => {
+            let (mut all, mut none) = (!ps.is_empty(), !ps.is_empty());
+            for p in ps {
+                let h = hit(p)?;
+                all &= h;
+                none &= !h;
+            }
+            if all {
+                Some(true)
+            } else if none {
+                Some(false)
+            } else {
+                None
+            }
+        }
     }
 }
 
@@ -241,6 +299,34 @@ mod tests {
         for (a, b) in snap.iter().zip(&snap2) {
             assert_eq!(a.window_len, b.window_len);
         }
+    }
+
+    #[test]
+    fn rows_missing_a_sensitive_attribute_add_no_observation_to_its_windows() {
+        let served =
+            train_serving_model(DatasetId::German, ModelKind::LogReg, &StudyScale::smoke(), 7)
+                .unwrap();
+        let mut batch = DatasetId::German.generate(40, 99).unwrap();
+        let sex = batch.column_mut("sex").unwrap().as_categorical_mut().unwrap();
+        for i in 0..10 {
+            sex.set_code(i, None);
+        }
+        let age = batch.column_mut("age").unwrap().as_numeric_mut().unwrap();
+        for x in &mut age[8..15] {
+            *x = f64::NAN;
+        }
+        let y_pred = served.predict_frame(&batch).unwrap();
+        let labels: Vec<Option<u8>> = batch.labels().unwrap().into_iter().map(Some).collect();
+        let store = DriftStore::new(DriftConfig { window: 64, alert_threshold: 0.15 });
+        store.observe(&served, &batch, &labels, &y_pred);
+        let size = |group: &str| {
+            store.snapshot().into_iter().find(|e| e.group == group).map(|e| e.window_len)
+        };
+        assert_eq!(size("sex"), Some(40 - 10));
+        assert_eq!(size("age"), Some(40 - 7));
+        // The intersectional spec needs both: rows 0..15 are out.
+        let both = size("age*sex").unwrap();
+        assert!(both <= 40 - 15, "{both}");
     }
 
     #[test]

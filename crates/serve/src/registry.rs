@@ -5,6 +5,7 @@
 //! side and swaps it in atomically; readers always see exactly one
 //! complete generation, never a half-trained mix.
 
+use crate::codec::RowPlan;
 use demodq::serving::{train_serving_model, ServingModel};
 use demodq::StudyScale;
 use datasets::DatasetId;
@@ -13,10 +14,16 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// A served model and the plan its `/v1/predict` rows decode through.
+struct Entry {
+    served: ServingModel,
+    plan: RowPlan,
+}
+
 /// One immutable registry generation. Workers never mutate it, so it
 /// needs no locks once built.
 pub struct Registry {
-    models: BTreeMap<(&'static str, &'static str), ServingModel>,
+    models: BTreeMap<(&'static str, &'static str), Entry>,
     /// Wall-clock training seconds per (dataset, model), measured at
     /// startup and exported by `/metrics` as
     /// `serve_startup_train_seconds`.
@@ -66,9 +73,10 @@ impl Registry {
         let mut train_seconds = BTreeMap::new();
         for (result, seconds) in trained {
             let served = result?;
+            let plan = RowPlan::compile(&served)?;
             let key = (served.dataset.name(), served.model.name());
             train_seconds.insert(key, seconds);
-            registry.insert(key, served);
+            registry.insert(key, Entry { served, plan });
         }
         Ok(Registry {
             models: registry,
@@ -95,10 +103,15 @@ impl Registry {
 
     /// Looks up a model by dataset and model names (paper naming).
     pub fn get(&self, dataset: &str, model: &str) -> Option<&ServingModel> {
-        self.models.get(&(
-            DatasetId::parse(dataset)?.name(),
-            ModelKind::parse(model)?.name(),
-        ))
+        self.planned(DatasetId::parse(dataset)?, ModelKind::parse(model)?)
+            .map(|(served, _)| served)
+    }
+
+    /// A model and its row plan, by dataset and model kind.
+    pub fn planned(&self, dataset: DatasetId, model: ModelKind) -> Option<(&ServingModel, &RowPlan)> {
+        self.models
+            .get(&(dataset.name(), model.name()))
+            .map(|entry| (&entry.served, &entry.plan))
     }
 
     /// Any model of the dataset (for endpoints that only need the
@@ -108,12 +121,12 @@ impl Registry {
         self.models
             .iter()
             .find(|((d, _), _)| *d == name)
-            .map(|(_, served)| served)
+            .map(|(_, entry)| &entry.served)
     }
 
     /// All (dataset, model) entries in deterministic order.
     pub fn entries(&self) -> impl Iterator<Item = &ServingModel> {
-        self.models.values()
+        self.models.values().map(|entry| &entry.served)
     }
 
     /// Number of trained models.

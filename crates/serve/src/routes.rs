@@ -4,27 +4,32 @@
 //!
 //! Prediction is *always* scored through the batched path: the blocking
 //! route wraps a request into a one-job batch, the event loop coalesces
-//! concurrent requests into larger ones. A batch snapshots the registry
-//! exactly once, so every response in it reflects one generation; jobs
-//! are grouped by (dataset, model), their transformed rows concatenated,
-//! and each group scored with a single batched classifier call. Feature
-//! encoding and scoring are row-independent, so batched results are
-//! bit-identical to scoring each request alone.
+//! concurrent requests into larger ones. [`App::route_or_defer`] reads a
+//! predict body once, checking that it is valid JSON with a dataset, a
+//! model and rows, and records where the rows are; it builds no `Value`
+//! tree. A batch snapshots the registry exactly once, so every response
+//! in it reflects one generation; jobs are grouped by (dataset, model),
+//! their rows decoded from the request bytes straight into the group's
+//! matrix by the model's [`RowPlan`], and each group scored with a single
+//! batched classifier call. Feature encoding and scoring are
+//! row-independent, so batched results are bit-identical to scoring each
+//! request alone.
 
-use crate::codec::{cell_to_json, frame_from_rows};
+use crate::codec::{cell_to_json, frame_from_rows, DecodedRows, RowPlan};
 use crate::drift::{DriftConfig, DriftEntry, DriftStore};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::registry::{Registry, SharedRegistry};
 use cleaning::detect::DetectorKind;
 use cleaning::repair::{LabelRepair, MissingRepair, OutlierRepair};
+use datasets::DatasetId;
 use demodq::serving::ServingModel;
 use fairness::{group_confusions, ConfusionMatrix, FairnessMetric, GroupConfusions};
-use serde_json::{json, Value};
-use std::collections::BTreeMap;
+use mlcore::ModelKind;
+use serde_json::{json, Event, Reader, Value};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use tabular::{DataFrame, DenseMatrix};
 
 /// Shared application state: the hot-swappable registry, the metrics, the
 /// drift windows, and the clock.
@@ -38,13 +43,20 @@ pub struct App {
 /// Handler-internal error: already a rendered response.
 type Handled = Result<Response, Response>;
 
-/// A parsed, validated `/v1/predict` request waiting to be scored. The
-/// event loop collects these across connections and scores them together
-/// via [`App::predict_batch`].
+/// A validated `/v1/predict` request waiting to be scored. The event
+/// loop collects these across connections and scores them together via
+/// [`App::predict_batch`].
 pub struct PredictJob {
-    dataset: String,
-    model: String,
-    rows: Vec<Value>,
+    /// The request body; the spans below index into it.
+    body: Vec<u8>,
+    /// The named dataset and model, `None` when a name is unknown.
+    dataset: Option<DatasetId>,
+    model: Option<ModelKind>,
+    /// The `"dataset"` and `"model"` string tokens, for the 404 reply.
+    names: [Range<usize>; 2],
+    /// The `"rows"` array, or the `"row"` value when `single`.
+    rows: Range<usize>,
+    n_rows: usize,
     single: bool,
     started: Instant,
 }
@@ -52,7 +64,7 @@ pub struct PredictJob {
 impl PredictJob {
     /// Rows this job contributes to a micro-batch.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.n_rows
     }
 
     /// When the request was parsed (for latency accounting by the caller).
@@ -129,7 +141,7 @@ impl App {
     pub fn route_or_defer(&self, request: &Request) -> Routed {
         if request.method == "POST" && request.path == "/v1/predict" {
             let started = Instant::now();
-            match self.parse_predict(request) {
+            match parse_predict(request) {
                 Ok(job) => Routed::Predict(Box::new(job)),
                 Err(response) => {
                     self.metrics.observe("/v1/predict", response.status, started.elapsed());
@@ -157,106 +169,85 @@ impl App {
         // One snapshot per batch: every job in it sees one generation.
         let (registry, generation) = self.registry.snapshot();
 
-        // Per-job preparation; failures are isolated to their own job.
-        enum Prep<'a> {
-            Ready { served: &'a ServingModel, frame: DataFrame, x: DenseMatrix, unseen: u64 },
+        // Group jobs by model: each group's rows are decoded into one
+        // matrix and scored with a single batched call. Rows are scored
+        // independently by every model family, so splitting the result
+        // reproduces per-job scoring bit for bit.
+        struct Group<'r> {
+            served: &'r ServingModel,
+            plan: &'r RowPlan,
+            rows: DecodedRows,
+            scores: (Vec<u8>, Vec<f64>),
+        }
+        enum Outcome {
             Failed(Response),
+            /// Rows `start..start + n` of group `group`.
+            Decoded { group: usize, start: usize, n: usize, unseen: u64 },
         }
-        let mut preps: Vec<Prep> = Vec::with_capacity(jobs.len());
+        let mut groups: Vec<Group> = Vec::new();
+        let mut outcomes: Vec<Outcome> = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let prep = registry
-                .get(&job.dataset, &job.model)
-                .ok_or_else(|| {
-                    Response::error(
-                        404,
-                        &format!(
-                            "no model for dataset {:?} and model {:?}",
-                            job.dataset, job.model
-                        ),
-                    )
-                })
-                .and_then(|served| {
-                    let frame = frame_from_rows(served.train.schema(), &job.rows, false)
-                        .map_err(|e| Response::error(400, &e))?;
-                    let (x, report) = served
-                        .encoder
-                        .transform_with_report(&frame)
-                        .map_err(|e| Response::error(400, &e.to_string()))?;
-                    Ok(Prep::Ready { served, frame, x, unseen: report.unseen_category_rows })
-                });
-            preps.push(prep.unwrap_or_else(Prep::Failed));
+            let Some((served, plan)) = job.dataset.zip(job.model).and_then(|(d, m)| registry.planned(d, m))
+            else {
+                let [dataset, model] = job.names.clone().map(|span| String::from_utf8_lossy(&job.body[span]));
+                let message = format!("no model for dataset {dataset} and model {model}");
+                outcomes.push(Outcome::Failed(Response::error(404, &message)));
+                continue;
+            };
+            let group = match groups.iter().position(|g| std::ptr::eq(g.served, served)) {
+                Some(g) => g,
+                None => {
+                    groups.push(Group { served, plan, rows: DecodedRows::default(), scores: Default::default() });
+                    groups.len() - 1
+                }
+            };
+            let rows = &mut groups[group].rows;
+            let start = rows.n_rows();
+            outcomes.push(
+                match plan.decode_rows(&served.encoder, &job.body[job.rows.clone()], job.single, rows) {
+                    Ok(unseen) => Outcome::Decoded { group, start, n: rows.n_rows() - start, unseen },
+                    Err(e) => Outcome::Failed(Response::error(400, &e)),
+                },
+            );
         }
-
-        // Group ready jobs by model identity and score each group with a
-        // single batched call over the concatenated feature rows. Rows
-        // are scored independently by every model family, so splitting
-        // the concatenated result reproduces per-job scoring bit for bit.
-        let mut groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-        for (i, prep) in preps.iter().enumerate() {
-            if let Prep::Ready { served, .. } = prep {
-                groups.entry((served.dataset.name(), served.model.name())).or_default().push(i);
-            }
-        }
-        let mut scored: Vec<Option<(Vec<u8>, Vec<f64>)>> = Vec::with_capacity(jobs.len());
-        scored.resize_with(jobs.len(), || None);
         let mut scored_rows = 0u64;
-        for indices in groups.values() {
-            let mut n_cols = 0usize;
-            let mut total_rows = 0usize;
-            let mut data: Vec<f64> = Vec::new();
-            let mut served_ref: Option<&ServingModel> = None;
-            for &i in indices {
-                if let Prep::Ready { served, x, .. } = &preps[i] {
-                    n_cols = x.n_cols();
-                    total_rows += x.n_rows();
-                    data.extend_from_slice(x.as_slice());
-                    served_ref = Some(served);
-                }
-            }
-            let Some(served) = served_ref else { continue };
-            let x_cat = DenseMatrix::from_vec(total_rows, n_cols, data);
-            let (labels, probas) = served.classifier.predict_with_proba(&x_cat);
-            scored_rows += total_rows as u64;
-            let mut offset = 0usize;
-            for &i in indices {
-                if let Prep::Ready { x, .. } = &preps[i] {
-                    let n = x.n_rows();
-                    scored[i] = Some((
-                        labels[offset..offset + n].to_vec(),
-                        probas[offset..offset + n].to_vec(),
-                    ));
-                    offset += n;
-                }
+        for group in &mut groups {
+            if let Some(x) = group.rows.take_matrix() {
+                scored_rows += x.n_rows() as u64;
+                group.scores = group.served.classifier.predict_with_proba(&x);
             }
         }
         self.metrics.observe_batch(jobs.len() as u64, scored_rows);
 
-        // Per-job responses; labeled rows feed the drift windows.
+        // Per-job responses, in job order; labeled rows feed the drift
+        // windows.
         let mut responses = Vec::with_capacity(jobs.len());
-        for (i, (prep, job)) in preps.iter().zip(jobs).enumerate() {
-            let response = match prep {
-                Prep::Failed(r) => {
-                    Response { status: r.status, content_type: r.content_type, body: r.body.clone() }
+        for (job, outcome) in jobs.iter().zip(outcomes) {
+            let (group, start, n, unseen) = match outcome {
+                Outcome::Failed(response) => {
+                    responses.push(response);
+                    continue;
                 }
-                Prep::Ready { served, frame, unseen, .. } => match scored[i].take() {
-                    None => Response::error(500, "batch scoring skipped a job"),
-                    Some((predictions, probabilities)) => {
-                        self.metrics.observe_unseen_category_rows(*unseen);
-                        if let Some(labels) = optional_labels(frame) {
-                            self.drift.observe(served, frame, &labels, &predictions);
-                        }
-                        predict_reply(
-                            served,
-                            generation,
-                            *unseen,
-                            &predictions,
-                            &probabilities,
-                            job.single,
-                        )
-                    }
-                },
+                Outcome::Decoded { group, start, n, unseen } => (&groups[group], start, n, unseen),
             };
-            responses.push(response);
+            let rows = start..start + n;
+            let (predictions, probabilities) =
+                (&group.scores.0[rows.clone()], &group.scores.1[rows.clone()]);
+            self.metrics.observe_unseen_category_rows(unseen);
+            let labels = &group.rows.labels()[rows];
+            if labels.iter().any(Option::is_some) {
+                self.drift.observe_rows(group.served, labels, predictions, |i, attribute| {
+                    group.plan.group_cell(&group.rows, start + i, attribute)
+                });
+            }
+            responses.push(predict_reply(
+                group.served,
+                generation,
+                unseen,
+                predictions,
+                probabilities,
+                job.single,
+            ));
         }
         responses
     }
@@ -266,7 +257,7 @@ impl App {
         let result = match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Ok(self.healthz()),
             ("GET", "/metrics") => Ok(Response::text(200, self.render_metrics())),
-            ("POST", "/v1/predict") => self.parse_predict(request).map(|job| {
+            ("POST", "/v1/predict") => parse_predict(request).map(|job| {
                 let mut responses = self.predict_batch(&[job]);
                 responses.pop().unwrap_or_else(|| Response::error(500, "empty batch result"))
             }),
@@ -419,14 +410,6 @@ impl App {
         self.json_body(request)
     }
 
-    fn parse_predict(&self, request: &Request) -> Result<PredictJob, Response> {
-        let body = self.json_body(request)?;
-        let dataset = require_str(&body, "dataset")?.to_string();
-        let model = require_str(&body, "model")?.to_string();
-        let (rows, single) = request_rows(&body)?;
-        Ok(PredictJob { dataset, model, rows, single, started: Instant::now() })
-    }
-
     /// `POST /v1/reload`: kick off a background retrain of the current
     /// roster and atomically swap it in when done. Body may carry
     /// `{"seed": N}`; the default is the current seed + 1. Answers 202
@@ -463,7 +446,7 @@ impl App {
         // Mislabel detection inspects the submitted labels; everything else
         // runs fully unlabeled.
         let needs_labels = matches!(detector, DetectorKind::Mislabels);
-        let frame = frame_from_rows(served.train.schema(), &rows, needs_labels)
+        let frame = frame_from_rows(served.train.schema(), rows, needs_labels)
             .map_err(|e| Response::error(400, &e))?;
         // Fit on the training split ("fit on train, detect anywhere") so
         // thresholds reflect train-time statistics — except mislabels,
@@ -593,7 +576,7 @@ impl App {
         let (registry, generation) = self.registry.snapshot();
         let served = lookup_model(&registry, body)?;
         let (rows, _) = request_rows(body)?;
-        let frame = frame_from_rows(served.train.schema(), &rows, true)
+        let frame = frame_from_rows(served.train.schema(), rows, true)
             .map_err(|e| Response::error(400, &e))?;
         let y_true = frame.labels().map_err(|e| Response::error(400, &e.to_string()))?;
         let y_pred =
@@ -746,27 +729,6 @@ fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Per-row 0/1 labels of `frame`'s label column, `None` where missing;
-/// `None` overall when the frame has no usable (numeric) label column or
-/// no row carries a label. Serving rows are unlabeled by default — only
-/// clients that send ground truth feed the drift windows.
-fn optional_labels(frame: &DataFrame) -> Option<Vec<Option<u8>>> {
-    let field = frame.schema().label()?;
-    let data = frame.numeric(&field.name).ok()?;
-    let labels: Vec<Option<u8>> = data
-        .iter()
-        .map(|&x| {
-            if x.is_nan() {
-                None
-            } else {
-                // lint:allow(F001, labels are stored as exact 0.0/1.0; nonzero test is the contract)
-                Some(u8::from(x != 0.0))
-            }
-        })
-        .collect();
-    labels.iter().any(Option::is_some).then_some(labels)
-}
-
 fn drift_entry_json(e: &DriftEntry) -> Value {
     json!({
         "group": e.group,
@@ -786,25 +748,113 @@ fn drift_entry_json(e: &DriftEntry) -> Value {
     })
 }
 
-/// Extracts `rows` (array) or `row` (single object); the bool is true for
+/// Borrows `rows` (array) or `row` (single object); the bool is true for
 /// the single-row form.
-fn request_rows(body: &Value) -> Result<(Vec<Value>, bool), Response> {
+fn request_rows(body: &Value) -> Result<(&[Value], bool), Response> {
     if let Some(rows) = body.get("rows") {
-        let rows = rows
-            .as_array()
-            .ok_or_else(|| Response::error(400, "\"rows\" must be an array of objects"))?;
-        return Ok((rows.clone(), false));
+        let rows = rows.as_array().ok_or_else(rows_not_array)?;
+        return Ok((rows, false));
     }
     if let Some(row) = body.get("row") {
-        return Ok((vec![row.clone()], true));
+        return Ok((std::slice::from_ref(row), true));
     }
-    Err(Response::error(400, "body must contain \"rows\" (array) or \"row\" (object)"))
+    Err(no_rows())
+}
+
+fn rows_not_array() -> Response {
+    Response::error(400, "\"rows\" must be an array of objects")
+}
+
+fn no_rows() -> Response {
+    Response::error(400, "body must contain \"rows\" (array) or \"row\" (object)")
+}
+
+fn missing_field(key: &str) -> Response {
+    Response::error(400, &format!("missing required string field {key:?}"))
+}
+
+/// Reads a `/v1/predict` body in one pass without building a tree: it
+/// must be valid JSON with string fields `dataset` and `model` and a
+/// `rows` array or a `row`. Records the names and where the rows are;
+/// decoding the rows needs the registry generation, so it waits for
+/// [`App::predict_batch`]. As in a `Value` tree, the last of duplicate
+/// keys wins.
+fn parse_predict(request: &Request) -> Result<PredictJob, Response> {
+    let body = request.body.as_slice();
+    let invalid = |e: serde_json::Error| Response::error(400, &format!("invalid JSON body: {e}"));
+    let mut reader = Reader::new(body);
+    // The last value of each member read here, by its span: a string's
+    // names (`None` when not a string), an array's item count (`None`
+    // when not an array).
+    let mut dataset: Option<(Range<usize>, Option<DatasetId>)> = None;
+    let mut model: Option<(Range<usize>, Option<ModelKind>)> = None;
+    let mut rows: Option<(Range<usize>, Option<usize>)> = None;
+    let mut row: Option<Range<usize>> = None;
+    if reader.next_event().map_err(invalid)? == Some(Event::StartObject) {
+        while let Some(Event::Key(key)) = reader.next_event().map_err(invalid)? {
+            let member = ["dataset", "model", "rows", "row"].iter().position(|m| *m == key);
+            let value = reader.next_event().map_err(invalid)?;
+            let names = match value {
+                Some(Event::Str(s)) => Some((DatasetId::parse(s), ModelKind::parse(s))),
+                _ => None,
+            };
+            let (array, object) =
+                (value == Some(Event::StartArray), value == Some(Event::StartObject));
+            let start = reader.token_start();
+            let items = if array { Some(count_items(&mut reader).map_err(invalid)?) } else { None };
+            if object {
+                reader.skip_container().map_err(invalid)?;
+            }
+            let span = start..reader.offset();
+            match member {
+                Some(0) => dataset = names.map(|(d, _)| (span, d)),
+                Some(1) => model = names.map(|(_, m)| (span, m)),
+                Some(2) => rows = Some((span, items)),
+                Some(3) => row = Some(span),
+                _ => {}
+            }
+        }
+    } else {
+        // Not an object: read on only to tell bad JSON from a bad shape.
+        reader.skip_container().map_err(invalid)?;
+    }
+    reader.next_event().map_err(invalid)?;
+
+    let (dataset_token, dataset) = dataset.ok_or_else(|| missing_field("dataset"))?;
+    let (model_token, model) = model.ok_or_else(|| missing_field("model"))?;
+    let (rows, n_rows, single) = match (rows, row) {
+        (Some((span, Some(n))), _) => (span, n, false),
+        (Some((_, None)), _) => return Err(rows_not_array()),
+        (None, Some(span)) => (span, 1, true),
+        (None, None) => return Err(no_rows()),
+    };
+    Ok(PredictJob {
+        body: body.to_vec(),
+        dataset,
+        model,
+        names: [dataset_token, model_token],
+        rows,
+        n_rows,
+        single,
+        started: Instant::now(),
+    })
+}
+
+/// After a `StartArray` event, consumes the array and counts its items.
+fn count_items(reader: &mut Reader<'_>) -> serde_json::Result<usize> {
+    let mut items = 0usize;
+    loop {
+        match reader.next_event()? {
+            None | Some(Event::EndArray) => return Ok(items),
+            Some(Event::StartObject | Event::StartArray) => reader.skip_container()?,
+            Some(_) => {}
+        }
+        items += 1;
+    }
 }
 
 fn require_str<'a>(body: &'a Value, key: &str) -> Result<&'a str, Response> {
-    body.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| Response::error(400, &format!("missing required string field {key:?}")))
+    body.get(key).and_then(Value::as_str).ok_or_else(|| missing_field(key))
 }
 
 /// Parses a paper-style detector name with the paper's default parameters.

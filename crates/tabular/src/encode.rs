@@ -42,6 +42,21 @@ impl TransformReport {
     }
 }
 
+/// One source cell as [`FeatureEncoder::encode_row`] consumes it. A
+/// categorical value arrives resolved against the column's fitted
+/// categories ([`FeatureEncoder::categories`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RowCell {
+    /// A missing value.
+    Missing,
+    /// A numeric value (`NaN` reads as missing).
+    Num(f64),
+    /// Position of a categorical value in the column's fitted categories.
+    Category(usize),
+    /// A categorical value the fit never saw.
+    Unseen,
+}
+
 /// Per-column fitted state.
 #[derive(Debug, Clone)]
 enum FittedColumn {
@@ -56,6 +71,46 @@ enum FittedColumn {
         /// encode as all-zeros (like scikit-learn's `handle_unknown=ignore`).
         categories: Vec<String>,
     },
+}
+
+impl FittedColumn {
+    /// Output columns of the one-hot or standardised block.
+    fn width(&self) -> usize {
+        match self {
+            FittedColumn::Numeric { .. } => 1,
+            FittedColumn::Categorical { categories, .. } => categories.len(),
+        }
+    }
+
+    /// Writes one cell of this column into `row`, a zeroed output row
+    /// whose block for the column starts at `j`: the standardised value
+    /// or the one-hot bit, or else the missing indicator. Returns true
+    /// for an unseen category, which encodes as all zeros. Both encode
+    /// paths run every cell through here.
+    #[inline]
+    fn encode_cell(&self, j: usize, indicator: Option<usize>, cell: RowCell, row: &mut [f64]) -> bool {
+        match (self, cell) {
+            (FittedColumn::Numeric { mean, std_dev, .. }, RowCell::Num(x)) if !x.is_nan() => {
+                row[j] = (x - mean) / std_dev;
+            }
+            (FittedColumn::Categorical { categories, .. }, RowCell::Category(k))
+                if k < categories.len() =>
+            {
+                row[j + k] = 1.0;
+            }
+            (FittedColumn::Categorical { .. }, RowCell::Category(_) | RowCell::Unseen) => {
+                return true;
+            }
+            // Missing: the mean (0 after standardisation) or an all-zero
+            // one-hot block, flagged by the indicator.
+            _ => {
+                if let Some(at) = indicator {
+                    row[at] = 1.0;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Fitted feature encoder.
@@ -143,6 +198,42 @@ impl FeatureEncoder {
             .collect()
     }
 
+    /// Fitted categories of source column `col` (in
+    /// [`FeatureEncoder::feature_columns`] order), or `None` for a numeric
+    /// column. A category's position here is its one-hot slot.
+    pub fn categories(&self, col: usize) -> Option<&[String]> {
+        match self.columns.get(col)? {
+            FittedColumn::Numeric { .. } => None,
+            FittedColumn::Categorical { categories, .. } => Some(categories),
+        }
+    }
+
+    /// Encodes one row: `cell(c)` is the value of source column `c` (in
+    /// [`FeatureEncoder::feature_columns`] order). Writes all
+    /// [`FeatureEncoder::n_output_cols`] values of `out` and returns true
+    /// when the row holds an unseen category. A cell of the other kind
+    /// than its column reads as missing.
+    ///
+    /// The per-cell arithmetic is [`FeatureEncoder::transform_with_report`]'s,
+    /// so the row is bit-identical to the one it produces for the same
+    /// values.
+    pub fn encode_row(&self, mut cell: impl FnMut(usize) -> RowCell, out: &mut [f64]) -> bool {
+        out.fill(0.0);
+        let mut unseen = false;
+        let mut j = 0usize;
+        for (col, fitted) in self.columns.iter().enumerate() {
+            unseen |= fitted.encode_cell(j, self.indicator(col), cell(col), out);
+            j += fitted.width();
+        }
+        unseen
+    }
+
+    /// Output column of source column `col`'s missing indicator, if the
+    /// encoder has indicators.
+    fn indicator(&self, col: usize) -> Option<usize> {
+        self.with_missing_indicators.then(|| self.out_cols - self.columns.len() + col)
+    }
+
     /// Encodes a frame into a dense matrix.
     ///
     /// The frame must contain every column seen at fit time (extra columns
@@ -166,25 +257,17 @@ impl FeatureEncoder {
         let mut report = TransformReport::default();
         let mut row_has_unseen = vec![false; n];
         let mut j = 0usize;
-        let indicator_base = self.out_cols - if self.with_missing_indicators { self.columns.len() } else { 0 };
         for (col_idx, fitted) in self.columns.iter().enumerate() {
+            let indicator = self.indicator(col_idx);
             match fitted {
-                FittedColumn::Numeric { name, mean, std_dev } => {
+                FittedColumn::Numeric { name, .. } => {
                     let data = frame.numeric(name)?;
                     if data.len() != n {
                         return Err(TabularError::LengthMismatch { expected: n, actual: data.len() });
                     }
                     for (i, &x) in data.iter().enumerate() {
-                        if x.is_nan() {
-                            // mean-encode -> 0 after standardisation
-                            if self.with_missing_indicators {
-                                out.set(i, indicator_base + col_idx, 1.0);
-                            }
-                        } else {
-                            out.set(i, j, (x - mean) / std_dev);
-                        }
+                        fitted.encode_cell(j, indicator, RowCell::Num(x), out.row_mut(i));
                     }
-                    j += 1;
                 }
                 FittedColumn::Categorical { name, categories } => {
                     let cat = frame.categorical(name)?;
@@ -192,26 +275,21 @@ impl FeatureEncoder {
                         return Err(TabularError::LengthMismatch { expected: n, actual: cat.len() });
                     }
                     for (i, unseen) in row_has_unseen.iter_mut().enumerate() {
-                        match cat.label(i) {
-                            Some(label) => {
-                                if let Some(k) = categories.iter().position(|c| c == label) {
-                                    out.set(i, j + k, 1.0);
-                                } else {
-                                    // Unseen category: all-zeros, but counted.
-                                    report.record(name);
-                                    *unseen = true;
-                                }
-                            }
-                            None => {
-                                if self.with_missing_indicators {
-                                    out.set(i, indicator_base + col_idx, 1.0);
-                                }
-                            }
+                        let cell = match cat.label(i) {
+                            Some(label) => categories
+                                .iter()
+                                .position(|c| c == label)
+                                .map_or(RowCell::Unseen, RowCell::Category),
+                            None => RowCell::Missing,
+                        };
+                        if fitted.encode_cell(j, indicator, cell, out.row_mut(i)) {
+                            report.record(name);
+                            *unseen = true;
                         }
                     }
-                    j += categories.len();
                 }
             }
+            j += fitted.width();
         }
         report.unseen_category_rows = row_has_unseen.iter().filter(|&&b| b).count() as u64;
         Ok((out, report))
@@ -436,6 +514,7 @@ impl<'a> StoreEncoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Cell;
     use crate::schema::ColumnRole;
 
     fn train_frame() -> DataFrame {
@@ -583,6 +662,43 @@ mod tests {
         // A frame with only known categories reports zero.
         let (_, clean) = enc.transform_with_report(&train_frame()).unwrap();
         assert_eq!(clean, TransformReport::default());
+    }
+
+    #[test]
+    fn encode_row_matches_transform_bit_for_bit() {
+        let train = train_frame();
+        let test = DataFrame::builder()
+            .numeric("x", ColumnRole::Feature, vec![2.5, f64::NAN, -7.0, 0.1])
+            .categorical("c", ColumnRole::Feature, &[Some("b"), Some("zzz"), None, Some("a")])
+            .build()
+            .unwrap();
+        for &ind in &[false, true] {
+            let enc = FeatureEncoder::fit(&train, ind).unwrap();
+            let (m, report) = enc.transform_with_report(&test).unwrap();
+            assert_eq!(enc.categories(0), None);
+            let cats = enc.categories(1).unwrap();
+            let mut unseen_rows = 0;
+            // Start from garbage: encode_row writes every output value.
+            let mut row = vec![f64::NAN; enc.n_output_cols()];
+            for i in 0..test.n_rows() {
+                let unseen = enc.encode_row(
+                    |c| match (c, test.column_at(c).cell(i)) {
+                        (_, Cell::Missing) => RowCell::Missing,
+                        (_, Cell::Num(x)) => RowCell::Num(x),
+                        (_, Cell::Str(s)) => cats
+                            .iter()
+                            .position(|l| l == s)
+                            .map_or(RowCell::Unseen, RowCell::Category),
+                    },
+                    &mut row,
+                );
+                unseen_rows += u64::from(unseen);
+                let want: Vec<u64> = m.row(i).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "row {i}, indicators {ind}");
+            }
+            assert_eq!(unseen_rows, report.unseen_category_rows);
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use block::{Bitmap, Block, BlockStore, BlockView, BlockWriter, ColumnData, ROWS_PER_BLOCK};
 pub use column::{CatColumn, Cell, Column};
-pub use encode::FeatureEncoder;
+pub use encode::{FeatureEncoder, RowCell};
 pub use error::TabularError;
 pub use frame::DataFrame;
 pub use matrix::DenseMatrix;
