@@ -3,15 +3,14 @@
 //! Sections, written as JSON (default `BENCH_study.json`):
 //!
 //! * **substrate** — the columnar block store at the large tier: one
-//!   dataset generated block-chunked to a million rows, then encoded
-//!   straight into a `BinnedMatrix` off the block views (no intermediate
-//!   dense matrix). Reports rows/s across generate+encode and the
-//!   process peak RSS (`VmHWM`). This section runs **first** in the
-//!   process so the peak-RSS reading reflects only the substrate; it is
-//!   also an absolute memory gate: peak RSS must stay under ~2× the
-//!   substrate's own heap footprint (store + binned matrix) plus a
-//!   fixed process allowance, proving the streaming paths never
-//!   materialise a second full copy of the data.
+//!   dataset generated chunk by chunk into a million-row store, the pool
+//!   `--scale large` samples from. Reports generation rows/s
+//!   (`gen_rows_per_sec`) and the process peak RSS (`VmHWM`). This
+//!   section runs **first** in the process so the peak-RSS reading
+//!   reflects only the substrate; it is also an absolute memory gate:
+//!   peak RSS must stay under 2× the store's own heap footprint plus a
+//!   fixed process allowance, proving chunked generation never holds a
+//!   second full copy of the data.
 //! * **micro** — GBDT training on encoded Adult data with the histogram
 //!   splitter vs the exact splitter (best of three runs each), one
 //!   training run per model kind, and one leaf-rectification run per
@@ -29,19 +28,15 @@
 //!   models, reported as wall time and model evaluations per second,
 //!   plus cumulative per-phase wall time (sample / prepare / encode /
 //!   train_eval / rectify, the last also surfaced as
-//!   `study.rectify_seconds`) and the failed-task count. This section always runs on a **1-thread pool** so the
-//!   numbers are the serial reference and stay comparable across
-//!   machines and baselines.
-//! * **study.scaling** — the same study on an N-thread pool (`--threads`,
-//!   default: the machine's core count), with `speedup` = serial wall /
-//!   parallel wall. Exports are byte-identical between the two runs by
-//!   construction (seeds derive from grid position, never schedule);
-//!   this section only measures wall-clock scaling.
+//!   `study.rectify_seconds`) and the failed-task count. This section
+//!   always runs on a **1-thread pool** so the numbers are the serial
+//!   reference and stay comparable across machines and baselines.
 //!
 //! With `--baseline PATH` the run is also a regression gate: it exits
 //! non-zero if the baseline or current report is missing required
 //! fields, if end-to-end throughput dropped below 75% of the
-//! baseline's serial (1-thread) numbers, or if any per-kernel speedup
+//! baseline's serial (1-thread) numbers, if substrate generation rows/s
+//! dropped below 75% of the baseline's, or if any per-kernel speedup
 //! in `micro.kernels` fell below 75% of its baseline value. CI runs
 //! `studybench --smoke --baseline BENCH_study.json` against the
 //! committed baseline.
@@ -67,7 +62,6 @@ struct Options {
     seed: u64,
     out: String,
     baseline: Option<String>,
-    threads: Option<usize>,
 }
 
 fn parse_args() -> Options {
@@ -77,7 +71,6 @@ fn parse_args() -> Options {
         seed: 42,
         out: "BENCH_study.json".to_string(),
         baseline: None,
-        threads: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -99,18 +92,10 @@ fn parse_args() -> Options {
             }
             "--out" => opts.out = args.next().unwrap_or_default(),
             "--baseline" => opts.baseline = args.next(),
-            "--threads" => {
-                let value = args.next().unwrap_or_default();
-                opts.threads = Some(value.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("bad thread count '{value}' (expected a positive integer)");
-                    std::process::exit(2);
-                }));
-            }
             other => {
                 eprintln!(
                     "unknown argument '{other}'; usage: \
-                     [--smoke|--default] [--seed N] [--out PATH] [--baseline PATH] \
-                     [--threads N]"
+                     [--smoke|--default] [--seed N] [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(2);
             }
@@ -126,10 +111,10 @@ fn parse_args() -> Options {
 /// Rows in the substrate bench store (one full block).
 const SUBSTRATE_ROWS: usize = 1 << 20;
 
-/// Peak-RSS ceiling: the substrate's own heap, doubled, plus a fixed
+/// Peak-RSS ceiling: the store's own heap, doubled, plus a fixed
 /// allowance for the binary, allocator slack and transient generation
-/// chunks. Anything above this means a streaming path materialised a
-/// second full copy of the data.
+/// chunks. Anything above this means generation held a second full copy
+/// of the data.
 const SUBSTRATE_RSS_ALLOWANCE: u64 = 192 * 1024 * 1024;
 
 /// Process peak resident set (`VmHWM`) in bytes; `None` off-Linux.
@@ -140,61 +125,39 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Large-tier substrate bench: block-chunked generation of a million-row
-/// store, then view-streamed encode into a `BinnedMatrix`. Must be the
-/// first work the process does (see the module docs). Exits non-zero
-/// when the peak-RSS gate fails.
+/// Large-tier substrate bench: chunked generation of a million-row
+/// store. Must be the first work the process does (see the module docs).
+/// Exits non-zero when the peak-RSS gate fails.
 fn substrate_section(seed: u64) -> Value {
     let t = Instant::now();
     let store =
         DatasetId::German.generate_store(SUBSTRATE_ROWS, seed ^ 0xB10C).expect("generate store");
     let gen_seconds = t.elapsed().as_secs_f64();
     let rows = store.n_rows();
+    let gen_rows_per_sec = rows as f64 / gen_seconds;
     eprintln!(
         "substrate: generated {rows} rows in {} block(s), {gen_seconds:.2}s \
-         ({:.0} rows/s)",
+         ({gen_rows_per_sec:.0} rows/s)",
         store.n_blocks(),
-        rows as f64 / gen_seconds
-    );
-
-    let t = Instant::now();
-    let encoder = FeatureEncoder::fit_store(&store, true).expect("fit encoder on store");
-    let (binned, report) =
-        BinnedMatrix::from_store(&encoder, &store, DEFAULT_N_BINS).expect("bin store");
-    let encode_seconds = t.elapsed().as_secs_f64();
-    assert_eq!(
-        report.unseen_category_rows, 0,
-        "encoding a store with its own encoder saw unseen categories"
-    );
-    eprintln!(
-        "substrate: encoded+binned {rows} x {} in {encode_seconds:.2}s ({:.0} rows/s)",
-        binned.n_cols(),
-        rows as f64 / encode_seconds
     );
 
     let store_heap = store.heap_bytes() as u64;
-    let binned_heap = binned.heap_bytes() as u64;
-    let footprint = store_heap + binned_heap;
-    let rows_per_sec = rows as f64 / (gen_seconds + encode_seconds);
     let peak = peak_rss_bytes();
     let (peak_bytes, rss_ratio) = match peak {
-        Some(p) => (p, p as f64 / footprint as f64),
+        Some(p) => (p, p as f64 / store_heap as f64),
         None => (0, 0.0),
     };
     eprintln!(
-        "substrate: heap {:.0} MiB (store {:.0} + binned {:.0}), peak RSS {:.0} MiB \
-         ({rss_ratio:.2}x heap)",
-        footprint as f64 / (1 << 20) as f64,
+        "substrate: store heap {:.0} MiB, peak RSS {:.0} MiB ({rss_ratio:.2}x heap)",
         store_heap as f64 / (1 << 20) as f64,
-        binned_heap as f64 / (1 << 20) as f64,
         peak_bytes as f64 / (1 << 20) as f64,
     );
     if let Some(p) = peak {
-        let limit = 2 * footprint + SUBSTRATE_RSS_ALLOWANCE;
+        let limit = 2 * store_heap + SUBSTRATE_RSS_ALLOWANCE;
         if p > limit {
             eprintln!(
                 "MEMORY REGRESSION: peak RSS {p} bytes exceeds the substrate gate \
-                 {limit} (2x heap footprint {footprint} + allowance {SUBSTRATE_RSS_ALLOWANCE})"
+                 {limit} (2x store heap {store_heap} + allowance {SUBSTRATE_RSS_ALLOWANCE})"
             );
             std::process::exit(1);
         }
@@ -207,10 +170,8 @@ fn substrate_section(seed: u64) -> Value {
         "rows": rows,
         "n_blocks": store.n_blocks(),
         "gen_seconds": gen_seconds,
-        "encode_seconds": encode_seconds,
-        "rows_per_sec": rows_per_sec,
+        "gen_rows_per_sec": gen_rows_per_sec,
         "store_heap_bytes": store_heap,
-        "binned_heap_bytes": binned_heap,
         "peak_rss_bytes": peak_bytes,
         "rss_ratio": rss_ratio,
     })
@@ -380,10 +341,10 @@ fn kernels_section(seed: u64) -> Value {
     })
 }
 
-/// Runs the full study on a dedicated `threads`-wide pool and returns the
-/// section JSON. `threads == 1` is the serial reference configuration.
-fn study_section(scale: &StudyScale, seed: u64, threads: usize) -> Value {
-    let pool = rayon::ThreadPool::new(threads);
+/// Runs the full study on a dedicated 1-thread pool, the serial
+/// reference configuration, and returns the section JSON.
+fn study_section(scale: &StudyScale, seed: u64) -> Value {
+    let pool = rayon::ThreadPool::new(1);
     // `both` exercises the full repair surface: data repairs on the
     // variant arms plus post-training leaf rectification of tree models.
     let options = StudyOptions {
@@ -397,7 +358,7 @@ fn study_section(scale: &StudyScale, seed: u64, threads: usize) -> Value {
         let mut failed_tasks = 0usize;
         let mut phases = PhaseSeconds::default();
         for error in ErrorType::all() {
-            eprintln!("study[{threads}t]: running {error}...");
+            eprintln!("study: running {error}...");
             let results = demodq::runner::run_error_type_study_with(
                 error,
                 &DatasetId::all(),
@@ -416,13 +377,13 @@ fn study_section(scale: &StudyScale, seed: u64, threads: usize) -> Value {
     let wall = t.elapsed().as_secs_f64();
     let evals_per_sec = evals as f64 / wall;
     eprintln!(
-        "study[{threads}t]: {wall:.2}s, {evals} evals, {evals_per_sec:.2} evals/s \
+        "study: {wall:.2}s, {evals} evals, {evals_per_sec:.2} evals/s \
          (phase seconds: sample {:.2}, prepare {:.2}, encode {:.2}, train_eval {:.2}, \
          rectify {:.2})",
         phases.sample, phases.prepare, phases.encode, phases.train_eval, phases.rectify
     );
     json!({
-        "threads": threads,
+        "threads": 1,
         "wall_seconds": wall,
         "model_evaluations": evals,
         "evals_per_sec": evals_per_sec,
@@ -444,9 +405,8 @@ const REQUIRED: &[&[&str]] = &[
     &["schema_version"],
     &["scale"],
     &["substrate", "rows"],
-    &["substrate", "rows_per_sec"],
+    &["substrate", "gen_rows_per_sec"],
     &["substrate", "store_heap_bytes"],
-    &["substrate", "binned_heap_bytes"],
     &["substrate", "peak_rss_bytes"],
     &["substrate", "rss_ratio"],
     &["micro", "gbdt_hist_ms"],
@@ -475,10 +435,6 @@ const REQUIRED: &[&[&str]] = &[
     &["study", "phase_seconds", "train_eval"],
     &["study", "phase_seconds", "rectify"],
     &["study", "phase_seconds", "total"],
-    &["study", "scaling", "threads"],
-    &["study", "scaling", "wall_seconds"],
-    &["study", "scaling", "evals_per_sec"],
-    &["study", "scaling", "speedup"],
 ];
 
 fn lookup<'a>(report: &'a Value, path: &[&str]) -> Option<&'a Value> {
@@ -500,9 +456,6 @@ fn check_fields(label: &str, report: &Value) -> bool {
 
 fn main() {
     let opts = parse_args();
-    let scaling_threads = opts.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
 
     // The substrate section must run before anything else allocates: its
     // peak-RSS reading (VmHWM) is process-wide and monotone.
@@ -512,26 +465,7 @@ fn main() {
     if let Value::Object(map) = &mut micro {
         map.insert("kernels".to_string(), kernels_section(opts.seed));
     }
-    // Serial reference first (the gated numbers), then the scaling run.
-    let mut study = study_section(&opts.scale, opts.seed, 1);
-    let scaling = study_section(&opts.scale, opts.seed, scaling_threads);
-    let serial_wall =
-        study.get("wall_seconds").and_then(Value::as_f64).expect("serial wall time");
-    let scaled_wall =
-        scaling.get("wall_seconds").and_then(Value::as_f64).expect("scaled wall time");
-    let speedup = serial_wall / scaled_wall;
-    eprintln!("study: {scaling_threads}-thread speedup {speedup:.2}x over 1 thread");
-    if let Value::Object(map) = &mut study {
-        map.insert(
-            "scaling".to_string(),
-            json!({
-                "threads": scaling_threads,
-                "wall_seconds": scaled_wall,
-                "evals_per_sec": scaling.get("evals_per_sec").cloned().unwrap_or(Value::Null),
-                "speedup": speedup,
-            }),
-        );
-    }
+    let study = study_section(&opts.scale, opts.seed);
 
     let report = json!({
         "schema_version": 1,
@@ -579,10 +513,10 @@ fn main() {
             "perf gate OK: {current:.2} evals/s vs baseline {reference:.2} (floor {floor:.2})"
         );
     }
-    // Substrate throughput gate: block-chunked generation plus the
-    // view-streamed encode must keep 75% of the baseline's rows/s.
+    // Substrate throughput gate: chunked generation must keep 75% of the
+    // baseline's rows/s.
     {
-        let path = ["substrate", "rows_per_sec"];
+        let path = ["substrate", "gen_rows_per_sec"];
         let current = lookup(&report, &path).and_then(Value::as_f64).unwrap();
         let reference = lookup(&baseline, &path).and_then(Value::as_f64).unwrap_or(0.0);
         let floor = 0.75 * reference;

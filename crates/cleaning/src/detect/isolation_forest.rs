@@ -10,9 +10,7 @@
 
 use crate::report::{CellFlags, DetectionReport};
 use tabular::stats::percentile;
-use tabular::{
-    BlockStore, ColumnKind, ColumnRole, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64,
-};
+use tabular::{ColumnKind, ColumnRole, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64};
 
 /// Euler–Mascheroni constant.
 const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
@@ -190,20 +188,6 @@ impl IsolationForest {
             .collect()
     }
 
-    /// Streams a columnar store block-at-a-time and counts rows whose
-    /// anomaly score exceeds the training threshold. Scratch is one
-    /// materialised block frame plus its encoded matrix — never the whole
-    /// store — and per-row scores match [`IsolationForest::scores`] on
-    /// the materialised frame bit-for-bit (scoring is row-local).
-    pub fn count_flagged_store(&self, store: &BlockStore) -> Result<usize> {
-        let mut flagged = 0usize;
-        for b in 0..store.n_blocks() {
-            let frame = store.block_frame(b)?;
-            flagged += self.scores(&frame)?.iter().filter(|&&s| s > self.threshold).count();
-        }
-        Ok(flagged)
-    }
-
     /// Flags rows whose anomaly score exceeds the training threshold.
     /// All numeric feature cells of a flagged row are marked for repair
     /// (the detector is tuple-level).
@@ -289,17 +273,6 @@ mod tests {
         if report.flagged_rows() > 0 {
             assert_eq!(report.cell_flags.column("a").unwrap(), report.row_flags.as_slice());
         }
-    }
-
-    #[test]
-    fn store_count_matches_frame_detect() {
-        let df = frame_with_anomalies(300, 6);
-        let forest = IsolationForest::fit_frame(&df, 50, 128, 0.05, 11).unwrap();
-        let store = BlockStore::from_frame(&df).unwrap();
-        assert_eq!(
-            forest.count_flagged_store(&store).unwrap(),
-            forest.detect(&df).unwrap().flagged_rows()
-        );
     }
 
     #[test]

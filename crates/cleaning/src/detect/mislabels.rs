@@ -16,7 +16,7 @@
 //!    most confidently mislabeled.
 
 use crate::report::{CellFlags, DetectionReport};
-use tabular::{split::kfold, BlockStore, DataFrame, FeatureEncoder, Result, Rng64, TabularError};
+use tabular::{split::kfold, DataFrame, FeatureEncoder, Result, Rng64, TabularError};
 
 /// A fitted mislabel detector. Detection refers to the labels of the frame
 /// it was fitted on; applying it to a different frame is rejected.
@@ -169,23 +169,6 @@ impl MislabelDetector {
         (fp, fn_)
     }
 
-    /// Streams confident learning over a columnar store block-at-a-time:
-    /// each block is materialised, fitted independently (its own
-    /// out-of-fold probabilities, thresholds and confident joint — the
-    /// algorithm's statistics are per-partition by design), and only the
-    /// flagged-row count is kept. Scratch is one block frame plus its
-    /// encoded matrix. On a single-block store this equals
-    /// `MislabelDetector::fit(frame, seed)` flag counts exactly.
-    pub fn count_flagged_store(store: &BlockStore, seed: u64) -> Result<usize> {
-        let mut flagged = 0usize;
-        for b in 0..store.n_blocks() {
-            let frame = store.block_frame(b)?;
-            let det = MislabelDetector::fit(&frame, seed ^ (b as u64).wrapping_mul(0x9E37_79B9))?;
-            flagged += det.flags.iter().filter(|&&f| f).count();
-        }
-        Ok(flagged)
-    }
-
     /// Returns the mislabel report for the frame the detector was fitted
     /// on. The frame must have the same number of rows (the detector
     /// cannot re-score unseen data — its flags refer to training labels).
@@ -243,17 +226,6 @@ mod tests {
         // Should not flag wildly more than planted (some slack for
         // borderline points near the decision boundary).
         assert!(report.flagged_rows() <= 30, "flagged {}", report.flagged_rows());
-    }
-
-    #[test]
-    fn store_count_matches_frame_fit_on_single_block() {
-        let df = noisy_frame(200, &[3, 17, 42], 5);
-        let store = BlockStore::from_frame(&df).unwrap();
-        let det = MislabelDetector::fit(&df, 9).unwrap();
-        assert_eq!(
-            MislabelDetector::count_flagged_store(&store, 9).unwrap(),
-            det.detect(&df).unwrap().flagged_rows()
-        );
     }
 
     #[test]

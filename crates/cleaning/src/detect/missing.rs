@@ -2,7 +2,7 @@
 //! column, and any row containing at least one such cell.
 
 use crate::report::{CellFlags, DetectionReport};
-use tabular::{BlockStore, ColumnRole, DataFrame};
+use tabular::{ColumnRole, DataFrame};
 
 /// Detects missing values in `frame`.
 ///
@@ -28,64 +28,6 @@ pub fn detect(frame: &DataFrame) -> DetectionReport {
         row_flags: cell_flags.any_per_row(),
         cell_flags,
     }
-}
-
-/// Aggregate missing-value counts over a columnar store, computed from
-/// the validity bitmaps alone — no per-cell flag vectors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingSummary {
-    /// `(column, missing cells)` for every non-dropped column with at
-    /// least one missing value.
-    pub column_missing: Vec<(String, usize)>,
-    /// Total missing cells across those columns.
-    pub missing_cells: usize,
-    /// Rows with at least one missing cell in a non-dropped column.
-    pub flagged_rows: usize,
-}
-
-/// Streams a [`BlockStore`]'s validity bitmaps and summarises missing
-/// values. Scratch is one `u64` word vector per block (64 rows/word);
-/// counts agree with [`detect`] on the materialised frame.
-pub fn summarize_store(store: &BlockStore) -> MissingSummary {
-    let cols: Vec<usize> = store
-        .schema()
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.role != ColumnRole::Dropped)
-        .map(|(c, _)| c)
-        .collect();
-    let mut column_missing: Vec<usize> = vec![0; store.n_cols()];
-    let mut flagged_rows = 0usize;
-    let mut row_words: Vec<u64> = Vec::new();
-    for view in store.views() {
-        let rows = view.n_rows();
-        let n_words = rows.div_ceil(64);
-        row_words.clear();
-        row_words.resize(n_words, 0);
-        for &c in &cols {
-            let validity = view.validity(c);
-            column_missing[c] += validity.count_unset();
-            for (w, &word) in validity.words().iter().enumerate() {
-                row_words[w] |= !word;
-            }
-        }
-        // Complementing set 1s past the row count in the last word; mask
-        // them off before counting.
-        if rows % 64 != 0 {
-            if let Some(last) = row_words.last_mut() {
-                *last &= (1u64 << (rows % 64)) - 1;
-            }
-        }
-        flagged_rows += row_words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-    }
-    let column_missing: Vec<(String, usize)> = cols
-        .into_iter()
-        .filter(|&c| column_missing[c] > 0)
-        .map(|c| (store.schema().fields()[c].name.clone(), column_missing[c]))
-        .collect();
-    let missing_cells = column_missing.iter().map(|(_, n)| n).sum();
-    MissingSummary { column_missing, missing_cells, flagged_rows }
 }
 
 #[cfg(test)]
@@ -128,35 +70,6 @@ mod tests {
         let report = detect(&df);
         assert_eq!(report.flagged_rows(), 0);
         assert!(report.cell_flags.column("junk").is_none());
-    }
-
-    #[test]
-    fn store_summary_matches_frame_detect() {
-        let df = DataFrame::builder()
-            .numeric("x", ColumnRole::Feature, vec![1.0, f64::NAN, 3.0, f64::NAN, 5.0])
-            .categorical("c", ColumnRole::Feature, &[None, Some("a"), Some("b"), Some("a"), None])
-            .numeric("junk", ColumnRole::Dropped, vec![f64::NAN; 5])
-            .build()
-            .unwrap();
-        let store = BlockStore::from_frame(&df).unwrap();
-        let summary = summarize_store(&store);
-        let report = detect(&df);
-        assert_eq!(summary.flagged_rows, report.flagged_rows());
-        assert_eq!(summary.missing_cells, report.cell_flags.flagged_cells());
-        assert_eq!(
-            summary.column_missing,
-            vec![("x".to_string(), 2), ("c".to_string(), 2)]
-        );
-    }
-
-    #[test]
-    fn store_summary_of_clean_store_is_empty() {
-        let df = DataFrame::builder()
-            .numeric("x", ColumnRole::Feature, (0..130).map(|i| i as f64).collect())
-            .build()
-            .unwrap();
-        let summary = summarize_store(&BlockStore::from_frame(&df).unwrap());
-        assert_eq!(summary, MissingSummary { column_missing: vec![], missing_cells: 0, flagged_rows: 0 });
     }
 
     #[test]

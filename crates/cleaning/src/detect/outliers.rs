@@ -3,7 +3,7 @@
 //! any frame with the same schema.
 
 use crate::report::{CellFlags, DetectionReport};
-use tabular::{BlockStore, ColumnKind, ColumnRole, ColumnStats, DataFrame, Result, TabularError};
+use tabular::{ColumnKind, ColumnRole, ColumnStats, DataFrame, Result, TabularError};
 
 /// Per-column `[lower, upper]` intervals outside of which a value is an
 /// outlier.
@@ -52,85 +52,6 @@ impl OutlierBounds {
             }
         }
         Ok(OutlierBounds { detector: "outliers-iqr", bounds })
-    }
-
-    /// Fits the standard-deviation rule over a columnar [`BlockStore`],
-    /// gathering one column at a time (bounded scratch). Stats are
-    /// computed over the same value sequence as the frame path, so the
-    /// fitted intervals are bit-identical to
-    /// [`OutlierBounds::fit_sd`] on the materialised frame.
-    pub fn fit_sd_store(train: &BlockStore, n_std: f64) -> Result<OutlierBounds> {
-        if n_std <= 0.0 {
-            return Err(TabularError::InvalidArgument(format!(
-                "n_std must be positive, got {n_std}"
-            )));
-        }
-        let mut bounds = Vec::new();
-        for (c, name) in Self::numeric_feature_cols(train) {
-            if let Some(stats) = train.column_stats(c)? {
-                bounds.push((
-                    name,
-                    stats.mean - n_std * stats.std_dev,
-                    stats.mean + n_std * stats.std_dev,
-                ));
-            }
-        }
-        Ok(OutlierBounds { detector: "outliers-sd", bounds })
-    }
-
-    /// Fits the interquartile rule over a columnar [`BlockStore`]; see
-    /// [`OutlierBounds::fit_sd_store`] for the parity contract.
-    pub fn fit_iqr_store(train: &BlockStore, k: f64) -> Result<OutlierBounds> {
-        if k <= 0.0 {
-            return Err(TabularError::InvalidArgument(format!("k must be positive, got {k}")));
-        }
-        let mut bounds = Vec::new();
-        for (c, name) in Self::numeric_feature_cols(train) {
-            if let Some(stats) = train.column_stats(c)? {
-                let iqr = stats.iqr();
-                bounds.push((name, stats.p25 - k * iqr, stats.p75 + k * iqr));
-            }
-        }
-        Ok(OutlierBounds { detector: "outliers-iqr", bounds })
-    }
-
-    /// Counts rows with at least one out-of-bounds cell, streaming the
-    /// store block-at-a-time: scratch is one `bool` row-flag vector per
-    /// block, never a whole-store [`DetectionReport`].
-    pub fn count_flagged_store(&self, store: &BlockStore) -> Result<usize> {
-        let cols: Vec<(usize, f64, f64)> = self
-            .bounds
-            .iter()
-            .map(|(name, lower, upper)| Ok((store.schema().index_of(name)?, *lower, *upper)))
-            .collect::<Result<_>>()?;
-        let mut flagged = 0usize;
-        let mut row_flag: Vec<bool> = Vec::new();
-        for view in store.views() {
-            row_flag.clear();
-            row_flag.resize(view.n_rows(), false);
-            for &(c, lower, upper) in &cols {
-                for (i, slot) in row_flag.iter_mut().enumerate() {
-                    let x = view.numeric(c, i);
-                    if !x.is_nan() && (x < lower || x > upper) {
-                        *slot = true;
-                    }
-                }
-            }
-            flagged += row_flag.iter().filter(|&&b| b).count();
-        }
-        Ok(flagged)
-    }
-
-    /// `(index, name)` of numeric feature columns in a store's schema.
-    fn numeric_feature_cols(store: &BlockStore) -> Vec<(usize, String)> {
-        store
-            .schema()
-            .fields()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.role == ColumnRole::Feature && f.kind == ColumnKind::Numeric)
-            .map(|(c, f)| (c, f.name.clone()))
-            .collect()
     }
 
     /// Names of numeric feature columns (outlier cleaning never touches the
@@ -253,30 +174,6 @@ mod tests {
         let df = frame_with_outlier();
         assert!(OutlierBounds::fit_sd(&df, 0.0).is_err());
         assert!(OutlierBounds::fit_iqr(&df, -1.0).is_err());
-    }
-
-    #[test]
-    fn store_fit_matches_frame_fit_bit_exactly() {
-        let df = frame_with_outlier();
-        let store = tabular::BlockStore::from_frame(&df).unwrap();
-        assert_eq!(OutlierBounds::fit_sd_store(&store, 3.0).unwrap(), OutlierBounds::fit_sd(&df, 3.0).unwrap());
-        assert_eq!(
-            OutlierBounds::fit_iqr_store(&store, 1.5).unwrap(),
-            OutlierBounds::fit_iqr(&df, 1.5).unwrap()
-        );
-        assert!(OutlierBounds::fit_sd_store(&store, 0.0).is_err());
-        assert!(OutlierBounds::fit_iqr_store(&store, -1.0).is_err());
-    }
-
-    #[test]
-    fn store_count_matches_frame_detect() {
-        let df = frame_with_outlier();
-        let store = tabular::BlockStore::from_frame(&df).unwrap();
-        let bounds = OutlierBounds::fit_iqr(&df, 1.5).unwrap();
-        assert_eq!(
-            bounds.count_flagged_store(&store).unwrap(),
-            bounds.detect(&df).unwrap().flagged_rows()
-        );
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! CleanML naming convention `impute_<num>_<cat>` (e.g. `impute_mean_dummy`)
 //! is reproduced by [`MissingRepair::name`].
 
-use tabular::{
-    BlockStore, BlockWriter, ColumnKind, ColumnRole, ColumnStats, DataFrame, Result, TabularError,
-};
+use tabular::{ColumnKind, ColumnRole, ColumnStats, DataFrame, Result, TabularError};
 
 /// The label used for dummy-imputed categorical cells.
 pub const DUMMY_CATEGORY: &str = "missing_dummy";
@@ -130,60 +128,6 @@ impl MissingRepair {
         Ok(FittedImputer { numeric, categorical })
     }
 
-    /// Fits per-column imputation values on a columnar store, gathering
-    /// one column at a time (bounded scratch). Value sequences match the
-    /// frame path, so the fitted values are identical to
-    /// [`MissingRepair::fit`] on the materialised frame.
-    pub fn fit_store(&self, train: &BlockStore) -> Result<FittedImputer> {
-        let mut numeric = Vec::new();
-        let mut categorical = Vec::new();
-        let mut buf: Vec<f64> = Vec::new();
-        for (c, field) in train.schema().fields().iter().enumerate() {
-            if field.role == ColumnRole::Dropped {
-                continue;
-            }
-            match field.kind {
-                ColumnKind::Numeric => {
-                    let value = match self.num {
-                        NumImpute::Mean => train.column_stats(c)?.map(|s| s.mean),
-                        NumImpute::Median => train.column_stats(c)?.map(|s| s.median),
-                        NumImpute::Mode => {
-                            train.gather_numeric(c, &mut buf)?;
-                            ColumnStats::mode(&buf)
-                        }
-                    };
-                    numeric.push((field.name.clone(), value.unwrap_or(0.0)));
-                }
-                ColumnKind::Categorical => {
-                    let value = match self.cat {
-                        // Same tie-break as `CatColumn::mode_code`: highest
-                        // count, then smallest dictionary code.
-                        CatImpute::Mode => {
-                            let dict = train.dictionary(c);
-                            let mut counts = vec![0usize; dict.len()];
-                            for view in train.views() {
-                                for i in 0..view.n_rows() {
-                                    if let Some(code) = view.code(c, i) {
-                                        counts[code as usize] += 1;
-                                    }
-                                }
-                            }
-                            counts
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &n)| n > 0)
-                                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                                .map(|(i, _)| dict[i].clone())
-                                .unwrap_or_else(|| DUMMY_CATEGORY.to_string())
-                        }
-                        CatImpute::Dummy => DUMMY_CATEGORY.to_string(),
-                    };
-                    categorical.push((field.name.clone(), value));
-                }
-            }
-        }
-        Ok(FittedImputer { numeric, categorical })
-    }
 }
 
 /// Fitted per-column imputation values, applicable to any schema-compatible
@@ -229,18 +173,6 @@ impl FittedImputer {
             }
         }
         Ok(out)
-    }
-
-    /// Repairs a columnar store block-at-a-time: each block is
-    /// materialised, imputed with [`FittedImputer::apply`], and appended
-    /// to a fresh store. Scratch is one block frame; the result equals
-    /// applying the imputer to the materialised store.
-    pub fn apply_store(&self, store: &BlockStore) -> Result<BlockStore> {
-        let mut writer = BlockWriter::new();
-        for b in 0..store.n_blocks() {
-            writer.append_frame(&self.apply(&store.block_frame(b)?)?)?;
-        }
-        Ok(writer.finish())
     }
 
     /// The fitted value for a numeric column, if any.
@@ -343,25 +275,6 @@ mod tests {
         // Test gets TRAIN's mean, not its own (undefined) mean.
         assert!((repaired.numeric("x").unwrap()[0] - 104.0 / 3.0).abs() < 1e-12);
         assert_eq!(repaired.categorical("c").unwrap().label(0), Some("a"));
-    }
-
-    #[test]
-    fn store_fit_and_apply_match_frame_path() {
-        let df = frame();
-        for repair in MissingRepair::all() {
-            let store = BlockStore::from_frame(&df).unwrap();
-            let frame_imp = repair.fit(&df).unwrap();
-            let store_imp = repair.fit_store(&store).unwrap();
-            assert_eq!(store_imp, frame_imp, "{}", repair.name());
-            let repaired_store = store_imp.apply_store(&store).unwrap();
-            assert_eq!(repaired_store.missing_cells(), 0, "{}", repair.name());
-            assert_eq!(
-                tabular::csv::to_csv_string(&repaired_store.to_frame().unwrap()),
-                tabular::csv::to_csv_string(&frame_imp.apply(&df).unwrap()),
-                "{}",
-                repair.name()
-            );
-        }
     }
 
     #[test]

@@ -236,9 +236,10 @@ impl StudyScale {
     }
 
     /// Million-row study tier: pools are one full block
-    /// (`tabular::ROWS_PER_BLOCK` rows) per dataset, exercising the
-    /// columnar substrate's bounded-memory streaming. Split/seed density
-    /// is kept low — the point is data volume, not score density.
+    /// (`tabular::ROWS_PER_BLOCK` rows) per dataset, exercising chunked
+    /// generation into the columnar store and sampling splits from a
+    /// million-row pool. Split/seed density is kept low — the point is
+    /// data volume, not score density.
     pub fn large() -> StudyScale {
         StudyScale {
             pool_size: 1 << 20,

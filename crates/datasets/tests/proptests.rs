@@ -4,8 +4,7 @@
 
 use datasets::{DatasetId, ErrorType};
 use proptest::prelude::*;
-use tabular::encode::StoreEncoder;
-use tabular::{BlockStore, ColumnKind, ColumnRole, FeatureEncoder};
+use tabular::{BlockStore, ColumnKind, ColumnRole};
 
 fn arb_dataset() -> impl Strategy<Value = DatasetId> {
     prop::sample::select(DatasetId::all().to_vec())
@@ -70,11 +69,15 @@ proptest! {
     }
 
     #[test]
-    fn block_store_round_trips_every_dataset(id in arb_dataset(), n in 50usize..400, seed in any::<u64>()) {
+    fn block_store_round_trips_every_dataset(
+        id in arb_dataset(),
+        n in 50usize..400,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<usize>(), 0..48),
+    ) {
         let frame = id.generate(n, seed).unwrap();
         let store = BlockStore::from_frame(&frame).unwrap();
         prop_assert_eq!(store.n_rows(), n);
-        prop_assert_eq!(store.n_cols(), frame.schema().len());
 
         // The chunked generator must build the same store as converting
         // the monolithic frame (n here always fits one generation chunk).
@@ -88,51 +91,34 @@ proptest! {
             tabular::csv::to_csv_string(&frame)
         );
 
-        // views: every cell is reachable and matches the frame, with
-        // missing values mapped to NaN / None via the validity bitmaps.
-        for view in store.views() {
-            for (c, field) in store.schema().fields().iter().enumerate() {
+        // take, the one read path the runner uses, gathers exactly what
+        // DataFrame::take gathers: the same CSV text, category order and
+        // float bits. The picks run forwards then backwards, so every
+        // index list repeats rows out of order; the empty list is checked
+        // too.
+        let idx: Vec<usize> = picks.iter().chain(picks.iter().rev()).map(|&p| p % n).collect();
+        let empty: &[usize] = &[];
+        for rows in [idx.as_slice(), empty] {
+            let (got, want) = (store.take(rows).unwrap(), frame.take(rows).unwrap());
+            prop_assert_eq!(got.n_rows(), rows.len());
+            prop_assert_eq!(
+                tabular::csv::to_csv_string(&got),
+                tabular::csv::to_csv_string(&want)
+            );
+            for field in frame.schema().fields() {
                 match field.kind {
                     ColumnKind::Numeric => {
-                        let col = frame.numeric(&field.name).unwrap();
-                        for i in 0..view.n_rows() {
-                            let got = view.numeric(c, i);
-                            let want = col[view.start_row() + i];
-                            prop_assert!(
-                                got == want || (got.is_nan() && want.is_nan()),
-                                "{}[{}]: {got} vs {want}", field.name, view.start_row() + i
-                            );
-                        }
+                        let bits = |f: &tabular::DataFrame| -> Vec<u64> {
+                            f.numeric(&field.name).unwrap().iter().map(|x| x.to_bits()).collect()
+                        };
+                        prop_assert_eq!(bits(&got), bits(&want), "{} bits", field.name);
                     }
-                    ColumnKind::Categorical => {
-                        let col = frame.categorical(&field.name).unwrap();
-                        let dict = store.dictionary(c);
-                        for i in 0..view.n_rows() {
-                            let got = view.code(c, i).map(|code| dict[code as usize].as_str());
-                            prop_assert_eq!(got, col.label(view.start_row() + i));
-                        }
-                    }
+                    ColumnKind::Categorical => prop_assert_eq!(
+                        got.categorical(&field.name).unwrap().categories(),
+                        want.categorical(&field.name).unwrap().categories(),
+                        "{} categories", field.name
+                    ),
                 }
-            }
-        }
-
-        // views → dense: encoding straight off the store is bit-identical
-        // to the frame-based encode path, column by column.
-        let enc_frame = FeatureEncoder::fit(&frame, true).unwrap();
-        let dense = enc_frame.transform(&frame).unwrap();
-        let enc_store = FeatureEncoder::fit_store(&store, true).unwrap();
-        let se = StoreEncoder::new(&enc_store, &store).unwrap();
-        prop_assert_eq!(se.n_rows(), n);
-        prop_assert_eq!(se.n_cols(), dense.n_cols());
-        let mut col = vec![0.0f64; n];
-        for j in 0..se.n_cols() {
-            se.fill_column(j, &mut col);
-            for (i, &v) in col.iter().enumerate() {
-                prop_assert_eq!(
-                    v.to_bits(),
-                    dense.get(i, j).to_bits(),
-                    "encoded cell ({i}, {j}) diverged"
-                );
             }
         }
     }

@@ -15,8 +15,7 @@
 //! histogram split finding considers exactly the candidate thresholds the
 //! exact splitter does.
 
-use tabular::encode::{StoreEncoder, TransformReport};
-use tabular::{BlockStore, DenseMatrix, FeatureEncoder};
+use tabular::DenseMatrix;
 
 /// Default number of bins per feature. 64 keeps the accuracy drift vs
 /// exact splits well inside seed noise on the study's datasets (see
@@ -65,28 +64,8 @@ impl BinnedMatrix {
     ///
     /// Panics when `max_bins` is not in `2..=256` (indices must fit `u8`).
     pub fn from_matrix(x: &DenseMatrix, max_bins: usize) -> Self {
-        Self::from_columns(x.n_rows(), x.n_cols(), max_bins, |j, out| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = x.get(i, j);
-            }
-        })
-    }
-
-    /// Bins `n` rows × `d` features delivered one column at a time by
-    /// `fill` — the streaming constructor behind the block-store encode
-    /// path. Scratch beyond the binned output itself is two `f64` column
-    /// buffers, never a dense `n × d` matrix.
-    ///
-    /// `fill(j, out)` must write feature `j`'s raw values into `out`
-    /// (`out.len() == n`). Identical cut points and bin indices to
-    /// [`BinnedMatrix::from_matrix`] on the materialised matrix.
-    ///
-    /// Panics when `max_bins` is not in `2..=256` (indices must fit `u8`).
-    pub fn from_columns<F>(n: usize, d: usize, max_bins: usize, mut fill: F) -> Self
-    where
-        F: FnMut(usize, &mut [f64]),
-    {
         assert!((2..=256).contains(&max_bins), "max_bins must be in 2..=256");
+        let (n, d) = (x.n_rows(), x.n_cols());
         let mut bins = vec![0u8; n * d];
         let mut has_nan = false;
         let mut cuts = Vec::with_capacity(d);
@@ -100,7 +79,9 @@ impl BinnedMatrix {
         let mut column_values = vec![0.0f64; n];
         let mut sorted: Vec<f64> = Vec::with_capacity(n);
         for j in 0..d {
-            fill(j, &mut column_values);
+            for (i, slot) in column_values.iter_mut().enumerate() {
+                *slot = x.get(i, j);
+            }
             has_nan |= column_values.iter().any(|v| v.is_nan());
             sorted.clear();
             sorted.extend_from_slice(&column_values);
@@ -143,34 +124,6 @@ impl BinnedMatrix {
             bin_lo,
             bin_hi,
         }
-    }
-
-    /// Encodes a [`BlockStore`] straight into a binned matrix through a
-    /// fitted encoder — block views to bins with no intermediate dense
-    /// `f64` matrix — returning the unseen-category tally alongside.
-    pub fn from_store(
-        enc: &FeatureEncoder,
-        store: &BlockStore,
-        max_bins: usize,
-    ) -> tabular::Result<(BinnedMatrix, TransformReport)> {
-        let se = StoreEncoder::new(enc, store)?;
-        let binned = Self::from_columns(se.n_rows(), se.n_cols(), max_bins, |j, out| {
-            se.fill_column(j, out);
-        });
-        Ok((binned, se.report().clone()))
-    }
-
-    /// Heap footprint in bytes (bin planes + cut metadata), for memory
-    /// gates.
-    pub fn heap_bytes(&self) -> usize {
-        self.bins.capacity()
-            + self.row_bins.capacity()
-            + self.cuts.iter().map(|c| c.capacity() * 8).sum::<usize>()
-            + (self.offsets.capacity()
-                + self.split_features.capacity()
-                + self.bin_lo.capacity()
-                + self.bin_hi.capacity())
-                * 8
     }
 
     /// Number of rows.
@@ -583,92 +536,5 @@ mod tests {
         assert_eq!(b.n_rows(), 0);
         assert_eq!(b.n_cols(), 3);
         assert_eq!(b.n_bins(0), 1);
-    }
-
-    fn assert_binned_identical(a: &BinnedMatrix, b: &BinnedMatrix) {
-        assert_eq!(a.bins, b.bins);
-        assert_eq!(a.row_bins, b.row_bins);
-        assert_eq!(a.split_features, b.split_features);
-        assert_eq!(a.has_nan, b.has_nan);
-        assert_eq!(a.n_rows, b.n_rows);
-        assert_eq!(a.n_cols, b.n_cols);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.total_bins, b.total_bins);
-        assert_eq!(a.cuts.len(), b.cuts.len());
-        for (ca, cb) in a.cuts.iter().zip(&b.cuts) {
-            let ca: Vec<u64> = ca.iter().map(|v| v.to_bits()).collect();
-            let cb: Vec<u64> = cb.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ca, cb);
-        }
-        let lo_a: Vec<u64> = a.bin_lo.iter().map(|v| v.to_bits()).collect();
-        let lo_b: Vec<u64> = b.bin_lo.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(lo_a, lo_b);
-        let hi_a: Vec<u64> = a.bin_hi.iter().map(|v| v.to_bits()).collect();
-        let hi_b: Vec<u64> = b.bin_hi.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(hi_a, hi_b);
-    }
-
-    #[test]
-    fn from_columns_matches_from_matrix_bit_exactly() {
-        // Mixed ties, negatives, and a wide-range column.
-        let n = 257;
-        let d = 3;
-        let mut data = vec![0.0f64; n * d];
-        for i in 0..n {
-            data[i * d] = ((i * 37) % 11) as f64 - 5.0;
-            data[i * d + 1] = (i as f64) * 1e6;
-            data[i * d + 2] = [0.25, 0.25, -3.5][i % 3];
-        }
-        let x = DenseMatrix::from_vec(n, d, data);
-        for max_bins in [2, 8, 256] {
-            let dense = BinnedMatrix::from_matrix(&x, max_bins);
-            let streamed = BinnedMatrix::from_columns(n, d, max_bins, |j, out| {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = x.get(i, j);
-                }
-            });
-            assert_binned_identical(&dense, &streamed);
-        }
-    }
-
-    #[test]
-    fn from_store_matches_dense_encode_path() {
-        use tabular::{BlockStore, ColumnRole, DataFrame};
-        let n = 120;
-        let frame = DataFrame::builder()
-            .numeric(
-                "age",
-                ColumnRole::Feature,
-                (0..n)
-                    .map(|i| if i % 17 == 3 { f64::NAN } else { ((i * 31) % 57) as f64 })
-                    .collect(),
-            )
-            .categorical(
-                "job",
-                ColumnRole::Feature,
-                &(0..n)
-                    .map(|i| if i % 13 == 5 { None } else { Some(["a", "b", "c"][i % 3]) })
-                    .collect::<Vec<_>>(),
-            )
-            .numeric("label", ColumnRole::Label, (0..n).map(|i| (i % 2) as f64).collect())
-            .build()
-            .unwrap();
-        for with_indicators in [false, true] {
-            let enc = FeatureEncoder::fit(&frame, with_indicators).unwrap();
-            let (dense_x, dense_report) = enc.transform_with_report(&frame).unwrap();
-            let dense = BinnedMatrix::from_matrix(&dense_x, 64);
-            let store = BlockStore::from_frame(&frame).unwrap();
-            let (streamed, report) = BinnedMatrix::from_store(&enc, &store, 64).unwrap();
-            assert_binned_identical(&dense, &streamed);
-            assert_eq!(report, dense_report);
-        }
-    }
-
-    #[test]
-    fn heap_bytes_counts_bin_planes() {
-        let x = DenseMatrix::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let b = BinnedMatrix::from_matrix(&x, 8);
-        // At least the two n*d u8 planes must be accounted for.
-        assert!(b.heap_bytes() >= 2 * 4 * 2);
     }
 }

@@ -1,17 +1,17 @@
-//! Typed columnar block storage: the scale substrate under [`DataFrame`].
+//! Typed columnar block storage: the compact pool the study samples from.
 //!
 //! A [`BlockStore`] holds a table as a sequence of fixed-size row blocks
 //! ([`ROWS_PER_BLOCK`] rows each). Within a block every column is a typed
-//! vector ([`ColumnData`]) paired with a validity bitmap — missing values
-//! cost one bit, not a NaN/Option per cell — and categorical dictionaries
-//! live once at store level, shared by all blocks.
+//! vector paired with a validity bitmap — missing values cost one bit, not
+//! a NaN/Option per cell — and categorical dictionaries live once at store
+//! level, shared by all blocks. That layout is private to this module:
+//! generators fill a store chunk by chunk through a [`BlockWriter`], and
+//! readers get rows back only as a [`DataFrame`], through
+//! [`BlockStore::take`] (a sampled split) or [`BlockStore::to_frame`].
+//! Cleaning, encoding and training all run on that frame.
 //!
-//! The store exists so the million-row study tier can stream: generators
-//! append chunk frames through a [`BlockWriter`], detectors and encoders
-//! walk [`BlockView`]s block-at-a-time with bounded scratch, and the
-//! binned-matrix encode path never materialises an intermediate dense
-//! `f64` matrix. Small frames round-trip exactly: for a store built from
-//! one frame, [`BlockStore::take`] returns bit-identical gathers to
+//! Small frames round-trip exactly: for a store built from one frame,
+//! [`BlockStore::take`] returns bit-identical gathers to
 //! [`DataFrame::take`] (same codes, same dictionary, same float bits),
 //! which is what keeps small-scale study exports byte-identical after the
 //! runner's pools moved onto the store.
@@ -20,38 +20,21 @@ use crate::column::{CatColumn, Column};
 use crate::error::TabularError;
 use crate::frame::DataFrame;
 use crate::schema::{ColumnKind, Schema};
-use crate::stats::ColumnStats;
 use crate::Result;
 
-/// Rows per block (1M): one block is the unit of streaming and the unit
-/// the large-tier memory gate is expressed in.
+/// Rows per block (1M): one block is the unit the writer seals and the
+/// unit the large-tier memory gate is expressed in.
 pub const ROWS_PER_BLOCK: usize = 1 << 20;
 
 /// A validity bitmap: bit `i` set means row `i` holds a present value.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Bitmap {
+struct Bitmap {
     words: Vec<u64>,
     len: usize,
 }
 
 impl Bitmap {
-    /// An empty bitmap.
-    pub fn new() -> Bitmap {
-        Bitmap::default()
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap has no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one bit.
-    pub fn push(&mut self, valid: bool) {
+    fn push(&mut self, valid: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -62,26 +45,15 @@ impl Bitmap {
         self.len += 1;
     }
 
-    /// Bit at position `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> bool {
+    fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of set (present) bits.
-    pub fn count_set(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Number of unset (missing) bits.
-    pub fn count_unset(&self) -> usize {
-        self.len - self.count_set()
-    }
-
-    /// The raw 64-bit words (trailing bits of the last word are zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    fn count_unset(&self) -> usize {
+        self.len - self.words.iter().map(|w| w.count_ones() as usize).sum::<usize>()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -90,9 +62,9 @@ impl Bitmap {
 }
 
 /// Typed column payload of one block. Missing rows keep a default payload
-/// (`0` / `0.0` / code `0` / `""`); the validity bitmap is authoritative.
+/// (`0` / `0.0` / code `0`); the validity bitmap is authoritative.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ColumnData {
+enum ColumnData {
     /// Integer-exact numeric values (every present value round-trips
     /// through `i64` bit-exactly; promoted to `Float` otherwise).
     Int(Vec<i64>),
@@ -100,36 +72,14 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Dictionary codes into the store-level dictionary of the column.
     Enum(Vec<u32>),
-    /// Raw text without dictionary encoding, for free-form columns whose
-    /// cardinality makes a dictionary pointless.
-    Text(Vec<String>),
 }
 
 impl ColumnData {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Enum(v) => v.len(),
-            ColumnData::Text(v) => v.len(),
-        }
-    }
-
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn heap_bytes(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.capacity() * std::mem::size_of::<i64>(),
             ColumnData::Float(v) => v.capacity() * std::mem::size_of::<f64>(),
             ColumnData::Enum(v) => v.capacity() * std::mem::size_of::<u32>(),
-            ColumnData::Text(v) => {
-                v.capacity() * std::mem::size_of::<String>()
-                    + v.iter().map(String::capacity).sum::<usize>()
-            }
         }
     }
 }
@@ -141,136 +91,43 @@ fn int_exact(v: f64) -> bool {
     v >= -(2f64.powi(53)) && v <= 2f64.powi(53) && ((v as i64) as f64).to_bits() == v.to_bits()
 }
 
-/// One fixed-size row block: typed columns plus per-column validity.
+/// One fixed-size row block: typed columns plus per-column validity, all
+/// of the same length.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Block {
+struct Block {
     columns: Vec<ColumnData>,
     validity: Vec<Bitmap>,
-    rows: usize,
 }
 
 impl Block {
-    /// Builds a block from parallel columns and validity bitmaps.
-    pub fn new(columns: Vec<ColumnData>, validity: Vec<Bitmap>) -> Result<Block> {
-        if columns.len() != validity.len() {
-            return Err(TabularError::LengthMismatch {
-                expected: columns.len(),
-                actual: validity.len(),
-            });
+    /// Numeric value at `(c, i)` with missing mapped to NaN.
+    #[inline]
+    fn numeric(&self, c: usize, i: usize) -> f64 {
+        if !self.validity[c].get(i) {
+            return f64::NAN;
         }
-        let rows = columns.first().map_or(0, ColumnData::len);
-        for (c, v) in columns.iter().zip(&validity) {
-            if c.len() != rows || v.len() != rows {
-                return Err(TabularError::LengthMismatch { expected: rows, actual: c.len() });
-            }
+        match &self.columns[c] {
+            ColumnData::Int(v) => v[i] as f64,
+            ColumnData::Float(v) => v[i],
+            ColumnData::Enum(_) => unreachable!("column {c} is not numeric"),
         }
-        Ok(Block { columns, validity, rows })
     }
 
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Column payload `c`.
-    pub fn data(&self, c: usize) -> &ColumnData {
-        &self.columns[c]
-    }
-
-    /// Validity bitmap of column `c`.
-    pub fn validity(&self, c: usize) -> &Bitmap {
-        &self.validity[c]
+    /// Dictionary code at `(c, i)` (`None` when missing).
+    #[inline]
+    fn code(&self, c: usize, i: usize) -> Option<u32> {
+        if !self.validity[c].get(i) {
+            return None;
+        }
+        match &self.columns[c] {
+            ColumnData::Enum(v) => Some(v[i]),
+            _ => unreachable!("column {c} is not enum-coded"),
+        }
     }
 
     fn heap_bytes(&self) -> usize {
         self.columns.iter().map(ColumnData::heap_bytes).sum::<usize>()
             + self.validity.iter().map(Bitmap::heap_bytes).sum::<usize>()
-    }
-}
-
-/// A zero-copy view of one block, carrying its global row offset.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockView<'a> {
-    block: &'a Block,
-    start: usize,
-}
-
-impl<'a> BlockView<'a> {
-    /// Number of rows in this block.
-    pub fn n_rows(&self) -> usize {
-        self.block.rows
-    }
-
-    /// Global row index of this block's first row.
-    pub fn start_row(&self) -> usize {
-        self.start
-    }
-
-    /// Column payload `c`.
-    pub fn data(&self, c: usize) -> &'a ColumnData {
-        &self.block.columns[c]
-    }
-
-    /// Validity bitmap of column `c`.
-    pub fn validity(&self, c: usize) -> &'a Bitmap {
-        &self.block.validity[c]
-    }
-
-    /// True when `(c, i)` holds a present value.
-    #[inline]
-    pub fn is_valid(&self, c: usize, i: usize) -> bool {
-        self.block.validity[c].get(i)
-    }
-
-    /// Numeric value at `(c, i)` with missing mapped to NaN.
-    ///
-    /// Panics when column `c` is not `Int`/`Float`.
-    #[inline]
-    pub fn numeric(&self, c: usize, i: usize) -> f64 {
-        if !self.block.validity[c].get(i) {
-            return f64::NAN;
-        }
-        match &self.block.columns[c] {
-            ColumnData::Int(v) => v[i] as f64,
-            ColumnData::Float(v) => v[i],
-            // lint:allow(P001, documented contract: callers route columns by schema kind)
-            _ => panic!("column {c} is not numeric"),
-        }
-    }
-
-    /// Dictionary code at `(c, i)` (`None` when missing).
-    ///
-    /// Panics when column `c` is not `Enum`.
-    #[inline]
-    pub fn code(&self, c: usize, i: usize) -> Option<u32> {
-        if !self.block.validity[c].get(i) {
-            return None;
-        }
-        match &self.block.columns[c] {
-            ColumnData::Enum(v) => Some(v[i]),
-            // lint:allow(P001, documented contract: callers route columns by schema kind)
-            _ => panic!("column {c} is not enum-coded"),
-        }
-    }
-
-    /// Text value at `(c, i)` (`None` when missing).
-    ///
-    /// Panics when column `c` is not `Text`.
-    #[inline]
-    pub fn text(&self, c: usize, i: usize) -> Option<&'a str> {
-        if !self.block.validity[c].get(i) {
-            return None;
-        }
-        match &self.block.columns[c] {
-            ColumnData::Text(v) => Some(v[i].as_str()),
-            // lint:allow(P001, documented contract: callers route columns by schema kind)
-            _ => panic!("column {c} is not text"),
-        }
     }
 }
 
@@ -310,29 +167,6 @@ impl BlockStore {
         self.blocks.len()
     }
 
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The dictionary of column `c` (empty for non-categorical columns).
-    pub fn dictionary(&self, c: usize) -> &[String] {
-        &self.dicts[c]
-    }
-
-    /// View of block `b`.
-    pub fn view(&self, b: usize) -> BlockView<'_> {
-        BlockView { block: &self.blocks[b], start: b * ROWS_PER_BLOCK }
-    }
-
-    /// Views of every block, in row order.
-    pub fn views(&self) -> impl Iterator<Item = BlockView<'_>> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(b, block)| BlockView { block, start: b * ROWS_PER_BLOCK })
-    }
-
     /// Total missing cells across all columns and blocks (bitmap popcount;
     /// no per-cell scan).
     pub fn missing_cells(&self) -> usize {
@@ -342,113 +176,9 @@ impl BlockStore {
             .sum()
     }
 
-    /// Missing cells in column `c`.
-    pub fn column_missing(&self, c: usize) -> usize {
-        self.blocks.iter().map(|blk| blk.validity[c].count_unset()).sum()
-    }
-
-    /// Gathers numeric column `c` into `out` (missing → NaN), block by
-    /// block. `out` is the only scratch: one `f64` per row.
-    pub fn gather_numeric(&self, c: usize, out: &mut Vec<f64>) -> Result<()> {
-        if self.schema.fields()[c].kind != ColumnKind::Numeric {
-            return Err(TabularError::KindMismatch {
-                column: self.schema.fields()[c].name.clone(),
-                expected: "numeric",
-            });
-        }
-        out.clear();
-        out.reserve(self.rows);
-        for view in self.views() {
-            let valid = view.validity(c);
-            match view.data(c) {
-                ColumnData::Int(v) => {
-                    out.extend(v.iter().enumerate().map(|(i, &x)| {
-                        if valid.get(i) {
-                            x as f64
-                        } else {
-                            f64::NAN
-                        }
-                    }));
-                }
-                ColumnData::Float(v) => {
-                    out.extend(v.iter().enumerate().map(|(i, &x)| {
-                        if valid.get(i) {
-                            x
-                        } else {
-                            f64::NAN
-                        }
-                    }));
-                }
-                _ => unreachable!("schema kind checked above"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Streaming [`ColumnStats`] of numeric column `c`, identical to
-    /// computing them on the materialised frame column.
-    pub fn column_stats(&self, c: usize) -> Result<Option<ColumnStats>> {
-        let mut buf = Vec::new();
-        self.gather_numeric(c, &mut buf)?;
-        Ok(ColumnStats::compute(&buf))
-    }
-
-    /// The label column as a 0/1 vector (same contract as
-    /// [`DataFrame::labels`]).
-    pub fn labels(&self) -> Result<Vec<u8>> {
-        let name = self
-            .schema
-            .label()
-            .ok_or_else(|| TabularError::UnknownColumn("<label>".to_string()))?
-            .name
-            .clone();
-        let c = self.schema.index_of(&name)?;
-        let mut buf = Vec::new();
-        self.gather_numeric(c, &mut buf)?;
-        // lint:allow(F001, labels are stored as exact 0.0/1.0; nonzero test is the contract)
-        Ok(buf.iter().map(|&x| if x != 0.0 { 1 } else { 0 }).collect())
-    }
-
-    /// Materialises block `b` as a frame (dictionaries cloned; scratch is
-    /// bounded by one block).
-    pub fn block_frame(&self, b: usize) -> Result<DataFrame> {
-        let view = self.view(b);
-        let columns = (0..self.n_cols())
-            .map(|c| self.materialise_column(c, std::slice::from_ref(&view)))
-            .collect::<Result<Vec<_>>>()?;
-        DataFrame::new(self.schema.clone(), columns)
-    }
-
     /// Materialises the whole store as one frame.
     pub fn to_frame(&self) -> Result<DataFrame> {
-        let views: Vec<BlockView<'_>> = self.views().collect();
-        let columns = (0..self.n_cols())
-            .map(|c| self.materialise_column(c, &views))
-            .collect::<Result<Vec<_>>>()?;
-        DataFrame::new(self.schema.clone(), columns)
-    }
-
-    fn materialise_column(&self, c: usize, views: &[BlockView<'_>]) -> Result<Column> {
-        match self.schema.fields()[c].kind {
-            ColumnKind::Numeric => {
-                let mut data = Vec::with_capacity(views.iter().map(BlockView::n_rows).sum());
-                for view in views {
-                    for i in 0..view.n_rows() {
-                        data.push(view.numeric(c, i));
-                    }
-                }
-                Ok(Column::Numeric(data))
-            }
-            ColumnKind::Categorical => {
-                let mut codes = Vec::with_capacity(views.iter().map(BlockView::n_rows).sum());
-                for view in views {
-                    for i in 0..view.n_rows() {
-                        codes.push(view.code(c, i));
-                    }
-                }
-                CatColumn::from_codes(codes, self.dicts[c].clone()).map(Column::Categorical)
-            }
-        }
+        self.take(&(0..self.rows).collect::<Vec<_>>())
     }
 
     /// New frame with only the given rows, in the given order — the store
@@ -460,22 +190,17 @@ impl BlockStore {
                 return Err(TabularError::RowOutOfBounds { index: i, rows: self.rows });
             }
         }
+        let block = |i: usize| &self.blocks[i / ROWS_PER_BLOCK];
         let columns = (0..self.n_cols())
             .map(|c| match self.schema.fields()[c].kind {
                 ColumnKind::Numeric => {
-                    let data = indices
-                        .iter()
-                        .map(|&i| {
-                            self.view(i / ROWS_PER_BLOCK).numeric(c, i % ROWS_PER_BLOCK)
-                        })
-                        .collect();
+                    let data =
+                        indices.iter().map(|&i| block(i).numeric(c, i % ROWS_PER_BLOCK)).collect();
                     Ok(Column::Numeric(data))
                 }
                 ColumnKind::Categorical => {
-                    let codes = indices
-                        .iter()
-                        .map(|&i| self.view(i / ROWS_PER_BLOCK).code(c, i % ROWS_PER_BLOCK))
-                        .collect();
+                    let codes =
+                        indices.iter().map(|&i| block(i).code(c, i % ROWS_PER_BLOCK)).collect();
                     CatColumn::from_codes(codes, self.dicts[c].clone()).map(Column::Categorical)
                 }
             })
@@ -514,11 +239,6 @@ impl BlockWriter {
     /// An empty writer; the first appended frame fixes the schema.
     pub fn new() -> BlockWriter {
         BlockWriter::default()
-    }
-
-    /// Total rows appended so far.
-    pub fn n_rows(&self) -> usize {
-        self.rows
     }
 
     /// Appends every row of `frame`.
@@ -585,7 +305,7 @@ impl BlockWriter {
         let mut row = 0usize;
         while row < n {
             if self.cur_rows == ROWS_PER_BLOCK {
-                self.seal_block()?;
+                self.seal_block();
             }
             let len = (n - row).min(ROWS_PER_BLOCK - self.cur_rows);
             for (c, remap) in remaps.iter().enumerate() {
@@ -668,23 +388,23 @@ impl BlockWriter {
                 ColumnKind::Categorical => ColumnData::Enum(Vec::new()),
             })
             .collect();
-        self.cur_valid = schema.fields().iter().map(|_| Bitmap::new()).collect();
+        self.cur_valid = schema.fields().iter().map(|_| Bitmap::default()).collect();
         self.cur_rows = 0;
     }
 
-    fn seal_block(&mut self) -> Result<()> {
+    /// Moves the open block into the store. `append_frame` grows every
+    /// open column by the same row count, so the block is rectangular.
+    fn seal_block(&mut self) {
         let columns = std::mem::take(&mut self.cur_cols);
         let validity = std::mem::take(&mut self.cur_valid);
-        self.blocks.push(Block::new(columns, validity)?);
+        self.blocks.push(Block { columns, validity });
         self.start_block();
-        Ok(())
     }
 
     /// Finalises the store (sealing any open block).
     pub fn finish(mut self) -> BlockStore {
         if self.cur_rows > 0 {
-            // lint:allow(P001, the writer keeps every column at cur_rows, Block::new cannot fail)
-            self.seal_block().expect("open block columns are length-consistent");
+            self.seal_block();
         }
         BlockStore {
             schema: self.schema.unwrap_or_default(),
@@ -758,14 +478,14 @@ mod tests {
     fn integral_columns_store_as_int() {
         let df = demo_frame();
         let store = BlockStore::from_frame(&df).unwrap();
-        let view = store.view(0);
-        assert!(matches!(view.data(0), ColumnData::Int(_))); // age
-        assert!(matches!(view.data(1), ColumnData::Float(_))); // income has .5
-        assert!(matches!(view.data(2), ColumnData::Enum(_))); // job
-        assert_eq!(view.numeric(0, 1), 40.0);
-        assert!(view.numeric(1, 1).is_nan());
-        assert_eq!(view.code(2, 0), Some(0));
-        assert_eq!(view.code(2, 2), None);
+        let block = &store.blocks[0];
+        assert!(matches!(block.columns[0], ColumnData::Int(_))); // age
+        assert!(matches!(block.columns[1], ColumnData::Float(_))); // income has .5
+        assert!(matches!(block.columns[2], ColumnData::Enum(_))); // job
+        assert_eq!(block.numeric(0, 1), 40.0);
+        assert!(block.numeric(1, 1).is_nan());
+        assert_eq!(block.code(2, 0), Some(0));
+        assert_eq!(block.code(2, 2), None);
     }
 
     #[test]
@@ -775,7 +495,7 @@ mod tests {
             .build()
             .unwrap();
         let store = BlockStore::from_frame(&df).unwrap();
-        assert!(matches!(store.view(0).data(0), ColumnData::Float(_)));
+        assert!(matches!(store.blocks[0].columns[0], ColumnData::Float(_)));
         let out = store.to_frame().unwrap();
         let xs = out.numeric("x").unwrap();
         assert_eq!(xs[2], 2.5);
@@ -798,7 +518,7 @@ mod tests {
         w.append_frame(&b).unwrap();
         let store = w.finish();
         assert_eq!(store.n_rows(), 5);
-        assert_eq!(store.dictionary(0), &["x", "y", "z"]);
+        assert_eq!(store.dicts[0], ["x", "y", "z"]);
         let frame = store.to_frame().unwrap();
         let cat = frame.categorical("c").unwrap();
         assert_eq!(cat.label(2), Some("z"));
@@ -822,56 +542,15 @@ mod tests {
 
     #[test]
     fn bitmap_push_get_counts() {
-        let mut bm = Bitmap::new();
+        let mut bm = Bitmap::default();
         for i in 0..130 {
             bm.push(i % 3 == 0);
         }
-        assert_eq!(bm.len(), 130);
+        assert_eq!(bm.len, 130);
         assert!(bm.get(0));
         assert!(!bm.get(1));
         assert!(bm.get(129));
-        assert_eq!(bm.count_set(), (0..130).filter(|i| i % 3 == 0).count());
-        assert_eq!(bm.count_set() + bm.count_unset(), 130);
-    }
-
-    #[test]
-    fn column_stats_match_frame_stats() {
-        let df = demo_frame();
-        let store = BlockStore::from_frame(&df).unwrap();
-        let c = df.schema().index_of("income").unwrap();
-        let from_store = store.column_stats(c).unwrap().unwrap();
-        let from_frame = ColumnStats::compute(df.numeric("income").unwrap()).unwrap();
-        assert_eq!(from_store, from_frame);
-        assert!(store.column_stats(df.schema().index_of("job").unwrap()).is_err());
-    }
-
-    #[test]
-    fn labels_match_frame_labels() {
-        let df = demo_frame();
-        let store = BlockStore::from_frame(&df).unwrap();
-        assert_eq!(store.labels().unwrap(), df.labels().unwrap());
-    }
-
-    #[test]
-    fn block_frame_covers_each_block() {
-        let df = demo_frame();
-        let store = BlockStore::from_frame(&df).unwrap();
-        assert!(frames_equivalent(&store.block_frame(0).unwrap(), &df));
-    }
-
-    #[test]
-    fn text_columns_supported_at_block_level() {
-        let col = ColumnData::Text(vec!["a".into(), String::new(), "long text".into()]);
-        let mut valid = Bitmap::new();
-        valid.push(true);
-        valid.push(false);
-        valid.push(true);
-        let block = Block::new(vec![col], vec![valid]).unwrap();
-        let view = BlockView { block: &block, start: 0 };
-        assert_eq!(view.text(0, 0), Some("a"));
-        assert_eq!(view.text(0, 1), None);
-        assert_eq!(view.text(0, 2), Some("long text"));
-        assert!(block.heap_bytes() > 0);
+        assert_eq!(bm.count_unset(), (0..130).filter(|i| i % 3 != 0).count());
     }
 
     #[test]

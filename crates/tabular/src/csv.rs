@@ -2,9 +2,10 @@
 //!
 //! Supports quoted fields, embedded commas/quotes/newlines (a quoted
 //! field may span CRLF line breaks), a final record without a trailing
-//! newline, and empty-string-as-missing — enough to persist and reload
-//! the synthetic study datasets and to export results for external
-//! analysis.
+//! newline, and an unquoted empty field as a missing value — a present
+//! empty label is written quoted, `""`, so it reads back present. Enough
+//! to persist and reload the synthetic study datasets and to export
+//! results for external analysis.
 
 use crate::column::{CatColumn, Column};
 use crate::error::TabularError;
@@ -13,8 +14,9 @@ use crate::schema::{ColumnKind, ColumnRole, FieldMeta, Schema};
 use crate::Result;
 use std::io::{BufRead, BufWriter, Write};
 
+/// An empty string is quoted too: unquoted, it would read back missing.
 fn needs_quoting(s: &str) -> bool {
-    s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r')
+    s.is_empty() || s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r')
 }
 
 fn write_field(out: &mut String, s: &str) {
@@ -111,12 +113,18 @@ fn split_records(text: &str) -> Vec<&str> {
     records
 }
 
-/// Splits one CSV record into fields, honouring double quotes.
-fn split_line(line: &str) -> Result<Vec<String>> {
+/// Splits one CSV record into fields, honouring double quotes. An
+/// unquoted empty field is `None`, a missing value; a quoted one, `""`,
+/// is a present empty string.
+fn split_line(line: &str) -> Result<Vec<Option<String>>> {
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
     let mut in_quotes = false;
+    let mut quoted = false;
+    let field = |cur: &mut String, quoted: bool| {
+        (quoted || !cur.is_empty()).then(|| std::mem::take(cur))
+    };
     while let Some(ch) = chars.next() {
         if in_quotes {
             if ch == '"' {
@@ -134,12 +142,14 @@ fn split_line(line: &str) -> Result<Vec<String>> {
                 '"' => {
                     if cur.is_empty() {
                         in_quotes = true;
+                        quoted = true;
                     } else {
                         return Err(TabularError::Parse(format!("stray quote in line: {line}")));
                     }
                 }
                 ',' => {
-                    fields.push(std::mem::take(&mut cur));
+                    fields.push(field(&mut cur, quoted));
+                    quoted = false;
                 }
                 _ => cur.push(ch),
             }
@@ -148,14 +158,15 @@ fn split_line(line: &str) -> Result<Vec<String>> {
     if in_quotes {
         return Err(TabularError::Parse(format!("unterminated quote in line: {line}")));
     }
-    fields.push(cur);
+    fields.push(field(&mut cur, quoted));
     Ok(fields)
 }
 
 /// Parses CSV text into a frame using an explicit schema.
 ///
-/// The header must match the schema's column names (in order). Empty
-/// fields become missing values. Numeric fields must parse as `f64`.
+/// The header must match the schema's column names (in order). Unquoted
+/// empty fields become missing values, and so does any empty numeric
+/// field. Numeric fields must parse as `f64`.
 pub fn from_csv_str(text: &str, schema: Schema) -> Result<DataFrame> {
     let records = split_records(text);
     let mut lines = records.into_iter();
@@ -169,7 +180,8 @@ pub fn from_csv_str(text: &str, schema: Schema) -> Result<DataFrame> {
         )));
     }
     for (h, f) in header_fields.iter().zip(schema.fields()) {
-        if h != &f.name {
+        let h = h.as_deref().unwrap_or_default();
+        if h != f.name {
             return Err(TabularError::Parse(format!(
                 "header column '{h}' does not match schema column '{}'",
                 f.name
@@ -201,24 +213,16 @@ pub fn from_csv_str(text: &str, schema: Schema) -> Result<DataFrame> {
             )));
         }
         for (value, col) in fields.iter().zip(columns.iter_mut()) {
-            match col {
-                Column::Numeric(v) => {
-                    if value.is_empty() {
-                        v.push(f64::NAN);
-                    } else {
-                        let parsed = value.parse::<f64>().map_err(|_| {
-                            TabularError::Parse(format!("bad numeric value '{value}'"))
-                        })?;
-                        v.push(parsed);
-                    }
+            match (col, value.as_deref()) {
+                (Column::Numeric(v), None | Some("")) => v.push(f64::NAN),
+                (Column::Numeric(v), Some(value)) => {
+                    let parsed = value.parse::<f64>().map_err(|_| {
+                        TabularError::Parse(format!("bad numeric value '{value}'"))
+                    })?;
+                    v.push(parsed);
                 }
-                Column::Categorical(c) => {
-                    if value.is_empty() {
-                        c.push_missing();
-                    } else {
-                        c.push_label(value);
-                    }
-                }
+                (Column::Categorical(c), None) => c.push_missing(),
+                (Column::Categorical(c), Some(label)) => c.push_label(label),
             }
         }
     }
@@ -241,7 +245,8 @@ pub fn infer_schema(text: &str) -> Result<Schema> {
     let records = split_records(text);
     let mut lines = records.into_iter();
     let header = lines.next().ok_or_else(|| TabularError::Parse("empty CSV".to_string()))?;
-    let names = split_line(header)?;
+    let names: Vec<String> =
+        split_line(header)?.into_iter().map(Option::unwrap_or_default).collect();
     let mut numeric = vec![true; names.len()];
     let mut any_value = vec![false; names.len()];
     for line in lines {
@@ -250,9 +255,9 @@ pub fn infer_schema(text: &str) -> Result<Schema> {
         }
         let fields = split_line(line)?;
         for (i, value) in fields.iter().enumerate().take(names.len()) {
-            if value.is_empty() {
+            let Some(value) = value.as_deref().filter(|v| !v.is_empty()) else {
                 continue;
-            }
+            };
             any_value[i] = true;
             if value.parse::<f64>().is_err() {
                 numeric[i] = false;
@@ -316,10 +321,14 @@ mod tests {
 
     #[test]
     fn split_line_handles_quotes() {
-        assert_eq!(split_line("a,b,c").unwrap(), vec!["a", "b", "c"]);
-        assert_eq!(split_line("\"a,b\",c").unwrap(), vec!["a,b", "c"]);
-        assert_eq!(split_line("\"x\"\"y\"").unwrap(), vec!["x\"y"]);
-        assert_eq!(split_line("a,,c").unwrap(), vec!["a", "", "c"]);
+        let fields = |line| -> Vec<Option<String>> { split_line(line).unwrap() };
+        let some = |s: &str| Some(s.to_string());
+        assert_eq!(fields("a,b,c"), vec![some("a"), some("b"), some("c")]);
+        assert_eq!(fields("\"a,b\",c"), vec![some("a,b"), some("c")]);
+        assert_eq!(fields("\"x\"\"y\""), vec![some("x\"y")]);
+        // Unquoted empty is missing; quoted empty is a present "".
+        assert_eq!(fields("a,,c"), vec![some("a"), None, some("c")]);
+        assert_eq!(fields("\"\",,\"\""), vec![some(""), None, some("")]);
         assert!(split_line("\"open").is_err());
     }
 

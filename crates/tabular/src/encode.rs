@@ -9,8 +9,11 @@
 //! appended per source column. The indicator is what lets a model "learn
 //! extra parameters" for missingness, the mechanism the paper credits for
 //! dummy imputation's fairness wins (§VI).
+//!
+//! The encoder reads frames only: rows pooled in a
+//! [`BlockStore`](crate::BlockStore) are gathered into a frame with
+//! [`BlockStore::take`](crate::BlockStore::take) before they are encoded.
 
-use crate::block::{BlockStore, BlockView};
 use crate::error::TabularError;
 use crate::frame::DataFrame;
 use crate::matrix::DenseMatrix;
@@ -295,63 +298,6 @@ impl FeatureEncoder {
         Ok((out, report))
     }
 
-    /// Fits an encoder on the `Feature`-role columns of a [`BlockStore`],
-    /// streaming block-at-a-time (scratch is one numeric column).
-    ///
-    /// For a store built from a frame this is bit-identical to fitting on
-    /// that frame.
-    pub fn fit_store(store: &BlockStore, with_missing_indicators: bool) -> Result<Self> {
-        let mut columns = Vec::new();
-        let mut out_cols = 0usize;
-        let mut buf: Vec<f64> = Vec::new();
-        for (c, field) in store.schema().fields().iter().enumerate() {
-            if field.role != ColumnRole::Feature {
-                continue;
-            }
-            match field.kind {
-                ColumnKind::Numeric => {
-                    store.gather_numeric(c, &mut buf)?;
-                    let stats = ColumnStats::compute(&buf);
-                    let (mean, std_dev) = match stats {
-                        Some(s) => (s.mean, if s.std_dev > 1e-12 { s.std_dev } else { 1.0 }),
-                        None => (0.0, 1.0),
-                    };
-                    columns.push(FittedColumn::Numeric { name: field.name.clone(), mean, std_dev });
-                    out_cols += 1;
-                }
-                ColumnKind::Categorical => {
-                    // Only categories actually present in the data.
-                    let dict = store.dictionary(c);
-                    let mut used = vec![false; dict.len()];
-                    for view in store.views() {
-                        for i in 0..view.n_rows() {
-                            if let Some(code) = view.code(c, i) {
-                                used[code as usize] = true;
-                            }
-                        }
-                    }
-                    let categories: Vec<String> = dict
-                        .iter()
-                        .zip(&used)
-                        .filter(|&(_, &u)| u)
-                        .map(|(l, _)| l.clone())
-                        .collect();
-                    out_cols += categories.len();
-                    columns.push(FittedColumn::Categorical { name: field.name.clone(), categories });
-                }
-            }
-        }
-        if with_missing_indicators {
-            out_cols += columns.len();
-        }
-        if columns.is_empty() {
-            return Err(TabularError::InvalidArgument(
-                "store has no feature columns to encode".to_string(),
-            ));
-        }
-        Ok(FeatureEncoder { columns, with_missing_indicators, out_cols })
-    }
-
     /// Fit and transform in one step (training-set convenience).
     pub fn fit_transform(
         frame: &DataFrame,
@@ -360,154 +306,6 @@ impl FeatureEncoder {
         let enc = FeatureEncoder::fit(frame, with_missing_indicators)?;
         let m = enc.transform(frame)?;
         Ok((enc, m))
-    }
-}
-
-/// One output column of a [`StoreEncoder`]'s encoding plan.
-enum OutputCol {
-    /// Standardised numeric source column.
-    Numeric { col: usize, mean: f64, std_dev: f64 },
-    /// One one-hot slot: fires when the store code maps to this category.
-    OneHot { col: usize, hot: Vec<bool> },
-    /// Missing indicator of a source column.
-    Indicator { col: usize },
-}
-
-/// Evaluates a fitted encoder's output columns directly over a
-/// [`BlockStore`], one column at a time — the bridge that lets binned
-/// training consume block storage without an intermediate dense matrix.
-///
-/// For every output column `j`, [`StoreEncoder::fill_column`] produces
-/// exactly the values `FeatureEncoder::transform` would place in matrix
-/// column `j` for the materialised frame.
-pub struct StoreEncoder<'a> {
-    store: &'a BlockStore,
-    plan: Vec<OutputCol>,
-    report: TransformReport,
-}
-
-impl<'a> StoreEncoder<'a> {
-    /// Plans the encoding of `store` through `enc` and tallies unseen
-    /// categories in one streaming pass.
-    pub fn new(enc: &FeatureEncoder, store: &'a BlockStore) -> Result<StoreEncoder<'a>> {
-        let mut plan = Vec::with_capacity(enc.out_cols);
-        let mut source_cols = Vec::with_capacity(enc.columns.len());
-        for fitted in &enc.columns {
-            match fitted {
-                FittedColumn::Numeric { name, mean, std_dev } => {
-                    let col = store.schema().index_of(name)?;
-                    if store.schema().fields()[col].kind != ColumnKind::Numeric {
-                        return Err(TabularError::KindMismatch {
-                            column: name.clone(),
-                            expected: "numeric",
-                        });
-                    }
-                    plan.push(OutputCol::Numeric { col, mean: *mean, std_dev: *std_dev });
-                    source_cols.push((col, None));
-                }
-                FittedColumn::Categorical { name, categories } => {
-                    let col = store.schema().index_of(name)?;
-                    if store.schema().fields()[col].kind != ColumnKind::Categorical {
-                        return Err(TabularError::KindMismatch {
-                            column: name.clone(),
-                            expected: "categorical",
-                        });
-                    }
-                    let dict = store.dictionary(col);
-                    for category in categories {
-                        let hot = dict.iter().map(|l| l == category).collect();
-                        plan.push(OutputCol::OneHot { col, hot });
-                    }
-                    // Store codes whose label the fit never saw.
-                    let seen: Vec<bool> =
-                        dict.iter().map(|l| categories.iter().any(|c| c == l)).collect();
-                    source_cols.push((col, Some((name.clone(), seen))));
-                }
-            }
-        }
-        if enc.with_missing_indicators {
-            for (col, _) in &source_cols {
-                plan.push(OutputCol::Indicator { col: *col });
-            }
-        }
-
-        // Unseen-category tally: one pass over the categorical columns.
-        let mut report = TransformReport::default();
-        let mut row_has_unseen: Vec<bool> = Vec::new();
-        for view in store.views() {
-            row_has_unseen.clear();
-            row_has_unseen.resize(view.n_rows(), false);
-            for (col, cat_info) in &source_cols {
-                let Some((name, seen)) = cat_info else { continue };
-                for (i, flag) in row_has_unseen.iter_mut().enumerate() {
-                    if let Some(code) = view.code(*col, i) {
-                        if !seen[code as usize] {
-                            report.record(name);
-                            *flag = true;
-                        }
-                    }
-                }
-            }
-            report.unseen_category_rows +=
-                row_has_unseen.iter().filter(|&&b| b).count() as u64;
-        }
-        Ok(StoreEncoder { store, plan, report })
-    }
-
-    /// Rows of the underlying store.
-    pub fn n_rows(&self) -> usize {
-        self.store.n_rows()
-    }
-
-    /// Output columns of the encoding.
-    pub fn n_cols(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// The unseen-category tally gathered at construction.
-    pub fn report(&self) -> &TransformReport {
-        &self.report
-    }
-
-    /// Fills `out` with encoded output column `j` across all blocks.
-    ///
-    /// Panics when `out.len() != n_rows()` or `j >= n_cols()`.
-    pub fn fill_column(&self, j: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.store.n_rows(), "output buffer length");
-        match &self.plan[j] {
-            OutputCol::Numeric { col, mean, std_dev } => {
-                for view in self.store.views() {
-                    Self::fill_numeric(&view, *col, *mean, *std_dev, out);
-                }
-            }
-            OutputCol::OneHot { col, hot } => {
-                for view in self.store.views() {
-                    let slice = &mut out[view.start_row()..view.start_row() + view.n_rows()];
-                    for (i, slot) in slice.iter_mut().enumerate() {
-                        *slot = match view.code(*col, i) {
-                            Some(code) if hot[code as usize] => 1.0,
-                            _ => 0.0,
-                        };
-                    }
-                }
-            }
-            OutputCol::Indicator { col } => {
-                for view in self.store.views() {
-                    let slice = &mut out[view.start_row()..view.start_row() + view.n_rows()];
-                    for (i, slot) in slice.iter_mut().enumerate() {
-                        *slot = if view.is_valid(*col, i) { 0.0 } else { 1.0 };
-                    }
-                }
-            }
-        }
-    }
-
-    fn fill_numeric(view: &BlockView<'_>, col: usize, mean: f64, std_dev: f64, out: &mut [f64]) {
-        let slice = &mut out[view.start_row()..view.start_row() + view.n_rows()];
-        for (i, slot) in slice.iter_mut().enumerate() {
-            let x = view.numeric(col, i);
-            *slot = if x.is_nan() { 0.0 } else { (x - mean) / std_dev };
-        }
     }
 }
 
@@ -699,58 +497,5 @@ mod tests {
             }
             assert_eq!(unseen_rows, report.unseen_category_rows);
         }
-    }
-
-    #[test]
-    fn fit_store_matches_fit_frame() {
-        let df = train_frame();
-        let store = BlockStore::from_frame(&df).unwrap();
-        for &ind in &[false, true] {
-            let from_frame = FeatureEncoder::fit(&df, ind).unwrap();
-            let from_store = FeatureEncoder::fit_store(&store, ind).unwrap();
-            assert_eq!(from_frame.n_output_cols(), from_store.n_output_cols());
-            let a = from_frame.transform(&df).unwrap();
-            let b = from_store.transform(&df).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn store_encoder_columns_match_transform() {
-        let df = DataFrame::builder()
-            .numeric("x", ColumnRole::Feature, vec![1.0, f64::NAN, 3.0, 4.5])
-            .categorical("c", ColumnRole::Feature, &[Some("a"), Some("b"), None, Some("a")])
-            .numeric("y", ColumnRole::Label, vec![0.0, 1.0, 0.0, 1.0])
-            .build()
-            .unwrap();
-        let store = BlockStore::from_frame(&df).unwrap();
-        for &ind in &[false, true] {
-            let enc = FeatureEncoder::fit(&df, ind).unwrap();
-            let m = enc.transform(&df).unwrap();
-            let se = StoreEncoder::new(&enc, &store).unwrap();
-            assert_eq!(se.n_cols(), enc.n_output_cols());
-            let mut buf = vec![0.0; se.n_rows()];
-            for j in 0..se.n_cols() {
-                se.fill_column(j, &mut buf);
-                for (i, &v) in buf.iter().enumerate() {
-                    assert_eq!(v.to_bits(), m.get(i, j).to_bits(), "col {j} row {i}");
-                }
-            }
-            assert_eq!(se.report(), &TransformReport::default());
-        }
-    }
-
-    #[test]
-    fn store_encoder_tallies_unseen() {
-        // Fit on a subset so the store holds categories the fit never saw.
-        let df = DataFrame::builder()
-            .categorical("c", ColumnRole::Feature, &[Some("a"), Some("b"), Some("b")])
-            .build()
-            .unwrap();
-        let enc = FeatureEncoder::fit(&df.take(&[0]).unwrap(), false).unwrap();
-        let store = BlockStore::from_frame(&df).unwrap();
-        let se = StoreEncoder::new(&enc, &store).unwrap();
-        assert_eq!(se.report().unseen_cells, 2);
-        assert_eq!(se.report().unseen_category_rows, 2);
     }
 }

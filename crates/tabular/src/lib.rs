@@ -5,7 +5,9 @@
 //! dictionary-encoded categorical columns, NaN-as-missing numeric columns,
 //! deterministic splitting and sampling, column statistics, and feature
 //! encoding (standardisation + one-hot + missing indicators) into dense
-//! matrices consumed by the `mlcore` models.
+//! matrices consumed by the `mlcore` models. Large dataset pools are kept
+//! in a compact columnar [`BlockStore`], from which [`BlockStore::take`]
+//! gathers sampled rows back into a frame.
 //!
 //! Everything is deterministic: all randomised operations take an explicit
 //! seed and use the crate's own [`rng::Rng64`] generator, so results are
@@ -42,7 +44,7 @@ pub mod schema;
 pub mod split;
 pub mod stats;
 
-pub use block::{Bitmap, Block, BlockStore, BlockView, BlockWriter, ColumnData, ROWS_PER_BLOCK};
+pub use block::{BlockStore, BlockWriter, ROWS_PER_BLOCK};
 pub use column::{CatColumn, Cell, Column};
 pub use encode::{FeatureEncoder, RowCell};
 pub use error::TabularError;

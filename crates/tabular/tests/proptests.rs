@@ -1,8 +1,9 @@
 //! Property-based tests for the tabular substrate.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use tabular::stats::{percentile, percentile_sorted};
-use tabular::{split, ColumnRole, ColumnStats, DataFrame, FeatureEncoder, Rng64};
+use tabular::{split, ColumnRole, ColumnStats, DataFrame, FeatureEncoder, Rng64, Schema};
 
 fn arb_numeric_column() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(
@@ -12,6 +13,100 @@ fn arb_numeric_column() -> impl Strategy<Value = Vec<f64>> {
         ],
         1..200,
     )
+}
+
+/// Pieces CSV labels are built from: the metacharacters, every line
+/// break, non-ASCII text and a doubled quote.
+const PIECES: &[&str] = &[",", "\"", "\r", "\n", "\r\n", "\"\"", "a", " ", "é", "中", "😀"];
+
+/// Numeric cells at the edges of `f64` formatting.
+const EDGE_NUMBERS: &[f64] = &[
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MIN_POSITIVE,
+    5e-324,
+    -2.5e-310,
+    1e300,
+    -1e300,
+    f64::MAX,
+    f64::NAN,
+];
+
+fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+    items[rng.below(items.len() as u64) as usize]
+}
+
+fn label(rng: &mut TestRng) -> Option<String> {
+    match rng.below(6) {
+        0 => None,
+        1 => Some(String::new()),
+        _ => Some((0..1 + rng.below(4)).map(|_| pick(rng, PIECES)).collect()),
+    }
+}
+
+fn number(rng: &mut TestRng) -> f64 {
+    match rng.below(3) {
+        0 => pick(rng, EDGE_NUMBERS),
+        1 => (rng.below(2001) as f64 - 1000.0) / 8.0,
+        // Any bit pattern: subnormals, huge magnitudes, NaN payloads.
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+/// Frames of one to four numeric or categorical columns and up to ten
+/// rows, built from [`label`] and [`number`] cells.
+struct ArbFrame;
+
+impl Strategy for ArbFrame {
+    type Value = DataFrame;
+
+    fn generate(&self, rng: &mut TestRng) -> DataFrame {
+        let rows = rng.below(11) as usize;
+        let mut builder = DataFrame::builder();
+        for c in 0..1 + rng.below(4) {
+            let name = format!("c{c}");
+            builder = if rng.below(2) == 0 {
+                let cells: Vec<Option<String>> = (0..rows).map(|_| label(rng)).collect();
+                builder.categorical(name, ColumnRole::Feature, &cells)
+            } else {
+                builder.numeric(name, ColumnRole::Feature, (0..rows).map(|_| number(rng)).collect())
+            };
+        }
+        builder.build().unwrap()
+    }
+}
+
+/// CSV syntax, line breaks and multi-byte UTF-8, for hostile inputs.
+const HOSTILE_BYTES: &[u8] = b",\"\r\n a1.e-\xc3\xa9\xff";
+
+/// A generated frame's schema with either arbitrary bytes or the frame's
+/// own CSV text with a few bytes flipped, inserted or removed.
+struct HostileCsv;
+
+impl Strategy for HostileCsv {
+    type Value = (Vec<u8>, Schema);
+
+    fn generate(&self, rng: &mut TestRng) -> (Vec<u8>, Schema) {
+        let frame = ArbFrame.generate(rng);
+        let mut bytes = tabular::csv::to_csv_string(&frame).into_bytes();
+        if rng.below(3) == 0 {
+            bytes = (0..rng.below(64)).map(|_| pick(rng, HOSTILE_BYTES)).collect();
+        } else {
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len() as u64 + 1) as usize;
+                match rng.below(3) {
+                    0 if at < bytes.len() => bytes[at] = pick(rng, HOSTILE_BYTES),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, pick(rng, HOSTILE_BYTES)),
+                }
+            }
+        }
+        (bytes, frame.schema().clone())
+    }
 }
 
 proptest! {
@@ -138,18 +233,37 @@ proptest! {
     }
 
     #[test]
-    fn csv_round_trip(values in prop::collection::vec(prop_oneof![4 => -1e6..1e6f64, 1 => Just(f64::NAN)], 1..40)) {
-        let df = DataFrame::builder()
-            .numeric("x", ColumnRole::Feature, values.clone())
-            .build()
-            .unwrap();
-        let text = tabular::csv::to_csv_string(&df);
-        let back = tabular::csv::from_csv_str(&text, df.schema().clone()).unwrap();
-        let col = back.numeric("x").unwrap();
-        prop_assert_eq!(col.len(), values.len());
-        for (a, b) in col.iter().zip(&values) {
-            prop_assert!(a == b || (a.is_nan() && b.is_nan()),
-                "round trip mismatch: {a} vs {b}");
+    fn csv_round_trip(frame in ArbFrame) {
+        let text = tabular::csv::to_csv_string(&frame);
+        let back = tabular::csv::from_csv_str(&text, frame.schema().clone()).unwrap();
+        prop_assert_eq!(tabular::csv::to_csv_string(&back), text.as_str());
+        // Cell by cell: a present "" stays present, missing stays missing.
+        prop_assert_eq!(back.n_rows(), frame.n_rows());
+        for field in frame.schema().fields() {
+            let name = field.name.as_str();
+            if let Ok(want) = frame.categorical(name) {
+                let got = back.categorical(name).unwrap();
+                for i in 0..frame.n_rows() {
+                    prop_assert_eq!(got.label(i), want.label(i), "{name}[{i}]");
+                }
+            } else {
+                let bits = |f: &DataFrame| -> Vec<Option<u64>> {
+                    let col = f.numeric(name).unwrap();
+                    col.iter().map(|x| (!x.is_nan()).then(|| x.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&back), bits(&frame), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn csv_reader_never_panics(input in HostileCsv) {
+        let (bytes, schema) = input;
+        let text = String::from_utf8_lossy(&bytes);
+        // Any verdict is fine; reaching it without a panic is the property.
+        let _ = tabular::csv::from_csv_str(&text, schema);
+        if let Ok(inferred) = tabular::csv::infer_schema(&text) {
+            let _ = tabular::csv::from_csv_str(&text, inferred);
         }
     }
 }
