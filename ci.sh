@@ -158,10 +158,9 @@ echo "crash-resume smoke OK (journal hits: $hits)"
 stage "thread-count byte-identity smoke (1 vs 2 vs 8 threads)"
 # The serial run is the reference semantics; any parallel run must export
 # the identical bytes (unit seeds derive from grid position, never from
-# the schedule, and the histogram kernel's parallel feature scans add
-# each cell's values in the same per-lane order as the serial pass). The
-# 2-thread leg exercises the uneven rayon::join splits a power-of-two
-# pool never sees.
+# the schedule, and each unit trains serially on the worker that took
+# it). The 2-thread leg exercises the uneven rayon::join splits a
+# power-of-two pool never sees.
 DEMODQ_THREADS=1 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads1.json"
 DEMODQ_THREADS=2 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads2.json"
 DEMODQ_THREADS=8 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads8.json"

@@ -17,7 +17,6 @@ use std::io::Write as _;
 
 fn main() {
     let opts = demodq_bench::parse_args(std::env::args().skip(1), "");
-    opts.apply_threads();
 
     println!("{}", render_dataset_table(&datasets::all_specs()));
 

@@ -35,10 +35,6 @@ pub struct CliOptions {
     pub journal: Option<String>,
     /// Resume from the journal instead of re-running completed tasks.
     pub resume: bool,
-    /// Worker-thread count (`--threads N`); `None` defers to
-    /// `DEMODQ_THREADS` and then the machine's core count. `1` is the
-    /// serial reference configuration.
-    pub threads: Option<usize>,
 }
 
 impl Default for CliOptions {
@@ -49,22 +45,11 @@ impl Default for CliOptions {
             extra: false,
             journal: None,
             resume: false,
-            threads: None,
         }
     }
 }
 
 impl CliOptions {
-    /// Applies the `--threads` override to the process-wide pool. Must be
-    /// called before any parallel work runs; a later call is ignored (the
-    /// pool is created once) and reported via the return value.
-    pub fn apply_threads(&self) -> bool {
-        match self.threads {
-            Some(n) => rayon::set_global_threads(n),
-            None => true,
-        }
-    }
-
     /// The durable-execution options these CLI flags select (progress
     /// lines on; the binaries are interactive tools).
     pub fn study_options(&self) -> StudyOptions {
@@ -77,8 +62,8 @@ impl CliOptions {
     }
 }
 
-/// Parses `--scale`, `--seed`, `--journal DIR`, `--resume`, `--threads N`
-/// and one optional extra flag from raw args.
+/// Parses `--scale`, `--seed`, `--journal DIR`, `--resume` and one
+/// optional extra flag from raw args.
 ///
 /// Unknown arguments abort with a usage message (better than silently
 /// running hours at the wrong scale).
@@ -110,21 +95,13 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I, extra_flag: &str) -> CliO
                 opts.journal = Some(value);
             }
             "--resume" => opts.resume = true,
-            "--threads" => {
-                let value = args.next().unwrap_or_default();
-                let parsed: Option<usize> = value.parse().ok().filter(|&n| n > 0);
-                opts.threads = Some(parsed.unwrap_or_else(|| {
-                    eprintln!("bad thread count '{value}' (expected a positive integer)");
-                    std::process::exit(2);
-                }));
-            }
             flag if flag == extra_flag && !extra_flag.is_empty() => {
                 opts.extra = true;
             }
             other => {
                 eprintln!(
                     "unknown argument '{other}'; usage: --scale smoke|default|full --seed N \
-                     [--journal DIR] [--resume] [--threads N] {extra_flag}"
+                     [--journal DIR] [--resume] {extra_flag}"
                 );
                 std::process::exit(2);
             }
@@ -255,13 +232,6 @@ mod tests {
         );
         assert!(study.resume);
         assert!(study.progress);
-    }
-
-    #[test]
-    fn parses_threads() {
-        let opts = parse_args(args(&["--threads", "4"]), "");
-        assert_eq!(opts.threads, Some(4));
-        assert!(parse_args(args(&[]), "").threads.is_none());
     }
 
     #[test]

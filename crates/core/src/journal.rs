@@ -310,7 +310,9 @@ impl JournalReplay {
                     let new_version = fingerprint.summary.split('|').next().unwrap_or("");
                     if old_version != new_version {
                         return Err(format!(
-                            "journal uses the {old_version} study shape but this binary                              writes the versioned study shape {new_version};                              its records are rejected and the study re-runs"
+                            "journal uses the {old_version} study shape but this binary \
+                             writes the versioned study shape {new_version}; \
+                             its records are rejected and the study re-runs"
                         ));
                     }
                 }
@@ -552,6 +554,8 @@ mod tests {
             "{:?}",
             replay.warnings
         );
+        let warning = replay.warnings.iter().find(|w| w.contains("versioned study shape"));
+        assert!(!warning.is_some_and(|w| w.contains("  ")), "run of spaces: {warning:?}");
         let _ = std::fs::remove_file(&path);
     }
 

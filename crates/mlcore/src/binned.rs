@@ -33,8 +33,8 @@ pub struct BinnedMatrix {
     /// Row-major copy of the bin indices of the [`split
     /// features`](BinnedMatrix::split_features) only: row `i`'s codes
     /// occupy `i * k..(i + 1) * k` for `k` split features. The histogram
-    /// kernel's serial path streams whole rows (one contiguous `u8` read
-    /// per row) instead of gathering one feature at a time; single-bin
+    /// kernel streams whole rows (one contiguous `u8` read per row)
+    /// instead of gathering one feature at a time; single-bin
     /// features can never split, so their codes are left out.
     row_bins: Vec<u8>,
     /// The features with at least two bins, ascending.

@@ -11,7 +11,6 @@ use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
 use crate::knn;
 use crate::metrics::accuracy;
 use crate::model::{Classifier, ModelKind, ModelSpec};
-use rayon::prelude::*;
 use tabular::{split::kfold, DenseMatrix, Rng64};
 
 /// A tuned-and-refit model plus the bookkeeping the result records need.
@@ -99,26 +98,20 @@ pub fn tune_and_fit(
         })
         .collect();
 
-    // Flatten (configuration, fold) into independent fit-and-score units
-    // so the pool can work-steal across the whole grid. Every unit's
-    // inputs (fold data, fit seed) are fixed up front, so the schedule
-    // cannot affect any score; the per-spec reduction below then runs
-    // sequentially in grid order, summing fold scores in fold order —
-    // float-identical to the old nested loop at any thread count.
+    // One validation accuracy per (configuration, fold), grid-major; the
+    // per-spec reduction below sums fold scores in fold order.
     let n_folds_actual = fold_data.len();
-    let fold_scores: Vec<f64> = (0..grid.len() * n_folds_actual)
-        .into_par_iter()
-        .map(|unit| {
-            let spec = &grid[unit / n_folds_actual];
-            let (train_idx, x_val, y_val, dense_train) = &fold_data[unit % n_folds_actual];
+    let mut fold_scores = Vec::with_capacity(grid.len() * n_folds_actual);
+    for spec in &grid {
+        for (train_idx, x_val, y_val, dense_train) in &fold_data {
             let model = match (&binned, dense_train) {
                 (Some(b), _) => spec.fit_binned(b, x, train_idx, y, fit_seed),
                 (None, Some((x_train, y_train))) => spec.fit(x_train, y_train, fit_seed),
                 (None, None) => unreachable!("dense folds exist whenever binning is off"),
             };
-            accuracy(y_val, &model.predict(x_val))
-        })
-        .collect();
+            fold_scores.push(accuracy(y_val, &model.predict(x_val)));
+        }
+    }
 
     let (best, val_accuracy) = select_best(&fold_scores, n_folds_actual);
     let best_spec = grid[best];

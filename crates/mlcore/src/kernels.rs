@@ -10,17 +10,16 @@
 //!   quads so one 16-byte load-add-store updates a whole cell (counts
 //!   are integers far below 2^24, where `f32` stays exact). Only the
 //!   features with at least two bins are accumulated: a single-bin
-//!   feature can never split, so its cell is never read. The serial
-//!   path streams the matrix's row-major bin codes — one contiguous `u8`
-//!   row plus one gradient/hessian load per row instead of per-feature
-//!   gathers — while large nodes split the feature range across pool
-//!   workers; per `(feature, bin)` cell both orders are ascending row
-//!   position, so the sums are bit-identical at any thread count. Split
-//!   gain is computed in `f64` from the `f32` sums by the tree builder.
+//!   feature can never split, so its cell is never read. The kernel
+//!   streams the matrix's row-major bin codes — one contiguous `u8` row
+//!   plus one gradient/hessian load per row instead of per-feature
+//!   gathers — so every `(feature, bin)` cell sums in ascending row
+//!   position. Split gain is computed in `f64` from the `f32` sums by
+//!   the tree builder.
 //! * [`sq_dist_block`] — cache-blocked brute-force kNN distances: a block
 //!   of [`QUERY_BLOCK`] query rows is transposed into feature-major
-//!   scratch once, then every train row accumulates all query lanes in
-//!   parallel. Per (train, query) pair the feature order stays
+//!   scratch once, then every train row accumulates all query lanes at
+//!   once. Per (train, query) pair the feature order stays
 //!   sequential, so each distance is bit-identical to
 //!   `DenseMatrix::row_distance_sq`.
 //! * [`decision_batch`] — batched linear scoring (logistic-regression
@@ -39,11 +38,6 @@ use tabular::DenseMatrix;
 // ---------------------------------------------------------------------------
 // Histogram accumulation
 // ---------------------------------------------------------------------------
-
-/// Histogram cost (`rows × features`) below which a node's histogram is
-/// accumulated without consulting the thread pool (moved here from the
-/// tree builder; small fits never touch or lazily create the pool).
-const PARALLEL_HIST_CELLS: usize = 1 << 16;
 
 /// The `f32` slots per (feature, bin) histogram cell: gradient sum,
 /// hessian sum, row count, and one padding lane that keeps every cell a
@@ -82,15 +76,14 @@ impl HistF32 {
     /// features stay zero.
     ///
     /// Every `(feature, bin)` slot receives its contributions in
-    /// ascending row position — the **fixed accumulation order** both
-    /// execution paths share. The serial path streams whole rows of the
-    /// matrix's row-major bin codes (one contiguous `u8` read and one
-    /// gradient/hessian load per row, with the ~`n_cols`-update gap
-    /// between repeat visits to a lane hiding the `f32` add latency);
-    /// large nodes instead split the *feature range* across pool workers,
-    /// each scanning its feature columns in the same ascending row order.
-    /// Per lane the two paths add the same values in the same order, so
-    /// the sums are bit-identical at any thread count.
+    /// ascending row position — the **fixed accumulation order**. The
+    /// kernel streams whole rows of the matrix's row-major bin codes (one
+    /// contiguous `u8` read and one gradient/hessian load per row, with
+    /// the ~`n_cols`-update gap between repeat visits to a lane hiding
+    /// the `f32` add latency), updating each visited cell with one
+    /// 16-byte load-add-store (SSE2 on x86_64; the portable fallback
+    /// performs the identical three `f32` adds, so both produce
+    /// bit-identical buffers).
     pub fn accumulate(
         binned: &BinnedMatrix,
         rows: &[usize],
@@ -99,23 +92,49 @@ impl HistF32 {
     ) -> HistF32 {
         let mut quads = scratch::take_f32();
         quads.resize(HIST_QUAD * binned.total_bins(), 0.0);
-        let features = binned.split_features();
-        if features.len() > 1
-            && rows.len().saturating_mul(features.len()) >= PARALLEL_HIST_CELLS
-            && rayon::current_num_threads() > 1
-        {
-            // Position-indexed `f32` copies of the node's statistics: the
-            // per-feature column scans then stream them sequentially
-            // instead of issuing two random `f64` gathers per cell.
-            let mut g32 = scratch::take_f32();
-            g32.clear();
-            g32.extend(rows.iter().map(|&i| grad[i] as f32));
-            let mut h32 = scratch::take_f32();
-            h32.clear();
-            h32.extend(rows.iter().map(|&i| hess[i] as f32));
-            accumulate_feature_range(binned, features, rows, &g32, &h32, quads.as_mut_slice(), 0);
-        } else {
-            accumulate_rows_serial(binned, rows, grad, hess, quads.as_mut_slice());
+        let cells = quads.as_mut_slice();
+        // Per-feature cell bases, hoisted out of the row loop: bases[k] =
+        // first `f32` slot of the k-th split feature's bin 0 quad, matching
+        // the k-th code of each row-major row.
+        let mut bases = scratch::take_usize();
+        bases.extend(binned.split_features().iter().map(|&j| HIST_QUAD * binned.offset(j)));
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `BinnedMatrix` construction guarantees every bin code is
+        // below its feature's bin count, and the k-th row-major code belongs
+        // to the k-th split feature, so `base + 4*code` addresses that
+        // feature's own quad and the 16-byte access ends at
+        // `base + 4*code + 4 <= 4 * total_bins() == cells.len()` — always in
+        // bounds. The unaligned load/store intrinsics have no alignment
+        // requirement, and `_mm_add_ps` performs IEEE `f32` adds lane by
+        // lane, identical to the scalar fallback. Checked indexing here
+        // costs ~30% of the study's hottest loop.
+        unsafe {
+            use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_set_ps, _mm_storeu_ps};
+            for &i in rows {
+                let codes = binned.row_bins(i);
+                let add = _mm_set_ps(0.0, 1.0, hess[i] as f32, grad[i] as f32);
+                for (&code, &base) in codes.iter().zip(bases.iter()) {
+                    let p = cells.as_mut_ptr().add(base + HIST_QUAD * usize::from(code));
+                    _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), add));
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        for &i in rows {
+            let codes = binned.row_bins(i);
+            let g = grad[i] as f32;
+            let h = hess[i] as f32;
+            for (&code, &base) in codes.iter().zip(bases.iter()) {
+                let q = base + HIST_QUAD * usize::from(code);
+                // SAFETY: as above — `q + 2` stays inside the feature's own
+                // quads because every bin code is below the feature's bin
+                // count.
+                unsafe {
+                    *cells.get_unchecked_mut(q) += g;
+                    *cells.get_unchecked_mut(q + 1) += h;
+                    *cells.get_unchecked_mut(q + 2) += 1.0;
+                }
+            }
         }
         HistF32 { quads }
     }
@@ -129,106 +148,6 @@ impl HistF32 {
             *p -= s;
         }
         self
-    }
-}
-
-/// The serial accumulation path: streams the matrix's row-major bin
-/// codes, updating each visited cell with one 16-byte load-add-store
-/// (SSE2 on x86_64; the portable fallback performs the identical three
-/// `f32` adds, so both produce bit-identical buffers).
-fn accumulate_rows_serial(
-    binned: &BinnedMatrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    quads: &mut [f32],
-) {
-    // Per-feature cell bases, hoisted out of the row loop: bases[k] =
-    // first `f32` slot of the k-th split feature's bin 0 quad, matching
-    // the k-th code of each row-major row.
-    let mut bases = scratch::take_usize();
-    bases.extend(binned.split_features().iter().map(|&j| HIST_QUAD * binned.offset(j)));
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `BinnedMatrix` construction guarantees every bin code is
-    // below its feature's bin count, and the k-th row-major code belongs
-    // to the k-th split feature, so `base + 4*code` addresses that
-    // feature's own quad and the 16-byte access ends at
-    // `base + 4*code + 4 <= 4 * total_bins() == quads.len()` — always in
-    // bounds. The unaligned load/store intrinsics have no alignment
-    // requirement, and `_mm_add_ps` performs IEEE `f32` adds lane by
-    // lane, identical to the scalar fallback. Checked indexing here
-    // costs ~30% of the study's hottest loop.
-    unsafe {
-        use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_set_ps, _mm_storeu_ps};
-        for &i in rows {
-            let codes = binned.row_bins(i);
-            let add = _mm_set_ps(0.0, 1.0, hess[i] as f32, grad[i] as f32);
-            for (&code, &base) in codes.iter().zip(bases.iter()) {
-                let p = quads.as_mut_ptr().add(base + HIST_QUAD * usize::from(code));
-                _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), add));
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    for &i in rows {
-        let codes = binned.row_bins(i);
-        let g = grad[i] as f32;
-        let h = hess[i] as f32;
-        for (&code, &base) in codes.iter().zip(bases.iter()) {
-            let q = base + HIST_QUAD * usize::from(code);
-            // SAFETY: as above — `q + 2` stays inside the feature's own
-            // quads because every bin code is below the feature's bin
-            // count.
-            unsafe {
-                *quads.get_unchecked_mut(q) += g;
-                *quads.get_unchecked_mut(q + 1) += h;
-                *quads.get_unchecked_mut(q + 2) += 1.0;
-            }
-        }
-    }
-}
-
-/// Accumulates the split features `features` into a quad slice whose
-/// element 0 is flat bin slot `base`, recursing so sibling halves can run
-/// on different pool workers (features are disjoint, so this never
-/// changes any sum). `g32` / `h32` are the position-indexed
-/// gradient/hessian buffers prepared by [`HistF32::accumulate`].
-fn accumulate_feature_range(
-    binned: &BinnedMatrix,
-    features: &[usize],
-    rows: &[usize],
-    g32: &[f32],
-    h32: &[f32],
-    quads: &mut [f32],
-    base: usize,
-) {
-    if let &[j] = features {
-        let lo = HIST_QUAD * (binned.offset(j) - base);
-        let lane = &mut quads[lo..lo + HIST_QUAD * binned.n_bins(j)];
-        accumulate_one_feature(binned.feature_bins(j), rows, g32, h32, lane);
-        return;
-    }
-    let (left, right) = features.split_at(features.len() / 2);
-    let Some(&mid) = right.first() else {
-        return;
-    };
-    let (quads_l, quads_r) = quads.split_at_mut(HIST_QUAD * (binned.offset(mid) - base));
-    rayon::join(
-        || accumulate_feature_range(binned, left, rows, g32, h32, quads_l, base),
-        || accumulate_feature_range(binned, right, rows, g32, h32, quads_r, binned.offset(mid)),
-    );
-}
-
-/// One feature's sequential column gather over position-indexed `f32`
-/// statistics — the parallel path's per-feature unit. Rows are added in
-/// ascending position, the same per-lane order the serial row-major pass
-/// uses, so both paths produce bit-identical cells.
-fn accumulate_one_feature(column: &[u8], rows: &[usize], g32: &[f32], h32: &[f32], lane: &mut [f32]) {
-    for (r, &i) in rows.iter().enumerate() {
-        let q = HIST_QUAD * usize::from(column[i]);
-        lane[q] += g32[r];
-        lane[q + 1] += h32[r];
-        lane[q + 2] += 1.0;
     }
 }
 
@@ -475,8 +394,15 @@ mod tests {
 
     #[test]
     fn hist_f32_matches_naive_within_f32_rounding() {
-        let x = random_matrix(500, 5, 11);
+        // Constant columns (one bin) are no split features: their cells
+        // stay zero.
+        let mut x = random_matrix(500, 6, 11);
+        for i in 0..500 {
+            x.set(i, 0, 1.5);
+            x.set(i, 3, -2.0);
+        }
         let binned = BinnedMatrix::from_matrix(&x, 16);
+        assert_eq!(binned.split_features(), &[1, 2, 4, 5]);
         let mut rng = Rng64::seed_from_u64(3);
         let grad: Vec<f64> = (0..500).map(|_| rng.normal()).collect();
         let hess: Vec<f64> = (0..500).map(|_| rng.next_f64()).collect();
@@ -485,6 +411,10 @@ mod tests {
         let naive = hist_naive(&binned, &rows, &grad, &hess);
         for j in 0..binned.n_cols() {
             let quads = hist.feature_quads(&binned, j);
+            if !binned.split_features().contains(&j) {
+                assert!(quads.iter().all(|&v| v == 0.0), "single-bin feature {j}");
+                continue;
+            }
             let lo = binned.offset(j);
             let mut total = 0.0f64;
             for b in 0..binned.n_bins(j) {
@@ -500,46 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn hist_f32_is_identical_for_any_thread_count() {
-        // Both paths add to each lane in ascending row position;
-        // accumulate twice (the pool may or may not kick in at this
-        // size) and compare bits.
+    fn hist_f32_is_identical_on_a_recycled_scratch_buffer() {
+        // The second call reuses the first histogram's pooled buffer,
+        // which must come back zeroed: same inputs, same bits.
         let x = random_matrix(300, 4, 5);
         let binned = BinnedMatrix::from_matrix(&x, 32);
         let mut rng = Rng64::seed_from_u64(9);
         let grad: Vec<f64> = (0..300).map(|_| rng.normal()).collect();
         let hess = vec![0.25; 300];
         let rows: Vec<usize> = (0..300).collect();
-        let a = HistF32::accumulate(&binned, &rows, &grad, &hess);
+        let a = HistF32::accumulate(&binned, &rows, &grad, &hess).quads.to_vec();
         let b = HistF32::accumulate(&binned, &rows, &grad, &hess);
-        assert_eq!(a.quads.as_slice(), b.quads.as_slice());
-    }
-
-    #[test]
-    fn serial_row_major_and_feature_range_paths_agree_bitwise() {
-        // The serial path streams row-major codes; the pool path scans
-        // feature columns. Per lane both add the same values in the same
-        // (ascending row position) order, so the buffers must match
-        // exactly — this is what keeps exports byte-identical across
-        // thread counts. Constant columns (one bin) are skipped by both.
-        let mut x = random_matrix(400, 6, 13);
-        for i in 0..400 {
-            x.set(i, 0, 1.5);
-            x.set(i, 3, -2.0);
-        }
-        let binned = BinnedMatrix::from_matrix(&x, 16);
-        assert_eq!(binned.split_features(), &[1, 2, 4, 5]);
-        let mut rng = Rng64::seed_from_u64(31);
-        let grad: Vec<f64> = (0..400).map(|_| rng.normal()).collect();
-        let hess: Vec<f64> = (0..400).map(|_| rng.next_f64()).collect();
-        let rows: Vec<usize> = (0..400).filter(|i| i % 7 != 2).collect();
-        let serial = HistF32::accumulate(&binned, &rows, &grad, &hess);
-        let g32: Vec<f32> = rows.iter().map(|&i| grad[i] as f32).collect();
-        let h32: Vec<f32> = rows.iter().map(|&i| hess[i] as f32).collect();
-        let mut quads = vec![0.0f32; HIST_QUAD * binned.total_bins()];
-        let features = binned.split_features();
-        accumulate_feature_range(&binned, features, &rows, &g32, &h32, &mut quads, 0);
-        assert_eq!(serial.quads.as_slice(), quads.as_slice());
+        assert_eq!(a.as_slice(), b.quads.as_slice());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use crate::kernels::{self, QUERY_BLOCK, TRAIN_BLOCK};
 use crate::model::Classifier;
 use crate::scratch;
-use rayon::prelude::*;
 use tabular::DenseMatrix;
 
 /// Live query lanes from which a block runs the 16-lane
@@ -163,8 +162,7 @@ pub(crate) struct KnnGridScores {
 /// Each row's distances to the other folds' rows are exactly those its
 /// fold model sees — distances are per pair, and the fold's training rows
 /// keep ascending global order, so the index tie-break is unchanged — and
-/// merging in its own fold's rows gives the whole-set order. Counts are
-/// integers, so the parallel blocks combine exactly at any thread count.
+/// merging in its own fold's rows gives the whole-set order.
 /// `folds` are [`tabular::split::kfold`]'s (train, validation) pairs.
 pub(crate) fn knn_grid_scores(
     x: &DenseMatrix,
@@ -179,49 +177,39 @@ pub(crate) fn knn_grid_scores(
         val.iter().for_each(|&i| fold_of[i] = f);
     }
     let kmax = ks.iter().copied().max().unwrap_or(1);
-    // Per block: correct counts per (k, fold), then per k on all rows.
-    let n_counts = ks.len() * (n_folds + 1);
-    let per_block: Vec<Vec<u64>> = (0..n.div_ceil(QUERY_BLOCK))
-        .into_par_iter()
-        .map(|block| {
-            let q0 = block * QUERY_BLOCK;
-            let qb = QUERY_BLOCK.min(n - q0);
-            let mut counts = vec![0u64; n_counts];
-            // Per query lane: its other folds' rows fill `cand` from the
-            // front, its own fold's rows from the back.
-            let mut cand = scratch::take_pairs();
-            cand.resize(QUERY_BLOCK * n, (0.0, 0));
-            let (mut qt, mut tile) = (scratch::take_f64(), scratch::take_f64());
-            let mut split = [(0usize, n); QUERY_BLOCK];
-            block_distances(x, x, (q0, qb), &mut qt, &mut tile, |q, t, d| {
-                let (front, back) = &mut split[q];
-                let same = fold_of[t] == fold_of[q0 + q];
-                *back -= usize::from(same);
-                cand[q * n + if same { *back } else { *front }] = (d, t);
-                *front += usize::from(!same);
-            });
-            let mut merged = scratch::take_pairs();
-            for (q, &(split_at, _)) in split.iter().enumerate().take(qb) {
-                let (others, own) = cand[q * n..(q + 1) * n].split_at_mut(split_at);
-                select_nearest(others, kmax);
-                select_nearest(own, kmax);
-                merge_nearest(others, own, kmax, &mut merged);
-                let (f, truth) = (fold_of[q0 + q], y[q0 + q]);
-                // 1 when the 0.5-threshold prediction matches the label.
-                let correct = |nearest: &[(f64, usize)], k| {
-                    u64::from((truth == 0) != (positive_fraction(nearest, k, y) >= 0.5))
-                };
-                for (ki, &k) in ks.iter().enumerate() {
-                    counts[ki * n_folds + f] += correct(others, k);
-                    counts[ks.len() * n_folds + ki] += correct(&merged, k);
-                }
+    // Correct counts per (k, fold), then per k on all rows.
+    let mut counts = vec![0u64; ks.len() * (n_folds + 1)];
+    // Per query lane: its other folds' rows fill `cand` from the front,
+    // its own fold's rows from the back.
+    let mut cand = scratch::take_pairs();
+    cand.resize(QUERY_BLOCK * n, (0.0, 0));
+    let (mut qt, mut tile) = (scratch::take_f64(), scratch::take_f64());
+    let mut merged = scratch::take_pairs();
+    for q0 in (0..n).step_by(QUERY_BLOCK) {
+        let qb = QUERY_BLOCK.min(n - q0);
+        let mut split = [(0usize, n); QUERY_BLOCK];
+        block_distances(x, x, (q0, qb), &mut qt, &mut tile, |q, t, d| {
+            let (front, back) = &mut split[q];
+            let same = fold_of[t] == fold_of[q0 + q];
+            *back -= usize::from(same);
+            cand[q * n + if same { *back } else { *front }] = (d, t);
+            *front += usize::from(!same);
+        });
+        for (q, &(split_at, _)) in split.iter().enumerate().take(qb) {
+            let (others, own) = cand[q * n..(q + 1) * n].split_at_mut(split_at);
+            select_nearest(others, kmax);
+            select_nearest(own, kmax);
+            merge_nearest(others, own, kmax, &mut merged);
+            let (f, truth) = (fold_of[q0 + q], y[q0 + q]);
+            // 1 when the 0.5-threshold prediction matches the label.
+            let correct = |nearest: &[(f64, usize)], k| {
+                u64::from((truth == 0) != (positive_fraction(nearest, k, y) >= 0.5))
+            };
+            for (ki, &k) in ks.iter().enumerate() {
+                counts[ki * n_folds + f] += correct(others, k);
+                counts[ks.len() * n_folds + ki] += correct(&merged, k);
             }
-            counts
-        })
-        .collect();
-    let mut counts = vec![0u64; n_counts];
-    for block in &per_block {
-        counts.iter_mut().zip(block).for_each(|(c, b)| *c += b);
+        }
     }
     // `metrics::accuracy`'s arithmetic: correct count over rows, in f64.
     let rate = |correct: u64, rows: usize| {

@@ -12,6 +12,10 @@
 //! All models consume the dense matrices produced by
 //! [`tabular::FeatureEncoder`] and expose a common [`Classifier`] object
 //! interface so the experimentation framework can treat them uniformly.
+//!
+//! Everything here runs on the calling thread. Parallelism belongs to the
+//! callers: the study runner spreads independent evaluation units over
+//! its pool, and the server trains each registry model on its own thread.
 
 pub mod binned;
 pub mod cv;

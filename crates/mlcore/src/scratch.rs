@@ -87,7 +87,7 @@ scratch_pool!(
     PAIRS_POOL, take_pairs, PairsScratch, (f64, usize)
 );
 scratch_pool!(
-    /// A pooled `Vec<f32>` (histogram quad buffers and statistic lanes).
+    /// A pooled `Vec<f32>` (histogram quad buffers).
     F32_POOL, take_f32, F32Scratch, f32
 );
 

@@ -378,6 +378,8 @@ fn pre_rectification_v1_journal_is_rejected_with_versioned_shape_warning() {
         "expected a versioned-shape warning, got {:?}",
         replay.warnings
     );
+    let warning = replay.warnings.iter().find(|w| w.contains("versioned study shape"));
+    assert!(!warning.is_some_and(|w| w.contains("  ")), "run of spaces: {warning:?}");
 
     // Resuming re-executes the whole study and still matches the
     // undisturbed export.
