@@ -54,7 +54,8 @@ fi
 
 stage "cargo build --release --workspace --all-targets"
 # The root build above skips the crate binaries (demodq-serve,
-# demodq-bench, resume_smoke); compile everything the later gates drive.
+# demodq-bench, studybench, loadgen); compile everything the later gates
+# drive.
 cargo build --release --workspace --all-targets
 
 stage "lint coverage: every workspace member lives under a linted root"
@@ -116,25 +117,26 @@ stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 stage "crash-resume smoke (kill -9 mid-study, resume from journal)"
-# resume_smoke was compiled by the --workspace --all-targets build above.
+# `demodq-bench study` was compiled by the --workspace --all-targets build
+# above.
 SMOKE_DIR=target/resume_smoke
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
-RESUME_SMOKE=target/release/resume_smoke
+STUDY=(target/release/demodq-bench study)
 SMOKE_ARGS=(--error mislabels --scale smoke --seed 42)
 
 # 1. Clean reference run (no journal).
-"$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/clean.json"
+"${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/clean.json"
 
 # 2. Journaled run killed with SIGKILL after ~50% of the 10 tasks. The
 #    self-kill makes a nonzero exit the expected outcome.
-if "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" --kill-after 5; then
+if "${STUDY[@]}" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" --kill-after 5; then
     echo "FAIL: the --kill-after run was supposed to die mid-study"
     exit 1
 fi
 
 # 3. Resume from the journal; record the summary lines.
-"$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" --resume \
+"${STUDY[@]}" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" --resume \
     --out "$SMOKE_DIR/resumed.json" | tee "$SMOKE_DIR/resume.log"
 
 # Completed tasks must be replayed, not re-executed...
@@ -161,9 +163,9 @@ stage "thread-count byte-identity smoke (1 vs 2 vs 8 threads)"
 # the schedule, and each unit trains serially on the worker that took
 # it). The 2-thread leg exercises the uneven rayon::join splits a
 # power-of-two pool never sees.
-DEMODQ_THREADS=1 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads1.json"
-DEMODQ_THREADS=2 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads2.json"
-DEMODQ_THREADS=8 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads8.json"
+DEMODQ_THREADS=1 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads1.json"
+DEMODQ_THREADS=2 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads2.json"
+DEMODQ_THREADS=8 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads8.json"
 cmp "$SMOKE_DIR/threads1.json" "$SMOKE_DIR/threads2.json" || {
     echo "FAIL: 2-thread export differs from the 1-thread reference"
     exit 1
@@ -184,9 +186,9 @@ LARGE_DIR=target/large_smoke
 rm -rf "$LARGE_DIR"
 mkdir -p "$LARGE_DIR"
 LARGE_ARGS=(--error mislabels --scale large --seed 42 --datasets german --models log-reg)
-"$RESUME_SMOKE" "${LARGE_ARGS[@]}" --journal "$LARGE_DIR/journal" \
+"${STUDY[@]}" "${LARGE_ARGS[@]}" --journal "$LARGE_DIR/journal" \
     --out "$LARGE_DIR/first.json"
-"$RESUME_SMOKE" "${LARGE_ARGS[@]}" --journal "$LARGE_DIR/journal" --resume \
+"${STUDY[@]}" "${LARGE_ARGS[@]}" --journal "$LARGE_DIR/journal" --resume \
     --out "$LARGE_DIR/resumed.json" | tee "$LARGE_DIR/resume.log"
 grep -q 'journal-warnings: 0' "$LARGE_DIR/resume.log" || {
     echo "FAIL: large-tier resume reported journal warnings"
@@ -206,9 +208,9 @@ echo "large-tier smoke OK (journal hits: $hits)"
 stage "rectifying-study byte-identity smoke (--repair-side both, 1 vs 8 threads)"
 # The `both` arms refit and leaf-rectify tree models inside each unit;
 # the schedule-independence guarantee must survive that extra work.
-DEMODQ_THREADS=1 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --repair-side both \
+DEMODQ_THREADS=1 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --repair-side both \
     --out "$SMOKE_DIR/rectify1.json"
-DEMODQ_THREADS=8 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --repair-side both \
+DEMODQ_THREADS=8 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --repair-side both \
     --out "$SMOKE_DIR/rectify8.json"
 grep -q '"repair_side": "both"' "$SMOKE_DIR/rectify1.json" || {
     echo "FAIL: rectifying export does not record its repair side"
@@ -219,6 +221,32 @@ cmp "$SMOKE_DIR/rectify1.json" "$SMOKE_DIR/rectify8.json" || {
     exit 1
 }
 echo "rectifying-study byte-identity smoke OK"
+
+stage "artifact smoke (run-study, advisor, ablation, gen-data at smoke scale)"
+# The paper's tables and figures come from demodq-bench subcommands; run
+# the ones no smoke above drives, from a throwaway directory under
+# target/, since they write results/ and data/ relative to it.
+ARTIFACT_DIR=target/artifact_smoke
+rm -rf "$ARTIFACT_DIR"
+mkdir -p "$ARTIFACT_DIR"
+(
+    cd "$ARTIFACT_DIR"
+    BENCH=../release/demodq-bench
+    "$BENCH" run-study --scale smoke > run_study.log
+    "$BENCH" advisor --scale smoke > advisor.log
+    "$BENCH" ablation > ablation.log
+    "$BENCH" gen-data --scale smoke > gen_data.log
+)
+[ -s "$ARTIFACT_DIR/results/study_summary.json" ] || {
+    echo "FAIL: run-study wrote no results/study_summary.json"
+    exit 1
+}
+csvs=$(find "$ARTIFACT_DIR/data" -name '*.csv' | wc -l)
+if [ "$csvs" -ne 5 ]; then
+    echo "FAIL: gen-data wrote $csvs data/*.csv files (want 5)"
+    exit 1
+fi
+echo "artifact smoke OK"
 
 stage "perfbench builds against the crates (cargo test --release, its own workspace)"
 # perfbench is a separate workspace that calls the crates by path:

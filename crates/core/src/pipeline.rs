@@ -22,9 +22,12 @@
 use crate::config::{RectifySpec, RepairSpec, StudyScale};
 use cleaning::detect::DetectorKind;
 use cleaning::repair::{CatImpute, LabelRepair, MissingRepair, NumImpute};
+use cleaning::DetectionReport;
+use datasets::ErrorType;
 use demodq_rectify::{rectify_classifier, RectificationReport, RectifyOptions};
 use fairness::{group_confusions, FairnessMetric, GroupConfusions, GroupSpec, Groups};
 use mlcore::{f1_score, tune_and_fit, Classifier, ModelKind, TunedModel};
+use std::collections::BTreeMap;
 use tabular::{
     split::train_test_split, BlockStore, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64,
     TabularError,
@@ -269,13 +272,71 @@ pub fn evaluate_arm(
     Ok(evaluate_arm_encoded(&arm, model, cv_folds, seed))
 }
 
-/// The default imputer used wherever the *dirty* pipeline is forced to
-/// fill test-set missing values: mean for numeric, dummy for categorical.
-fn baseline_imputer() -> MissingRepair {
-    MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy }
+/// The dirty (train, test) pair plus one repaired pair per variant.
+pub(crate) type PreparedVariants = (DataFrame, DataFrame, Vec<(DataFrame, DataFrame)>);
+
+/// Builds the shared dirty frames and one repaired (train, test) pair per
+/// variant of `error` for one split, running each detector once.
+pub(crate) fn prepare_variants(
+    train: &DataFrame,
+    test: &DataFrame,
+    error: ErrorType,
+    variants: &[RepairSpec],
+    seed: u64,
+) -> Result<PreparedVariants> {
+    let mismatch = || TabularError::InvalidArgument("variant/error mismatch".to_string());
+    match error {
+        ErrorType::MissingValues => {
+            // Dirty: drop incomplete train rows; impute test (mean/dummy
+            // fitted on the complete train rows). Repaired: impute train
+            // and test with the variant fitted on the raw train data.
+            let (dirty_train, dirty_test) = drop_and_impute(train, test)?;
+            let mut repaired = Vec::with_capacity(variants.len());
+            for variant in variants {
+                let RepairSpec::Missing(config) = variant else { return Err(mismatch()) };
+                let fitted = config.fit(train)?;
+                repaired.push((fitted.apply(train)?, fitted.apply(test)?));
+            }
+            Ok((dirty_train, dirty_test, repaired))
+        }
+        ErrorType::Outliers => {
+            let (base_train, base_test) = preclean_missing(train, test)?;
+            // Repairs of the same detector share its reports.
+            let mut reports: BTreeMap<&str, (DetectionReport, DetectionReport)> = BTreeMap::new();
+            let mut repaired = Vec::with_capacity(variants.len());
+            for variant in variants {
+                let RepairSpec::Outliers { detector, repair } = variant else {
+                    return Err(mismatch());
+                };
+                if !reports.contains_key(detector.name()) {
+                    let fitted_detector = detector.fit(&base_train, seed)?;
+                    let pair =
+                        (fitted_detector.detect(&base_train)?, fitted_detector.detect(&base_test)?);
+                    reports.insert(detector.name(), pair);
+                }
+                let (train_report, test_report) = &reports[detector.name()];
+                let fitted_repair = repair.fit(&base_train, train_report)?;
+                repaired.push((
+                    fitted_repair.apply(&base_train, train_report)?,
+                    fitted_repair.apply(&base_test, test_report)?,
+                ));
+            }
+            Ok((base_train, base_test, repaired))
+        }
+        ErrorType::Mislabels => {
+            let (base_train, base_test) = preclean_missing(train, test)?;
+            let detector = DetectorKind::Mislabels.fit(&base_train, seed)?;
+            let report = detector.detect(&base_train)?;
+            let flipped = LabelRepair.apply(&base_train, &report)?;
+            // Labels are never flipped on the test set.
+            let repaired = variants.iter().map(|_| (flipped.clone(), base_test.clone())).collect();
+            Ok((base_train, base_test, repaired))
+        }
+    }
 }
 
-/// Builds the dirty and repaired train/test frames for a configuration.
+/// Builds the dirty and repaired train/test frames for a configuration:
+/// [`prepare_variants`] for its one variant.
 ///
 /// Returns `(dirty_train, dirty_test, repaired_train, repaired_test)`.
 pub fn prepare_arms(
@@ -284,60 +345,36 @@ pub fn prepare_arms(
     repair: &RepairSpec,
     seed: u64,
 ) -> Result<(DataFrame, DataFrame, DataFrame, DataFrame)> {
-    match repair {
-        RepairSpec::Missing(config) => {
-            // Dirty: drop incomplete train rows; impute test (mean/dummy
-            // fitted on the complete train rows).
-            let dirty_train = train.drop_incomplete_rows()?;
-            if dirty_train.n_rows() < 10 {
-                return Err(TabularError::InvalidArgument(
-                    "dropping incomplete rows leaves too little training data".to_string(),
-                ));
-            }
-            let dirty_imputer = baseline_imputer().fit(&dirty_train)?;
-            let dirty_test = dirty_imputer.apply(test)?;
-            // Repaired: impute train and test with the configured strategy
-            // fitted on the raw train data.
-            let fitted = config.fit(train)?;
-            let repaired_train = fitted.apply(train)?;
-            let repaired_test = fitted.apply(test)?;
-            Ok((dirty_train, dirty_test, repaired_train, repaired_test))
-        }
-        RepairSpec::Outliers { detector, repair } => {
-            // Missing values removed beforehand for both arms.
-            let (base_train, base_test) = preclean_missing(train, test)?;
-            let fitted_detector = detector.fit(&base_train, seed)?;
-            let train_report = fitted_detector.detect(&base_train)?;
-            let test_report = fitted_detector.detect(&base_test)?;
-            let fitted_repair = repair.fit(&base_train, &train_report)?;
-            let repaired_train = fitted_repair.apply(&base_train, &train_report)?;
-            let repaired_test = fitted_repair.apply(&base_test, &test_report)?;
-            Ok((base_train, base_test, repaired_train, repaired_test))
-        }
-        RepairSpec::Mislabels => {
-            let (base_train, base_test) = preclean_missing(train, test)?;
-            let detector = DetectorKind::Mislabels.fit(&base_train, seed)?;
-            let report = detector.detect(&base_train)?;
-            let repaired_train = LabelRepair.apply(&base_train, &report)?;
-            // Labels are never flipped on the test set.
-            Ok((base_train, base_test.clone(), repaired_train, base_test))
-        }
-    }
+    let variants = std::slice::from_ref(repair);
+    let (dirty_train, dirty_test, mut repaired) =
+        prepare_variants(train, test, repair.error_type(), variants, seed)?;
+    let (repaired_train, repaired_test) = repaired.pop().ok_or_else(|| {
+        TabularError::InvalidArgument("no repaired arm for the variant".to_string())
+    })?;
+    Ok((dirty_train, dirty_test, repaired_train, repaired_test))
 }
 
-/// Removes missing values before outlier/mislabel experiments: drops
-/// incomplete training rows, imputes the test set (mean/dummy).
+/// Removes missing values before outlier/mislabel experiments (a no-op
+/// on complete frames).
 fn preclean_missing(train: &DataFrame, test: &DataFrame) -> Result<(DataFrame, DataFrame)> {
     if train.missing_cells() == 0 && test.missing_cells() == 0 {
         return Ok((train.clone(), test.clone()));
     }
+    drop_and_impute(train, test)
+}
+
+/// The paper's dirty baseline for missing values: drops incomplete
+/// training rows and imputes the test set with mean/dummy fitted on the
+/// rows kept (one cannot drop records at prediction time).
+fn drop_and_impute(train: &DataFrame, test: &DataFrame) -> Result<(DataFrame, DataFrame)> {
     let clean_train = train.drop_incomplete_rows()?;
     if clean_train.n_rows() < 10 {
         return Err(TabularError::InvalidArgument(
             "dropping incomplete rows leaves too little training data".to_string(),
         ));
     }
-    let imputer = baseline_imputer().fit(&clean_train)?;
+    let imputer =
+        MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy }.fit(&clean_train)?;
     let clean_test = imputer.apply(test)?;
     Ok((clean_train, clean_test))
 }

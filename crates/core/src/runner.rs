@@ -57,11 +57,11 @@
 use crate::config::{ExperimentConfig, RectifySpec, RepairSide, RepairSpec, StudyOptions, StudyScale};
 use crate::journal::{self, JournalWriter, StudyFingerprint};
 use crate::pipeline::{
-    encode_arm, evaluate_unit, fit_unit, rectify_unit_model, sample_split, score_unit, EncodedArm,
+    encode_arm, evaluate_unit, fit_unit, prepare_variants, rectify_unit_model, sample_split,
+    score_unit, EncodedArm,
 };
 use crate::progress::{PhaseAccumulator, PhaseSeconds, ProgressTracker, StudyPhase};
 use crate::results::FailedTask;
-use cleaning::repair::{CatImpute, LabelRepair, MissingRepair, NumImpute};
 use datasets::{DatasetId, ErrorType};
 use fairness::{FairnessMetric, GroupSpec};
 use mlcore::ModelKind;
@@ -69,7 +69,7 @@ use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use tabular::{BlockStore, DataFrame, Result, TabularError};
+use tabular::{BlockStore, Result, TabularError};
 
 /// Paired dirty/repaired score vectors for one group × metric.
 #[derive(Debug, Clone)]
@@ -211,106 +211,6 @@ pub(crate) fn split_seed(study_seed: u64, dataset: DatasetId, split: usize) -> u
         .wrapping_add(split as u64 * 0xA24BAED4963EE407)
 }
 
-/// Builds the shared dirty frames and the per-variant repaired frames for
-/// one split, computing detection once per detector.
-fn prepare_all_variants(
-    train: &DataFrame,
-    test: &DataFrame,
-    error: ErrorType,
-    variants: &[RepairSpec],
-    seed: u64,
-) -> Result<PreparedVariants> {
-    let baseline = MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy };
-    match error {
-        ErrorType::MissingValues => {
-            let dirty_train = train.drop_incomplete_rows()?;
-            if dirty_train.n_rows() < 10 {
-                return Err(TabularError::InvalidArgument(
-                    "dropping incomplete rows leaves too little training data".to_string(),
-                ));
-            }
-            let dirty_test = baseline.fit(&dirty_train)?.apply(test)?;
-            let mut repaired = Vec::with_capacity(variants.len());
-            for variant in variants {
-                let RepairSpec::Missing(config) = variant else {
-                    return Err(TabularError::InvalidArgument(
-                        "variant/error mismatch".to_string(),
-                    ));
-                };
-                let fitted = config.fit(train)?;
-                repaired.push((fitted.apply(train)?, fitted.apply(test)?));
-            }
-            Ok((dirty_train, dirty_test, repaired))
-        }
-        ErrorType::Outliers => {
-            let (base_train, base_test) = preclean(train, test, &baseline)?;
-            // Cache detection reports per detector: repairs of the same
-            // detector share them.
-            let mut report_cache: std::collections::BTreeMap<
-                String,
-                (cleaning::DetectionReport, cleaning::DetectionReport),
-            > = Default::default();
-            let mut repaired = Vec::with_capacity(variants.len());
-            for variant in variants {
-                let RepairSpec::Outliers { detector, repair } = variant else {
-                    return Err(TabularError::InvalidArgument(
-                        "variant/error mismatch".to_string(),
-                    ));
-                };
-                if !report_cache.contains_key(detector.name()) {
-                    let fitted_detector = detector.fit(&base_train, seed)?;
-                    report_cache.insert(
-                        detector.name().to_string(),
-                        (
-                            fitted_detector.detect(&base_train)?,
-                            fitted_detector.detect(&base_test)?,
-                        ),
-                    );
-                }
-                let (train_report, test_report) = &report_cache[detector.name()];
-                let fitted_repair = repair.fit(&base_train, train_report)?;
-                repaired.push((
-                    fitted_repair.apply(&base_train, train_report)?,
-                    fitted_repair.apply(&base_test, test_report)?,
-                ));
-            }
-            Ok((base_train, base_test, repaired))
-        }
-        ErrorType::Mislabels => {
-            let (base_train, base_test) = preclean(train, test, &baseline)?;
-            let detector = cleaning::detect::DetectorKind::Mislabels.fit(&base_train, seed)?;
-            let report = detector.detect(&base_train)?;
-            let flipped = LabelRepair.apply(&base_train, &report)?;
-            let repaired = variants
-                .iter()
-                .map(|_| (flipped.clone(), base_test.clone()))
-                .collect();
-            Ok((base_train, base_test, repaired))
-        }
-    }
-}
-
-fn preclean(
-    train: &DataFrame,
-    test: &DataFrame,
-    baseline: &MissingRepair,
-) -> Result<(DataFrame, DataFrame)> {
-    if train.missing_cells() == 0 && test.missing_cells() == 0 {
-        return Ok((train.clone(), test.clone()));
-    }
-    let clean_train = train.drop_incomplete_rows()?;
-    if clean_train.n_rows() < 10 {
-        return Err(TabularError::InvalidArgument(
-            "dropping incomplete rows leaves too little training data".to_string(),
-        ));
-    }
-    let clean_test = baseline.fit(&clean_train)?.apply(test)?;
-    Ok((clean_train, clean_test))
-}
-
-/// The dirty (train, test) pair plus one repaired pair per variant.
-type PreparedVariants = (DataFrame, DataFrame, Vec<(DataFrame, DataFrame)>);
-
 /// One model-seed's scores: dirty accuracy, dirty disparities, and per
 /// variant (repaired accuracy, repaired disparities).
 pub(crate) type SeedScores = (f64, Vec<f64>, Vec<(f64, Vec<f64>)>);
@@ -357,7 +257,7 @@ fn prepare_task(
     lap(StudyPhase::Sample);
     let (train, test) = sampled?;
 
-    let prepared = prepare_all_variants(&train, &test, error, variants, sseed ^ 0x5EED);
+    let prepared = prepare_variants(&train, &test, error, variants, sseed ^ 0x5EED);
     lap(StudyPhase::Prepare);
     let (dirty_train, dirty_test, repaired_frames) = prepared?;
 
@@ -657,7 +557,7 @@ pub fn run_error_type_study_with(
                 .is_some_and(|should_fail| should_fail(name, s))
             {
                 Err(TabularError::InvalidArgument(format!(
-                    "injected prepare_all_variants failure for {name} split {s}"
+                    "injected prepare_variants failure for {name} split {s}"
                 )))
             } else {
                 prepare_task(sseed, &pools[d], error, &variants, scale, &group_specs[d], &phases)
