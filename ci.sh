@@ -248,6 +248,27 @@ if [ "$csvs" -ne 5 ]; then
 fi
 echo "artifact smoke OK"
 
+stage "RQ1 figures match results/ (fig1 --drilldown, fig2 at default scale)"
+# Figures 1-2 are the committed RQ1 outputs, and the detectors' flags
+# (the isolation forest's among them) feed both. Regenerating them at the
+# committed settings must reproduce results/ byte for byte, so a change
+# that moves a flag has to recommit the figures.
+FIG_DIR=target/figures
+rm -rf "$FIG_DIR"
+mkdir -p "$FIG_DIR"
+BENCH=target/release/demodq-bench
+"$BENCH" fig1 --scale default --seed 42 --drilldown > "$FIG_DIR/fig1.txt"
+"$BENCH" fig2 --scale default --seed 42 > "$FIG_DIR/fig2.txt"
+for fig in fig1 fig2; do
+    cmp "$FIG_DIR/$fig.txt" "results/$fig.txt" || {
+        echo "FAIL: $fig output differs from results/$fig.txt. If the change is"
+        echo "meant to move it, regenerate both results/fig1.txt and"
+        echo "results/fig2.txt with the commands above and record why in CHANGES.md"
+        exit 1
+    }
+done
+echo "RQ1 figures OK (cmp-identical to results/)"
+
 stage "perfbench builds against the crates (cargo test --release, its own workspace)"
 # perfbench is a separate workspace that calls the crates by path:
 # codec::frame_from_rows / rows_from_frame, DriftStore::observe,

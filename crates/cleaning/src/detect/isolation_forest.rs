@@ -7,13 +7,44 @@
 //! `s(x) = 2^(−E[h(x)] / c(ψ))` and the decision threshold is the
 //! `(1 − contamination)` quantile of the training scores — mirroring
 //! scikit-learn's `contamination` semantics.
+//!
+//! **Layout.** Every tree has the same fixed depth `D = ⌈log₂ ψ⌉` and is
+//! stored as an implicit complete binary tree: slot `p`'s children are
+//! `2p + 1` (value `< threshold`) and `2p + 2` (otherwise, NaN included).
+//! The forest keeps two flat arrays, `2^D − 1` splits and `2^D` leaf
+//! values per tree (fewer than `4ψ` slots in all). A leaf value is the
+//! whole path length `depth + c(size)`. A leaf shallower than `D` is
+//! repeated over every bottom slot of its subtree, and the split slots
+//! below it stay at their default, so any route through them ends on the
+//! same value.
+//!
+//! **Build.** A tree partitions one index buffer in place (no buffer per
+//! node) and fills its slots pre-order: a node draws its feature tries and
+//! threshold, then its left subtree draws, then its right: the draw order
+//! of the recursive build that `tests/iforest_parity.rs` keeps as the
+//! reference.
+//!
+//! **Scoring.** Rows are scored tree-major over blocks of 64: one tree
+//! moves every row of the block down one level at a time, `D` levels, by
+//! the branch-free step `p ← 2p + 2 − [v < threshold]`, before the next
+//! tree starts. The block's rows and the tree's slots stay in cache, and
+//! the rows' steps are independent, so their loads overlap instead of
+//! each waiting on the last. Each row adds its trees' path lengths in tree
+//! order, from `Iterator::sum`'s start value, so every sum, and every
+//! score, is bit for bit that of a row-at-a-time walk.
 
 use crate::report::{CellFlags, DetectionReport};
 use tabular::stats::percentile;
-use tabular::{ColumnKind, ColumnRole, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64};
+use tabular::{
+    ColumnKind, ColumnRole, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64, TabularError,
+};
 
 /// Euler–Mascheroni constant.
 const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+
+/// Rows per scoring block: a block's encoded rows stay in L1 while every
+/// tree walks them.
+const BLOCK_ROWS: usize = 64;
 
 /// Average path length of an unsuccessful BST search over `n` points —
 /// the normalisation constant `c(n)` of the isolation-forest score.
@@ -28,96 +59,87 @@ pub fn average_path_length(n: usize) -> f64 {
     }
 }
 
-/// One node of an isolation tree.
-#[derive(Debug, Clone)]
-enum ITreeNode {
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
-    Leaf { size: usize },
+/// One split slot: rows with `value < threshold` go to the left child.
+#[derive(Clone, Copy, Default)]
+struct Split {
+    threshold: f64,
+    feature: usize,
 }
 
-/// A single isolation tree over a subsample.
-#[derive(Debug, Clone)]
-struct ITree {
-    nodes: Vec<ITreeNode>,
+/// Fills one tree's slots from its subsample.
+struct TreeBuilder<'a> {
+    x: &'a DenseMatrix,
+    depth: usize,
+    splits: &'a mut [Split],
+    leaves: &'a mut [f64],
 }
 
-impl ITree {
-    fn fit(x: &DenseMatrix, rows: &[usize], max_depth: usize, rng: &mut Rng64) -> ITree {
-        let mut tree = ITree { nodes: Vec::new() };
-        tree.build(x, rows, 0, max_depth, rng);
-        tree
+impl TreeBuilder<'_> {
+    /// Builds the subtree at slot `p` (on level `level`) over `rows`.
+    fn build(&mut self, p: usize, level: usize, rows: &mut [usize], rng: &mut Rng64) {
+        if level < self.depth && rows.len() > 1 {
+            if let Some(split) = self.choose_split(rows, rng) {
+                let mid = self.partition(rows, split);
+                if mid > 0 && mid < rows.len() {
+                    self.splits[p] = split;
+                    let (left, right) = rows.split_at_mut(mid);
+                    self.build(2 * p + 1, level + 1, left, rng);
+                    self.build(2 * p + 2, level + 1, right, rng);
+                    return;
+                }
+            }
+        }
+        // A leaf: every bottom slot under `p` holds its path length. They
+        // are slots `(p + 1)·span − 1 ..` of the complete tree, whose
+        // first `2^D − 1` slots are splits.
+        let span = 1 << (self.depth - level);
+        let first = (p + 1) * span - self.leaves.len();
+        self.leaves[first..first + span].fill(level as f64 + average_path_length(rows.len()));
     }
 
-    fn build(
-        &mut self,
-        x: &DenseMatrix,
-        rows: &[usize],
-        depth: usize,
-        max_depth: usize,
-        rng: &mut Rng64,
-    ) -> usize {
-        if depth >= max_depth || rows.len() <= 1 {
-            self.nodes.push(ITreeNode::Leaf { size: rows.len() });
-            return self.nodes.len() - 1;
-        }
-        // Choose a random feature with spread; give up after a few tries
-        // (all-constant subsample).
-        let d = x.n_cols();
-        let mut chosen: Option<(usize, f64, f64)> = None;
+    /// A random feature with spread among `rows` and a uniform threshold
+    /// over its range; `None` after 8 tries without spread (an
+    /// all-constant subsample).
+    fn choose_split(&self, rows: &[usize], rng: &mut Rng64) -> Option<Split> {
         for _ in 0..8 {
-            let feature = rng.below(d);
+            let feature = rng.below(self.x.n_cols());
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             for &i in rows {
-                let v = x.get(i, feature);
+                let v = self.x.get(i, feature);
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
             if hi > lo {
-                chosen = Some((feature, lo, hi));
-                break;
+                return Some(Split { threshold: lo + rng.next_f64() * (hi - lo), feature });
             }
         }
-        let Some((feature, lo, hi)) = chosen else {
-            self.nodes.push(ITreeNode::Leaf { size: rows.len() });
-            return self.nodes.len() - 1;
-        };
-        let threshold = lo + rng.next_f64() * (hi - lo);
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-            rows.iter().partition(|&&i| x.get(i, feature) < threshold);
-        if left_rows.is_empty() || right_rows.is_empty() {
-            self.nodes.push(ITreeNode::Leaf { size: rows.len() });
-            return self.nodes.len() - 1;
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(ITreeNode::Leaf { size: 0 }); // placeholder
-        let left = self.build(x, &left_rows, depth + 1, max_depth, rng);
-        let right = self.build(x, &right_rows, depth + 1, max_depth, rng);
-        self.nodes[idx] = ITreeNode::Split { feature, threshold, left, right };
-        idx
+        None
     }
 
-    /// Path length of `row` through the tree, with the `c(size)` adjustment
-    /// at external nodes.
-    fn path_length(&self, row: &[f64]) -> f64 {
-        let mut idx = 0;
-        let mut depth = 0.0;
-        loop {
-            match &self.nodes[idx] {
-                ITreeNode::Leaf { size } => return depth + average_path_length(*size),
-                ITreeNode::Split { feature, threshold, left, right } => {
-                    idx = if row[*feature] < *threshold { *left } else { *right };
-                    depth += 1.0;
-                }
+    /// Moves the rows going left to the front of `rows`; returns their
+    /// count. A child is a set of rows, so their order does not matter.
+    fn partition(&self, rows: &mut [usize], split: Split) -> usize {
+        let mut mid = 0;
+        for k in 0..rows.len() {
+            if self.x.get(rows[k], split.feature) < split.threshold {
+                rows.swap(mid, k);
+                mid += 1;
             }
         }
+        mid
     }
 }
 
 /// A fitted isolation forest with its feature encoder and decision
 /// threshold.
 pub struct IsolationForest {
-    trees: Vec<ITree>,
+    /// Tree depth `D`: every row takes exactly `D` steps per tree.
+    depth: usize,
+    /// `2^D − 1` split slots per tree, tree after tree.
+    splits: Vec<Split>,
+    /// `2^D` leaf path lengths per tree, tree after tree.
+    leaves: Vec<f64>,
     encoder: FeatureEncoder,
     /// Normalisation constant `c(ψ)` for the fitted subsample size.
     c_psi: f64,
@@ -130,7 +152,7 @@ impl IsolationForest {
     /// Fits a forest of `n_trees` trees on subsamples of up to
     /// `subsample_size` rows of `train`'s encoded feature space, and sets
     /// the decision threshold to the `(1 − contamination)` quantile of the
-    /// training scores.
+    /// training scores. A frame of fewer than 2 rows is an error.
     pub fn fit_frame(
         train: &DataFrame,
         n_trees: usize,
@@ -143,20 +165,28 @@ impl IsolationForest {
         let encoder = FeatureEncoder::fit(train, true)?;
         let x = encoder.transform(train)?;
         let n = x.n_rows();
+        if n < 2 {
+            return Err(TabularError::InvalidArgument(format!(
+                "isolation forest needs at least 2 rows, got {n}"
+            )));
+        }
         let psi = subsample_size.min(n).max(2);
-        let max_depth = (psi as f64).log2().ceil() as usize;
+        let depth = (psi as f64).log2().ceil() as usize;
+        let n_leaves = 1 << depth;
+        let mut splits = vec![Split::default(); n_trees * (n_leaves - 1)];
+        let mut leaves = vec![0.0; n_trees * n_leaves];
         let mut rng = Rng64::seed_from_u64(seed);
-        let trees: Vec<ITree> = (0..n_trees)
-            .map(|_| {
-                let rows = rng.sample_indices(n, psi);
-                ITree::fit(&x, &rows, max_depth, &mut rng)
-            })
-            .collect();
-        let c_psi = average_path_length(psi);
+        let trees = splits.chunks_exact_mut(n_leaves - 1).zip(leaves.chunks_exact_mut(n_leaves));
+        for (splits, leaves) in trees {
+            let mut rows = rng.sample_indices(n, psi);
+            TreeBuilder { x: &x, depth, splits, leaves }.build(0, 0, &mut rows, &mut rng);
+        }
         let mut forest = IsolationForest {
-            trees,
+            depth,
+            splits,
+            leaves,
             encoder,
-            c_psi,
+            c_psi: average_path_length(psi),
             threshold: f64::INFINITY,
             contamination,
         };
@@ -177,11 +207,34 @@ impl IsolationForest {
     }
 
     fn score_matrix(&self, x: &DenseMatrix) -> Vec<f64> {
-        (0..x.n_rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean_path: f64 = self.trees.iter().map(|t| t.path_length(row)).sum::<f64>()
-                    / self.trees.len() as f64;
+        let d = x.n_cols();
+        let n_leaves = 1 << self.depth;
+        let n_trees = self.leaves.len() / n_leaves;
+        // `Iterator::sum`'s start value, so each sum is a row-at-a-time sum.
+        let mut sums = vec![-0.0; x.n_rows()];
+        // Each row's current slot in the tree being walked.
+        let mut slots = [0usize; BLOCK_ROWS];
+        let blocks = x.as_slice().chunks(BLOCK_ROWS * d).zip(sums.chunks_mut(BLOCK_ROWS));
+        for (rows, sums) in blocks {
+            let slots = &mut slots[..sums.len()];
+            let trees =
+                self.splits.chunks_exact(n_leaves - 1).zip(self.leaves.chunks_exact(n_leaves));
+            for (splits, leaves) in trees {
+                slots.fill(0);
+                for _ in 0..self.depth {
+                    for (p, row) in slots.iter_mut().zip(rows.chunks_exact(d)) {
+                        let split = splits[*p];
+                        *p = 2 * *p + 2 - usize::from(row[split.feature] < split.threshold);
+                    }
+                }
+                for (sum, &p) in sums.iter_mut().zip(slots.iter()) {
+                    *sum += leaves[p + 1 - n_leaves];
+                }
+            }
+        }
+        sums.into_iter()
+            .map(|sum| {
+                let mean_path = sum / n_trees as f64;
                 let exponent = if self.c_psi > 0.0 { -mean_path / self.c_psi } else { 0.0 };
                 2f64.powf(exponent)
             })

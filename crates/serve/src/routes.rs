@@ -20,7 +20,7 @@ use crate::drift::{DriftConfig, DriftEntry, DriftStore};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::registry::{Registry, SharedRegistry};
-use cleaning::detect::DetectorKind;
+use cleaning::detect::{DetectorKind, FittedDetector};
 use cleaning::repair::{LabelRepair, MissingRepair, OutlierRepair};
 use datasets::DatasetId;
 use demodq::serving::ServingModel;
@@ -471,7 +471,7 @@ impl App {
             })
             .collect();
 
-        let (repair_name, repaired) = self.apply_repair(body, served, detector, &frame, &report)?;
+        let (repair_name, repaired) = self.apply_repair(body, served, &fitted, &frame, &report)?;
         let mut repairs = Vec::new();
         for field in frame.schema().fields() {
             for row in 0..frame.n_rows() {
@@ -503,17 +503,19 @@ impl App {
     }
 
     /// Repairs `frame` with the requested (or detector-default) repair.
+    /// `fitted` is the request's detector, fitted on the training split
+    /// unless it is the mislabel detector.
     fn apply_repair(
         &self,
         body: &Value,
         served: &ServingModel,
-        detector: DetectorKind,
+        fitted: &FittedDetector,
         frame: &tabular::DataFrame,
         report: &cleaning::DetectionReport,
     ) -> Result<(String, tabular::DataFrame), Response> {
         let requested = body.get("repair").and_then(Value::as_str);
-        match detector {
-            DetectorKind::MissingValues => {
+        match fitted {
+            FittedDetector::Missing => {
                 let repair = match requested {
                     None => MissingRepair::all()
                         .into_iter()
@@ -534,7 +536,7 @@ impl App {
                     .map_err(|e| Response::error(400, &format!("repair failed: {e}")))?;
                 Ok((repair.name(), repaired))
             }
-            DetectorKind::Mislabels => {
+            FittedDetector::Mislabels(_) => {
                 let repair = LabelRepair;
                 if let Some(name) = requested {
                     if name != repair.name() {
@@ -557,9 +559,8 @@ impl App {
                 };
                 // The replacement statistics come from the *training*
                 // split's unflagged values.
-                let train_report = detector
-                    .fit(&served.train, served.dataset as u64 ^ 0xC1EA)
-                    .and_then(|d| d.detect(&served.train))
+                let train_report = fitted
+                    .detect(&served.train)
                     .map_err(|e| Response::error(400, &format!("train detection failed: {e}")))?;
                 let fitted = repair
                     .fit(&served.train, &train_report)

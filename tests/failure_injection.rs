@@ -145,6 +145,21 @@ fn tiny_frames_are_rejected_cleanly() {
     assert!(prepare_arms(&frame, &frame, &repair, 1).is_err());
 }
 
+/// The isolation forest subsamples at least 2 rows per tree, so a frame
+/// of 0 or 1 rows is an error, not a panic in the sampler.
+#[test]
+fn isolation_forest_rejects_fewer_than_two_rows() {
+    for n in [0usize, 1] {
+        let frame = DataFrame::builder()
+            .numeric("x", ColumnRole::Feature, vec![1.5; n])
+            .numeric("label", ColumnRole::Label, vec![1.0; n])
+            .build()
+            .unwrap();
+        let detector = DetectorKind::OutliersIf { contamination: 0.01, n_trees: 100 };
+        assert!(detector.fit(&frame, 1).is_err(), "outliers-if on {n} rows must be an Err");
+    }
+}
+
 /// A dataset failing on exactly one split no longer aborts the study:
 /// the run completes degraded, the other configurations keep their full
 /// score vectors, the failure is recorded with its seeds, and the

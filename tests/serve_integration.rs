@@ -214,6 +214,21 @@ fn serves_predict_clean_audit_over_tcp() {
     assert!(reply.get("flagged_cells").and_then(Value::as_array).is_some());
     assert!(reply.get("repairs").and_then(Value::as_array).is_some());
 
+    // --- the isolation forest cleans too; a repeated request, same bytes ---
+    let body = serde_json::to_string(&serde_json::json!({
+        "dataset": "german",
+        "detector": "outliers-if",
+        "rows": Value::Array(sample_rows(25)),
+    }))
+    .unwrap();
+    let (status, first) = exchange(addr, "POST", "/v1/clean", Some(&body));
+    let reply: Value = serde_json::from_slice(&first).expect("clean replies with JSON");
+    assert_eq!(status, 200, "outliers-if clean failed: {reply}");
+    assert_eq!(reply.get("detector").and_then(Value::as_str), Some("outliers-if"));
+    let (status, second) = exchange(addr, "POST", "/v1/clean", Some(&body));
+    assert_eq!(status, 200);
+    assert_eq!(first, second, "an identical outliers-if request must get an identical body");
+
     // --- malformed JSON is a 400, and the worker survives it ---
     let (status, reply) = exchange_json(addr, "POST", "/v1/predict", Some("{not json"));
     assert_eq!(status, 400, "malformed body must be rejected: {reply}");
