@@ -181,7 +181,9 @@ stage "large-tier smoke (german @ 2^20-row block pool, journal resume byte-ident
 # block built by chunked generation and sampled through the block store.
 # The journaled first run and a --resume replay must export identical
 # bytes (the journal fingerprint covers the scale, so large-tier records
-# can never be replayed into a small-tier study or vice versa).
+# can never be replayed into a small-tier study or vice versa). The first
+# run must also equal results/large_smoke.json byte for byte: at 2^20 rows
+# nothing else checks the cells the study samples from the store.
 LARGE_DIR=target/large_smoke
 rm -rf "$LARGE_DIR"
 mkdir -p "$LARGE_DIR"
@@ -203,7 +205,13 @@ cmp "$LARGE_DIR/first.json" "$LARGE_DIR/resumed.json" || {
     echo "FAIL: large-tier resumed export differs from the first run"
     exit 1
 }
-echo "large-tier smoke OK (journal hits: $hits)"
+cmp "$LARGE_DIR/first.json" results/large_smoke.json || {
+    echo "FAIL: large-tier export differs from results/large_smoke.json. If the"
+    echo "change is meant to move it, regenerate that file with the first command"
+    echo "above (--out results/large_smoke.json) and record why in CHANGES.md"
+    exit 1
+}
+echo "large-tier smoke OK (journal hits: $hits, cmp-identical to results/large_smoke.json)"
 
 stage "rectifying-study byte-identity smoke (--repair-side both, 1 vs 8 threads)"
 # The `both` arms refit and leaf-rectify tree models inside each unit;

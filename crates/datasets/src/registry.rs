@@ -216,6 +216,20 @@ mod tests {
     }
 
     #[test]
+    fn two_chunk_stores_hold_at_most_32_bytes_per_row() {
+        // Ages, counts, 0/1 labels and small-dictionary codes take one
+        // byte per row in the store's integer lanes (17-28 B/row over the
+        // five datasets). `i64` integers and `u32` codes take 61-94, so
+        // the bound fails as soon as the lanes stop narrowing.
+        let n = 2 * GEN_CHUNK_ROWS;
+        for id in DatasetId::all() {
+            let store = id.generate_store(n, 7).unwrap();
+            let per_row = store.heap_bytes() as f64 / n as f64;
+            assert!(per_row <= 32.0, "{id}: {per_row:.2} B/row");
+        }
+    }
+
+    #[test]
     fn specs_enumerate_all_datasets() {
         let specs = all_specs();
         assert_eq!(specs.len(), 5);

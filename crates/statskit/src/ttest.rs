@@ -47,10 +47,11 @@ impl TTestResult {
 
 /// Paired two-sided t-test of `b` against `a` (difference `b - a`).
 ///
-/// Returns `None` when fewer than two pairs exist or when the variance of
-/// the differences is (numerically) zero with a zero mean — in which case
-/// there is trivially no effect. A zero variance with a nonzero mean is
-/// reported as an exact effect with p = 0.
+/// Pairs whose difference is not finite are dropped, and `None` is
+/// returned when fewer than two remain. When the variance of the
+/// differences is (numerically) zero the result is exact: a zero mean is
+/// trivially no effect (`t = 0`, p = 1), and a nonzero mean an exact
+/// effect (`t = ±∞`, p = 0).
 pub fn paired_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
     assert_eq!(a.len(), b.len(), "paired samples must have equal length");
     let diffs: Vec<f64> = b

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use tabular::stats::{percentile, percentile_sorted};
-use tabular::{split, ColumnRole, ColumnStats, DataFrame, FeatureEncoder, Rng64, Schema};
+use tabular::{
+    split, BlockWriter, Column, ColumnRole, ColumnStats, DataFrame, FeatureEncoder, Rng64, Schema,
+};
 
 fn arb_numeric_column() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(
@@ -106,6 +108,72 @@ impl Strategy for HostileCsv {
             }
         }
         (bytes, frame.schema().clone())
+    }
+}
+
+/// Integers at the block store's lane edges, narrowest width first: the
+/// bounds of `i8`, `i16` and `i32` and the ends of the exact `i64` range.
+const LANE_EDGES: &[f64] = &[
+    127.0,
+    -128.0,
+    128.0,
+    -129.0,
+    32_767.0,
+    -32_768.0,
+    32_768.0,
+    -32_769.0,
+    2_147_483_647.0,
+    -2_147_483_648.0,
+    2_147_483_648.0,
+    -2_147_483_649.0,
+    9_007_199_254_740_992.0,
+    -9_007_199_254_740_992.0,
+];
+
+/// Numbers no integer lane holds exactly.
+const FLOAT_EDGES: &[f64] = &[9_007_199_254_740_994.0, -0.0, 0.5];
+
+/// One to five same-schema chunks of up to 64 rows each. Each numeric
+/// column of a chunk mixes small integers, missing cells and a prefix of
+/// [`LANE_EDGES`] drawn per chunk, so chunks land on every lane width;
+/// one in three also takes [`FLOAT_EDGES`] and [`number`] cells.
+/// Categorical columns draw from 300 labels, so store codes can pass 127.
+struct ArbChunks;
+
+impl Strategy for ArbChunks {
+    type Value = Vec<DataFrame>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<DataFrame> {
+        let numeric: Vec<bool> = (0..1 + rng.below(3)).map(|_| rng.below(2) == 0).collect();
+        (0..1 + rng.below(5))
+            .map(|_| {
+                let rows = rng.below(65) as usize;
+                let mut builder = DataFrame::builder();
+                for (c, &is_numeric) in numeric.iter().enumerate() {
+                    let name = format!("c{c}");
+                    builder = if is_numeric {
+                        let top = rng.below(LANE_EDGES.len() as u64 + 1);
+                        let kinds = if rng.below(3) == 0 { 10 } else { 8 };
+                        let cells = (0..rows)
+                            .map(|_| match rng.below(kinds) {
+                                0 => f64::NAN,
+                                1..=3 if top > 0 => LANE_EDGES[rng.below(top) as usize],
+                                8 => pick(rng, FLOAT_EDGES),
+                                9 => number(rng),
+                                _ => rng.below(200) as f64 - 100.0,
+                            })
+                            .collect();
+                        builder.numeric(name, ColumnRole::Feature, cells)
+                    } else {
+                        let cells: Vec<Option<String>> = (0..rows)
+                            .map(|_| (rng.below(8) != 0).then(|| format!("l{}", rng.below(300))))
+                            .collect();
+                        builder.categorical(name, ColumnRole::Feature, &cells)
+                    };
+                }
+                builder.build().unwrap()
+            })
+            .collect()
     }
 }
 
@@ -264,6 +332,42 @@ proptest! {
         let _ = tabular::csv::from_csv_str(&text, schema);
         if let Ok(inferred) = tabular::csv::infer_schema(&text) {
             let _ = tabular::csv::from_csv_str(&text, inferred);
+        }
+    }
+}
+
+proptest! {
+    // Each case is small, and the lane edges are sparse among the cells.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn block_store_round_trips_appended_chunks(chunks in ArbChunks, seed in any::<u64>()) {
+        let mut writer = BlockWriter::new();
+        for chunk in &chunks {
+            writer.append_frame(chunk).unwrap();
+        }
+        let store = writer.finish();
+        let whole = chunks[1..].iter().try_fold(chunks[0].clone(), |acc, f| acc.concat(f)).unwrap();
+        prop_assert_eq!(store.n_rows(), whole.n_rows());
+        let mut rng = Rng64::seed_from_u64(seed);
+        let n = whole.n_rows();
+        let indices: Vec<usize> = (0..2 * n).map(|i| if i < n { i } else { rng.below(n) }).collect();
+        let (got, want) = (store.take(&indices).unwrap(), whole.take(&indices).unwrap());
+        for c in 0..whole.n_cols() {
+            match (got.column_at(c), want.column_at(c)) {
+                (Column::Numeric(x), Column::Numeric(y)) => {
+                    // A missing slot reads back as NaN, whatever its payload.
+                    let bits = |v: &[f64]| -> Vec<Option<u64>> {
+                        v.iter().map(|x| (!x.is_nan()).then(|| x.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(x), bits(y), "c{}", c);
+                }
+                (Column::Categorical(x), Column::Categorical(y)) => {
+                    prop_assert_eq!(x.codes(), y.codes(), "c{}", c);
+                    prop_assert_eq!(x.categories(), y.categories(), "c{}", c);
+                }
+                _ => prop_assert!(false, "c{} changed kind", c),
+            }
         }
     }
 }
