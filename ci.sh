@@ -310,7 +310,8 @@ stage "studybench perf gate (vs committed BENCH_study.json)"
 # substrate.*), the end-to-end evals/s floor, the per-kernel speedup
 # floors, the substrate generation rows/s floor, and the absolute
 # peak-RSS gate on the chunk-generated million-row store (< 2x the
-# store's heap plus a fixed allowance).
+# store's heap plus a 64 MiB allowance: ~97.5 MiB for the ~17 MiB german
+# store, which one whole-pool DataFrame held beyond it would exceed).
 cargo run --release -p demodq-bench --bin studybench -- \
     --smoke --out target/BENCH_study.json --baseline BENCH_study.json
 

@@ -9,15 +9,16 @@
 //!   section runs **first** in the process so the peak-RSS reading
 //!   reflects only the substrate; it is also an absolute memory gate:
 //!   peak RSS must stay under 2× the store's own heap footprint plus a
-//!   fixed process allowance. With the store's narrow integer lanes the
-//!   german pool is ~17 MiB, so the 192 MiB allowance dominates: the gate
-//!   still fails when generation holds about two whole-pool frames
-//!   (~112 MiB each at 8 B per cell) beyond the store, but a single second
-//!   copy of the store or of the pool as one frame now passes it.
-//! * **micro** — GBDT training on encoded Adult data with the histogram
-//!   splitter vs the exact splitter (best of three runs each), one
-//!   training run per model kind, and one leaf-rectification run per
-//!   tree-family model (`rectify_ms`).
+//!   64 MiB process allowance, sized from the narrow store: the german
+//!   pool is ~17 MiB, generation peaks at ~38–40 MiB and the limit is
+//!   ~97.5 MiB, so holding the pool once more as a whole `DataFrame`
+//!   (~112 MiB at 8 B per cell) fails the gate.
+//! * **micro** — GBDT training on encoded Adult data (best of three
+//!   runs), one training run per model kind, and one leaf-rectification
+//!   run per tree-family model (`rectify_ms`). The exact splitter GBDT
+//!   was once timed against is now only the reference of
+//!   `tests/hist_parity.rs`; a baseline's leftover `gbdt_exact_ms` and
+//!   `gbdt_speedup` fields are ignored.
 //! * **micro.kernels** — each vectorised per-unit kernel
 //!   (`hist` / `knn_block` / `logreg_batch`) against the reference loop
 //!   it replaced, on the same encoded Adult data: `naive_ms`,
@@ -116,9 +117,10 @@ const SUBSTRATE_ROWS: usize = 1 << 20;
 
 /// Peak-RSS ceiling: the store's own heap, doubled, plus a fixed
 /// allowance for the binary, allocator slack and transient generation
-/// chunks. Anything above this means generation held far more than one
-/// chunk beyond the store (see the module docs for what it still covers).
-const SUBSTRATE_RSS_ALLOWANCE: u64 = 192 * 1024 * 1024;
+/// chunks (one 65,536-row chunk frame is 4.5–7 MB). For german's ~17 MiB
+/// store that is ~97.5 MiB against a ~38–40 MiB peak: a whole-pool
+/// `DataFrame` (~112 MiB) held beyond the store exceeds it.
+const SUBSTRATE_RSS_ALLOWANCE: u64 = 64 * 1024 * 1024;
 
 /// Process peak resident set (`VmHWM`) in bytes; `None` off-Linux.
 fn peak_rss_bytes() -> Option<u64> {
@@ -209,14 +211,7 @@ fn micro_section(seed: u64) -> Value {
     let gbdt_hist_ms = time_ms(3, || {
         std::hint::black_box(GbdtClassifier::fit(&x, &y, 3, 50, 0.3, 1.0, 7));
     });
-    let gbdt_exact_ms = time_ms(3, || {
-        std::hint::black_box(GbdtClassifier::fit_exact(&x, &y, 3, 50, 0.3, 1.0, 7));
-    });
-    eprintln!(
-        "micro: gbdt hist {gbdt_hist_ms:.1}ms vs exact {gbdt_exact_ms:.1}ms \
-         ({:.1}x)",
-        gbdt_exact_ms / gbdt_hist_ms
-    );
+    eprintln!("micro: gbdt hist {gbdt_hist_ms:.1}ms");
 
     let mut train_ms = serde_json::Map::new();
     for kind in ModelKind::extended() {
@@ -246,8 +241,6 @@ fn micro_section(seed: u64) -> Value {
 
     json!({
         "gbdt_hist_ms": gbdt_hist_ms,
-        "gbdt_exact_ms": gbdt_exact_ms,
-        "gbdt_speedup": gbdt_exact_ms / gbdt_hist_ms,
         "train_ms": train_ms,
         "rectify_ms": rectify_ms,
     })
@@ -413,8 +406,6 @@ const REQUIRED: &[&[&str]] = &[
     &["substrate", "peak_rss_bytes"],
     &["substrate", "rss_ratio"],
     &["micro", "gbdt_hist_ms"],
-    &["micro", "gbdt_exact_ms"],
-    &["micro", "gbdt_speedup"],
     &["micro", "train_ms"],
     &["micro", "rectify_ms"],
     &["micro", "kernels", "hist", "naive_ms"],

@@ -207,8 +207,9 @@ static KILL_AFTER: AtomicUsize = AtomicUsize::new(0);
 
 /// `on_task_complete` hook: SIGKILL our own process once `done` reaches
 /// the threshold. SIGKILL cannot be caught, so whatever the journal holds
-/// at that instant is exactly what a real crash would leave.
-fn kill_hook(done: usize, _total: usize) {
+/// at that instant is exactly what a real crash would leave. Below the
+/// threshold it returns `false` (keep going).
+fn kill_hook(done: usize, _total: usize) -> bool {
     if done >= KILL_AFTER.load(Ordering::Relaxed) {
         eprintln!("demodq-bench study: self-kill after {done} task(s)");
         let _ = std::process::Command::new("kill")
@@ -219,6 +220,7 @@ fn kill_hook(done: usize, _total: usize) {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
     }
+    false
 }
 
 impl Cli {
@@ -231,7 +233,8 @@ impl Cli {
             resume: self.resume,
             failure_threshold: self.threshold,
             progress: true,
-            on_task_complete: (self.kill_after > 0).then_some(kill_hook as fn(usize, usize)),
+            on_task_complete: (self.kill_after > 0)
+                .then_some(kill_hook as fn(usize, usize) -> bool),
             repair_side: self.repair_side,
             ..StudyOptions::default()
         }

@@ -295,15 +295,14 @@ pub struct StudyOptions {
     /// Test hook: report `(dataset name, split)` tasks as failed without
     /// executing them (exercises the degradation path deterministically).
     pub inject_task_failure: Option<fn(dataset: &str, split: usize) -> bool>,
-    /// Test hook: stop starting new tasks once this many have been
-    /// executed this run, then return an interruption `Err` (simulates a
-    /// crash without killing the test process; the journal keeps what
-    /// completed).
-    pub stop_after_tasks: Option<usize>,
     /// Hook called after each newly executed task completes (and is
-    /// journaled), with `(tasks executed this run, total tasks)`. The
-    /// crash-resume CI smoke uses this to `kill -9` itself mid-run.
-    pub on_task_complete: Option<fn(done: usize, total: usize)>,
+    /// journaled), with `(tasks executed this run, total tasks)`.
+    /// Returning `true` stops the runner from starting new tasks; the run
+    /// then returns an interruption `Err` and the journal keeps what
+    /// completed. Tests use this to simulate a crash without killing the
+    /// process; the crash-resume CI smoke uses it to `kill -9` itself
+    /// mid-run.
+    pub on_task_complete: Option<fn(done: usize, total: usize) -> bool>,
     /// Which side of the pipeline the study's repairs act on. `Data`
     /// reproduces the paper's protocol exactly; `Model` / `Both` add
     /// post-training rectification of tree-structured models.
@@ -322,7 +321,6 @@ impl Default for StudyOptions {
             progress: false,
             progress_interval: Duration::from_secs(5),
             inject_task_failure: None,
-            stop_after_tasks: None,
             on_task_complete: None,
             repair_side: RepairSide::Data,
             rectify: RectifySpec::default(),

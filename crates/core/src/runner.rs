@@ -387,7 +387,7 @@ enum TaskOutcome {
     Replayed(TaskOutput),
     /// Failed; recorded and excluded from assembly.
     Failed(FailedTask),
-    /// Not started because `stop_after_tasks` tripped.
+    /// Not started because the `on_task_complete` hook asked to stop.
     Interrupted,
 }
 
@@ -532,7 +532,7 @@ pub fn run_error_type_study_with(
     // not-yet-started tasks see the flag at entry and return immediately
     // — the pool's workers then park on its condvar, nothing spins.
     const HALT_NONE: usize = 0;
-    const HALT_STOP_AFTER: usize = 1;
+    const HALT_STOP: usize = 1;
     const HALT_THRESHOLD: usize = 2;
     let halt = AtomicUsize::new(HALT_NONE);
 
@@ -605,16 +605,9 @@ pub fn run_error_type_study_with(
                 }
             }
             let done = executed.fetch_add(1, Ordering::SeqCst) + 1;
-            if options.stop_after_tasks.is_some_and(|limit| done >= limit) {
-                let _ = halt.compare_exchange(
-                    HALT_NONE,
-                    HALT_STOP_AFTER,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-            }
-            if let Some(hook) = options.on_task_complete {
-                hook(done, tasks.len());
+            if options.on_task_complete.is_some_and(|hook| hook(done, tasks.len())) {
+                let _ =
+                    halt.compare_exchange(HALT_NONE, HALT_STOP, Ordering::SeqCst, Ordering::SeqCst);
             }
             TaskOutcome::Done(output)
         })
@@ -663,7 +656,7 @@ pub fn run_error_type_study_with(
     }
     if interrupted {
         return Err(TabularError::InvalidArgument(format!(
-            "study interrupted after {} executed task(s) (stop_after_tasks); \
+            "study interrupted after {} executed task(s) (on_task_complete asked to stop); \
              the journal keeps completed work",
             executed.load(Ordering::SeqCst)
         )));

@@ -3,25 +3,20 @@
 //! underlying benchmark also evaluates decision trees and random forests,
 //! so they are provided for extension studies).
 //!
-//! The tree maximises Gini-impurity reduction. The production path
-//! ([`DecisionTreeClassifier::fit`] / [`RandomForestClassifier::fit`])
-//! finds splits over per-bin (positive, total) count histograms of a
-//! quantile-binned matrix — one O(n) pass per node instead of a sort per
-//! feature per node — and the forest shares a single [`BinnedMatrix`]
-//! across all bagged trees. [`DecisionTreeClassifier::fit_exact`] keeps
-//! the exact greedy splitter as the parity reference.
+//! The tree maximises Gini-impurity reduction. [`DecisionTreeClassifier::fit`]
+//! and [`RandomForestClassifier::fit`] find splits over per-bin (positive,
+//! total) count histograms of a quantile-binned matrix — one O(n) pass per
+//! node instead of a sort per feature per node — and the forest shares a
+//! single [`BinnedMatrix`] across all bagged trees. Trees are stored in
+//! the crate's one arena, [`RegressionTree`], whose leaf values here are
+//! positive-class probabilities: prediction and leaf rectification go
+//! through [`DecisionTreeClassifier::tree`] and
+//! [`RandomForestClassifier::trees`] exactly as for the GBDT's trees.
 
 use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
 use crate::model::Classifier;
-use crate::tree::{node_split_threshold, partition_rows};
+use crate::tree::{node_split_threshold, partition_rows, Node, RegressionTree};
 use tabular::{DenseMatrix, Rng64};
-
-/// One node of a classification tree.
-#[derive(Debug, Clone)]
-enum Node {
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
-    Leaf { probability: f64 },
-}
 
 /// Split-finding hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -41,10 +36,10 @@ impl Default for DTreeParams {
     }
 }
 
-/// A trained decision tree.
+/// A trained decision tree: leaf values are positive-class probabilities.
 #[derive(Debug, Clone)]
 pub struct DecisionTreeClassifier {
-    nodes: Vec<Node>,
+    tree: RegressionTree,
 }
 
 /// Gini impurity of a (pos, total) split side.
@@ -86,21 +81,21 @@ impl DecisionTreeClassifier {
         rng: &mut Rng64,
     ) -> Self {
         assert_eq!(binned.n_rows(), y.len(), "feature/label length mismatch");
-        let mut tree = DecisionTreeClassifier { nodes: Vec::new() };
+        let mut nodes = Vec::new();
         let mut rows = rows.to_vec();
-        tree.build_binned(binned, y, &mut rows, 0, params, rng, None);
-        tree
+        Self::build_binned(&mut nodes, binned, y, &mut rows, 0, params, rng, None);
+        DecisionTreeClassifier { tree: RegressionTree::from_nodes(nodes) }
     }
 
-    /// Fits a tree with exact greedy splits (a sort per feature per
-    /// node). Parity reference for the histogram path.
-    pub fn fit_exact(x: &DenseMatrix, y: &[u8], params: DTreeParams, seed: u64) -> Self {
-        assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
-        let rows: Vec<usize> = (0..x.n_rows()).collect();
-        let mut tree = DecisionTreeClassifier { nodes: Vec::new() };
-        let mut rng = Rng64::seed_from_u64(seed);
-        tree.build_exact(x, y, &rows, 0, params, &mut rng);
-        tree
+    /// The fitted tree; leaf values are positive-class probabilities.
+    pub fn tree(&self) -> &RegressionTree {
+        &self.tree
+    }
+
+    /// Mutable access to the tree (leaf rectification overwrites leaf
+    /// probabilities).
+    pub fn tree_mut(&mut self) -> &mut RegressionTree {
+        &mut self.tree
     }
 
     /// Accumulates (positive, total) counts per bin for the features in
@@ -127,9 +122,11 @@ impl DecisionTreeClassifier {
         hist
     }
 
+    /// Recursively builds the subtree for `rows` into `nodes`; returns
+    /// its arena index.
     #[allow(clippy::too_many_arguments)]
     fn build_binned(
-        &mut self,
+        nodes: &mut Vec<Node>,
         binned: &BinnedMatrix,
         y: &[u8],
         rows: &mut [usize],
@@ -141,7 +138,7 @@ impl DecisionTreeClassifier {
         let total = rows.len() as f64;
         let pos = rows.iter().filter(|&&i| y[i] == 1).count() as f64;
         let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { probability: if total > 0.0 { pos / total } else { 0.5 } });
+            nodes.push(Node::Leaf { value: if total > 0.0 { pos / total } else { 0.5 } });
             nodes.len() - 1
         };
         if depth >= params.max_depth
@@ -150,7 +147,7 @@ impl DecisionTreeClassifier {
             || pos == 0.0
             || pos == total
         {
-            return make_leaf(&mut self.nodes);
+            return make_leaf(nodes);
         }
         let parent_gini = gini(pos, total);
         let d = binned.n_cols();
@@ -192,13 +189,13 @@ impl DecisionTreeClassifier {
             }
         }
         match best {
-            None => make_leaf(&mut self.nodes),
+            None => make_leaf(nodes),
             Some((_, feature, bin)) => {
                 let threshold = node_split_threshold(binned, feature, bin, rows);
                 let column = binned.feature_bins(feature);
                 let split_at = partition_rows(rows, |i| usize::from(column[i]) <= bin);
-                let idx = self.nodes.len();
-                self.nodes.push(Node::Leaf { probability: 0.0 }); // placeholder
+                let idx = nodes.len();
+                nodes.push(Node::Leaf { value: 0.0 }); // placeholder
                 let (left_hist, right_hist) =
                     if params.max_features.is_none() && depth + 1 < params.max_depth {
                         let (left_rows, right_rows) = rows.split_at(split_at);
@@ -218,143 +215,14 @@ impl DecisionTreeClassifier {
                         (None, None)
                     };
                 let (left_rows, right_rows) = rows.split_at_mut(split_at);
-                let left =
-                    self.build_binned(binned, y, left_rows, depth + 1, params, rng, left_hist);
-                let right =
-                    self.build_binned(binned, y, right_rows, depth + 1, params, rng, right_hist);
-                self.nodes[idx] = Node::Split { feature, threshold, left, right };
+                let left = Self::build_binned(
+                    nodes, binned, y, left_rows, depth + 1, params, rng, left_hist,
+                );
+                let right = Self::build_binned(
+                    nodes, binned, y, right_rows, depth + 1, params, rng, right_hist,
+                );
+                nodes[idx] = Node::Split { feature, threshold, left, right };
                 idx
-            }
-        }
-    }
-
-    fn build_exact(
-        &mut self,
-        x: &DenseMatrix,
-        y: &[u8],
-        rows: &[usize],
-        depth: usize,
-        params: DTreeParams,
-        rng: &mut Rng64,
-    ) -> usize {
-        let total = rows.len() as f64;
-        let pos = rows.iter().filter(|&&i| y[i] == 1).count() as f64;
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { probability: if total > 0.0 { pos / total } else { 0.5 } });
-            nodes.len() - 1
-        };
-        if depth >= params.max_depth
-            || rows.len() < params.min_samples_split
-            // lint:allow(F001, exact-zero guard: pos is a sum of 0/1 labels, pure-node check)
-            || pos == 0.0
-            || pos == total
-        {
-            return make_leaf(&mut self.nodes);
-        }
-        let parent_gini = gini(pos, total);
-        // Feature subset.
-        let d = x.n_cols();
-        let features: Vec<usize> = match params.max_features {
-            None => (0..d).collect(),
-            Some(m) => rng.sample_indices(d, m.min(d).max(1)),
-        };
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        let mut sorted: Vec<(f64, u8)> = Vec::with_capacity(rows.len());
-        for &feature in &features {
-            sorted.clear();
-            sorted.extend(rows.iter().map(|&i| (x.get(i, feature), y[i])));
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let mut left_pos = 0.0;
-            for w in 0..sorted.len() - 1 {
-                left_pos += f64::from(sorted[w].1);
-                if sorted[w].0 == sorted[w + 1].0 {
-                    continue;
-                }
-                let left_n = (w + 1) as f64;
-                let right_n = total - left_n;
-                let right_pos = pos - left_pos;
-                let weighted = (left_n * gini(left_pos, left_n)
-                    + right_n * gini(right_pos, right_n))
-                    / total;
-                let gain = parent_gini - weighted;
-                if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
-                    best = Some((gain, feature, 0.5 * (sorted[w].0 + sorted[w + 1].0)));
-                }
-            }
-        }
-        match best {
-            None => make_leaf(&mut self.nodes),
-            Some((_, feature, threshold)) => {
-                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                    rows.iter().partition(|&&i| x.get(i, feature) <= threshold);
-                let idx = self.nodes.len();
-                self.nodes.push(Node::Leaf { probability: 0.0 }); // placeholder
-                let left = self.build_exact(x, y, &left_rows, depth + 1, params, rng);
-                let right = self.build_exact(x, y, &right_rows, depth + 1, params, rng);
-                self.nodes[idx] = Node::Split { feature, threshold, left, right };
-                idx
-            }
-        }
-    }
-
-    /// Positive-class probability for one encoded row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { probability } => return *probability,
-                Node::Split { feature, threshold, left, right } => {
-                    idx = if row[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Arena indices of every leaf, in arena (construction) order.
-    pub fn leaf_ids(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| matches!(n, Node::Leaf { .. }).then_some(i))
-            .collect()
-    }
-
-    /// The leaf's positive-class probability; `None` when `node` is not a
-    /// leaf (or out of range).
-    pub fn leaf_probability(&self, node: usize) -> Option<f64> {
-        match self.nodes.get(node) {
-            Some(Node::Leaf { probability }) => Some(*probability),
-            _ => None,
-        }
-    }
-
-    /// Overwrites a leaf's probability (leaf rectification). Returns
-    /// `false` — without modifying anything — when `node` is not a leaf.
-    pub fn set_leaf_probability(&mut self, node: usize, probability: f64) -> bool {
-        match self.nodes.get_mut(node) {
-            Some(Node::Leaf { probability: p }) => {
-                *p = probability;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Arena index of the leaf `row` routes to (same traversal as
-    /// [`DecisionTreeClassifier::predict_row`]).
-    pub fn leaf_for_row(&self, row: &[f64]) -> usize {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { .. } => return idx,
-                Node::Split { feature, threshold, left, right } => {
-                    idx = if row[*feature] <= *threshold { *left } else { *right };
-                }
             }
         }
     }
@@ -362,7 +230,7 @@ impl DecisionTreeClassifier {
 
 impl Classifier for DecisionTreeClassifier {
     fn predict_proba(&self, x: &DenseMatrix) -> Vec<f64> {
-        (0..x.n_rows()).map(|i| self.predict_row(x.row(i))).collect()
+        (0..x.n_rows()).map(|i| self.tree.predict_row(x.row(i))).collect()
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -380,9 +248,9 @@ fn subtract_hist(mut parent: ClassHist, small: &ClassHist) -> ClassHist {
     parent
 }
 
-/// A bagged random forest.
+/// A bagged random forest of probability trees.
 pub struct RandomForestClassifier {
-    trees: Vec<DecisionTreeClassifier>,
+    trees: Vec<RegressionTree>,
 }
 
 impl RandomForestClassifier {
@@ -414,10 +282,10 @@ impl RandomForestClassifier {
         let trees = (0..n_trees)
             .map(|_| {
                 if n == 0 {
-                    DecisionTreeClassifier { nodes: vec![Node::Leaf { probability: 0.5 }] }
+                    RegressionTree::from_nodes(vec![Node::Leaf { value: 0.5 }])
                 } else {
                     let sample: Vec<usize> = (0..n).map(|_| rows[rng.below(n)]).collect();
-                    DecisionTreeClassifier::fit_binned(binned, &sample, y, params, rng)
+                    DecisionTreeClassifier::fit_binned(binned, &sample, y, params, rng).tree
                 }
             })
             .collect();
@@ -429,14 +297,15 @@ impl RandomForestClassifier {
         self.trees.len()
     }
 
-    /// The bagged component trees, in fitting order.
-    pub fn trees(&self) -> &[DecisionTreeClassifier] {
+    /// The bagged component trees, in fitting order; leaf values are
+    /// positive-class probabilities.
+    pub fn trees(&self) -> &[RegressionTree] {
         &self.trees
     }
 
     /// Mutable access to the component trees (leaf rectification edits
     /// the first tree's leaf probabilities to steer the ensemble mean).
-    pub fn trees_mut(&mut self) -> &mut [DecisionTreeClassifier] {
+    pub fn trees_mut(&mut self) -> &mut [RegressionTree] {
         &mut self.trees
     }
 }
@@ -485,20 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_tree_learns_xor() {
-        let (x, y) = xor_data(200);
-        let tree = DecisionTreeClassifier::fit_exact(&x, &y, DTreeParams::default(), 3);
-        let preds = tree.predict(&x);
-        let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
-        assert!(correct >= 195, "correct={correct}/200");
-    }
-
-    #[test]
     fn pure_node_stops_early() {
         let x = DenseMatrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]);
         let tree = DecisionTreeClassifier::fit(&x, &[1, 1, 1, 1], DTreeParams::default(), 0);
-        assert_eq!(tree.n_nodes(), 1);
-        assert_eq!(tree.predict_row(&[2.0]), 1.0);
+        assert_eq!(tree.tree().n_nodes(), 1);
+        assert_eq!(tree.tree().predict_row(&[2.0]), 1.0);
     }
 
     #[test]
@@ -511,7 +371,7 @@ mod tests {
             0,
         );
         // Depth 1 => at most 3 nodes (root + 2 leaves).
-        assert!(stump.n_nodes() <= 3);
+        assert!(stump.tree().n_nodes() <= 3);
     }
 
     #[test]
@@ -529,19 +389,7 @@ mod tests {
         let a = DecisionTreeClassifier::fit(&x, &y, DTreeParams::default(), 9);
         let b = DecisionTreeClassifier::fit(&x, &y, DTreeParams::default(), 9);
         assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
-        assert_eq!(a.n_nodes(), b.n_nodes());
-    }
-
-    #[test]
-    fn binned_tree_tracks_exact_accuracy() {
-        let (x, y) = xor_data(300);
-        let hist = DecisionTreeClassifier::fit(&x, &y, DTreeParams::default(), 3);
-        let exact = DecisionTreeClassifier::fit_exact(&x, &y, DTreeParams::default(), 3);
-        let acc = |preds: Vec<u8>| {
-            preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64
-        };
-        let (ha, ea) = (acc(hist.predict(&x)), acc(exact.predict(&x)));
-        assert!((ha - ea).abs() <= 0.02, "hist {ha} vs exact {ea}");
+        assert_eq!(a.tree().n_nodes(), b.tree().n_nodes());
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! instead of re-sorting every feature at every node. Callers that train
 //! many models on the same matrix (cross-validation, the hyperparameter
 //! grid) can bin once themselves and use [`GbdtClassifier::fit_binned`].
-//! [`GbdtClassifier::fit_exact`] keeps the exact greedy splitter as the
-//! parity/benchmark reference.
+//! The exact greedy splitter the histograms replaced is the reference of
+//! `tests/hist_parity.rs`.
 
 use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
 use crate::linalg::sigmoid;
 use crate::model::Classifier;
 use crate::scratch;
-use crate::tree::{LeafRows, RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, TreeParams};
 use tabular::{DenseMatrix, Rng64};
 
 /// A trained gradient-boosted tree ensemble.
@@ -24,16 +24,6 @@ pub struct GbdtClassifier {
     trees: Vec<RegressionTree>,
     learning_rate: f64,
     base_score: f64,
-}
-
-/// Fixed GBDT hyperparameters bundled for the two fit paths.
-#[derive(Debug, Clone, Copy)]
-struct BoostParams {
-    max_depth: usize,
-    n_rounds: usize,
-    learning_rate: f64,
-    reg_lambda: f64,
-    seed: u64,
 }
 
 impl GbdtClassifier {
@@ -78,67 +68,7 @@ impl GbdtClassifier {
     ) -> Self {
         assert_eq!(binned.n_rows(), x.n_rows(), "binned/raw row mismatch");
         assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
-        let params = BoostParams { max_depth, n_rounds, learning_rate, reg_lambda, seed };
-        Self::boost(params, rows, y, x.n_rows(), |grad, hess, sample| {
-            let (tree, routed) = RegressionTree::fit_binned_routed(
-                binned,
-                sample,
-                grad,
-                hess,
-                Self::tree_params(&params),
-            );
-            (tree, Some(routed))
-        }, |tree, i| tree.predict_row(x.row(i)))
-    }
-
-    /// Fits with exact greedy splits (the pre-histogram implementation):
-    /// every feature re-sorted at every node of every round. Kept as the
-    /// parity reference and benchmark baseline.
-    pub fn fit_exact(
-        x: &DenseMatrix,
-        y: &[u8],
-        max_depth: usize,
-        n_rounds: usize,
-        learning_rate: f64,
-        reg_lambda: f64,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
-        let rows: Vec<usize> = (0..x.n_rows()).collect();
-        let params = BoostParams { max_depth, n_rounds, learning_rate, reg_lambda, seed };
-        Self::boost(params, &rows, y, x.n_rows(), |grad, hess, sample| {
-            // The exact splitter works on a materialised submatrix with
-            // locally indexed gradients, as the original implementation did.
-            let sub_x = x.take_rows(sample);
-            let sub_g: Vec<f64> = sample.iter().map(|&i| grad[i]).collect();
-            let sub_h: Vec<f64> = sample.iter().map(|&i| hess[i]).collect();
-            (RegressionTree::fit_exact(&sub_x, &sub_g, &sub_h, Self::tree_params(&params)), None)
-        }, |tree, i| tree.predict_row(x.row(i)))
-    }
-
-    fn tree_params(params: &BoostParams) -> TreeParams {
-        TreeParams {
-            max_depth: params.max_depth,
-            reg_lambda: params.reg_lambda,
-            min_child_weight: 1.0,
-            min_gain: 1e-6,
-        }
-    }
-
-    /// The shared boosting loop. `fit_tree(grad, hess, sample_rows)`
-    /// fits one weak learner (gradients indexed by global row id), with
-    /// the leaf groups of the sampled rows when the learner partitioned
-    /// them; `predict(tree, i)` scores global row `i`.
-    fn boost(
-        params: BoostParams,
-        rows: &[usize],
-        y: &[u8],
-        n_global: usize,
-        mut fit_tree: impl FnMut(&[f64], &[f64], &[usize]) -> (RegressionTree, Option<LeafRows>),
-        predict: impl Fn(&RegressionTree, usize) -> f64,
-    ) -> Self {
         let n = rows.len();
-        let learning_rate = params.learning_rate;
         if n == 0 {
             return GbdtClassifier { trees: Vec::new(), learning_rate, base_score: 0.0 };
         }
@@ -150,18 +80,20 @@ impl GbdtClassifier {
         // read, so one allocation serves any subset. Pulled from the
         // per-thread scratch pool — one persistent pool worker runs many
         // fits back to back and reuses the same allocations.
+        let n_global = x.n_rows();
         let mut scores = scratch::take_f64();
         scores.resize(n_global, base_score);
         let mut grad = scratch::take_f64();
         grad.resize(n_global, 0.0);
         let mut hess = scratch::take_f64();
         hess.resize(n_global, 0.0);
-        let mut trees = Vec::with_capacity(params.n_rounds);
-        let mut rng = Rng64::seed_from_u64(params.seed);
+        let params = TreeParams { max_depth, reg_lambda, min_child_weight: 1.0, min_gain: 1e-6 };
+        let mut trees = Vec::with_capacity(n_rounds);
+        let mut rng = Rng64::seed_from_u64(seed);
         let subsample = ((n as f64) * 0.8).ceil() as usize;
         let mut sample = scratch::take_usize();
         let mut unsampled = scratch::take_usize();
-        for _ in 0..params.n_rounds {
+        for _ in 0..n_rounds {
             // Stochastic row subsample (without replacement), drawn into a
             // pooled buffer as ascending positions into `rows`; the rest
             // go to `unsampled`, then both become global row ids.
@@ -178,7 +110,8 @@ impl GbdtClassifier {
             // score, so only the rows this round's tree will read need a
             // refresh — the unsampled 20% would go unread.
             crate::kernels::logistic_grad_hess(&sample, &scores, y, &mut grad, &mut hess);
-            let (tree, routed) = fit_tree(&grad, &hess, &sample);
+            let (tree, routed) =
+                RegressionTree::fit_binned_routed(binned, &sample, &grad, &hess, params);
             if tree.n_nodes() == 1 && tree.predict_row(&[]).abs() < 1e-12 {
                 // Degenerate round (no usable split, near-zero leaf); the
                 // remaining rounds would be identical — stop early.
@@ -188,20 +121,17 @@ impl GbdtClassifier {
             // the build certified that raw routing agrees with the bins,
             // a sampled row's leaf is the one the build partitioned it
             // into; only the unsampled rows walk the tree.
-            match routed.filter(|r| r.exact) {
-                Some(routed) => {
-                    for (value, group) in routed.leaves() {
-                        let step = learning_rate * value;
-                        group.iter().for_each(|&i| scores[i] += step);
-                    }
-                    for &i in unsampled.iter() {
-                        scores[i] += learning_rate * predict(&tree, i);
-                    }
+            if routed.exact {
+                for (value, group) in routed.leaves() {
+                    let step = learning_rate * value;
+                    group.iter().for_each(|&i| scores[i] += step);
                 }
-                None => {
-                    for &i in rows {
-                        scores[i] += learning_rate * predict(&tree, i);
-                    }
+                for &i in unsampled.iter() {
+                    scores[i] += learning_rate * tree.predict_row(x.row(i));
+                }
+            } else {
+                for &i in rows {
+                    scores[i] += learning_rate * tree.predict_row(x.row(i));
                 }
             }
             trees.push(tree);
@@ -281,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_splitter_learns_xor() {
-        let (x, y) = xor_data();
-        let model = GbdtClassifier::fit_exact(&x, &y, 3, 40, 0.3, 1.0, 7);
-        let preds = model.predict(&x);
-        let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
-        assert!(correct >= 38, "correct={correct}/40");
-    }
-
-    #[test]
     fn base_score_matches_base_rate_without_signal() {
         let x = DenseMatrix::zeros(50, 1);
         let y: Vec<u8> = (0..50).map(|i| u8::from(i < 10)).collect();
@@ -360,29 +281,5 @@ mod tests {
         let model = GbdtClassifier::fit_binned(&binned, &x, &rows, &y, 3, 30, 0.3, 1.0, 5);
         let probe = DenseMatrix::from_vec(2, 1, vec![2.0, 17.0]);
         assert_eq!(model.predict(&probe), vec![0, 1]);
-    }
-
-    #[test]
-    fn hist_and_exact_agree_on_few_distinct_values() {
-        // With few distinct values the histogram candidate thresholds are
-        // the exact ones, so both paths produce identical ensembles.
-        let (x, y) = {
-            let mut data = Vec::new();
-            let mut y = Vec::new();
-            for i in 0..80 {
-                let a = f64::from(i % 4);
-                let b = f64::from((i / 4) % 3);
-                data.push(a);
-                data.push(b);
-                y.push(u8::from(a + b >= 3.0));
-            }
-            (DenseMatrix::from_vec(80, 2, data), y)
-        };
-        let hist = GbdtClassifier::fit(&x, &y, 3, 20, 0.3, 1.0, 11);
-        let exact = GbdtClassifier::fit_exact(&x, &y, 3, 20, 0.3, 1.0, 11);
-        let (ph, pe) = (hist.predict_proba(&x), exact.predict_proba(&x));
-        for (a, b) in ph.iter().zip(&pe) {
-            assert!((a - b).abs() < 1e-9, "hist {a} vs exact {b}");
-        }
     }
 }

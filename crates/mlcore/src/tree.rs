@@ -1,26 +1,25 @@
 //! Regression trees over (gradient, hessian) targets — the weak learner of
 //! the gradient-boosted classifier, using the second-order gain and leaf
-//! weight formulas of the XGBoost paper.
+//! weight formulas of the XGBoost paper — and the one tree arena of the
+//! crate: [`RegressionTree`] also stores the decision tree's and the
+//! random forest's trees (leaf values are then probabilities), so
+//! prediction and leaf rectification walk every tree family the same way.
 //!
-//! Two split finders are provided:
-//!
-//! * [`RegressionTree::fit_binned`] — the production path: per-bin
-//!   (gradient, hessian) histograms over a shared [`BinnedMatrix`],
-//!   accumulated in one O(n) pass per node with sibling-histogram
-//!   subtraction (the larger child's histogram is the parent's minus the
-//!   smaller child's, so each row is scanned roughly once per level).
-//! * [`RegressionTree::fit_exact`] — the exact greedy reference that
-//!   re-sorts every feature at every node; kept for the
-//!   histogram-vs-exact parity tests and as the accuracy baseline.
+//! [`RegressionTree::fit_binned`] finds splits over per-bin (gradient,
+//! hessian) histograms of a shared [`BinnedMatrix`], accumulated in one
+//! O(n) pass per node with sibling-histogram subtraction (the larger
+//! child's histogram is the parent's minus the smaller child's, so each
+//! row is scanned roughly once per level). The exact greedy splitter it
+//! replaced is kept once, as the reference of `tests/hist_parity.rs`.
 
 use crate::binned::BinnedMatrix;
 use crate::kernels::{HistF32, HIST_QUAD};
 use crate::scratch;
-use tabular::DenseMatrix;
 
-/// One node of a regression tree, stored in a flat arena.
+/// One node of a tree, stored in a flat arena: a split routes a row left
+/// when its value is ≤ the threshold, a leaf holds the tree's output.
 #[derive(Debug, Clone)]
-enum Node {
+pub(crate) enum Node {
     Split {
         feature: usize,
         threshold: f64,
@@ -34,7 +33,9 @@ enum Node {
     },
 }
 
-/// A depth-limited regression tree fit on per-row gradients and hessians.
+/// A depth-limited tree in a flat node arena (root at index 0): a
+/// regression tree fit on per-row gradients and hessians, or a
+/// classification tree whose leaves hold positive-class probabilities.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
@@ -60,18 +61,10 @@ impl Default for TreeParams {
 }
 
 impl RegressionTree {
-    /// Fits a tree minimising the second-order objective
-    /// `Σ g_i f(x_i) + ½ Σ h_i f(x_i)² + ½ λ Σ w²` with exact greedy
-    /// splits (every feature re-sorted at every node). Reference
-    /// implementation — the boosting hot path uses
-    /// [`RegressionTree::fit_binned`].
-    pub fn fit_exact(x: &DenseMatrix, grad: &[f64], hess: &[f64], params: TreeParams) -> Self {
-        assert_eq!(x.n_rows(), grad.len(), "gradient length mismatch");
-        assert_eq!(x.n_rows(), hess.len(), "hessian length mismatch");
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        let rows: Vec<usize> = (0..x.n_rows()).collect();
-        tree.build_exact(x, grad, hess, &rows, 0, params);
-        tree
+    /// A tree over a node arena built elsewhere in the crate (root at
+    /// index 0, children after their parent).
+    pub(crate) fn from_nodes(nodes: Vec<Node>) -> Self {
+        RegressionTree { nodes }
     }
 
     /// Fits a tree with histogram split finding on the rows `rows` of a
@@ -121,77 +114,6 @@ impl RegressionTree {
         builder.build(rows_buf.as_mut_slice(), 0, None, (g_sum, h_sum));
         let HistBuilder { nodes, leaves, exact, .. } = builder;
         (RegressionTree { nodes }, LeafRows { rows: rows_buf, leaves, exact })
-    }
-
-    /// Recursively builds the subtree for `rows` with exact greedy splits;
-    /// returns its arena index.
-    fn build_exact(
-        &mut self,
-        x: &DenseMatrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        depth: usize,
-        params: TreeParams,
-    ) -> usize {
-        let g_sum: f64 = rows.iter().map(|&i| grad[i]).sum();
-        let h_sum: f64 = rows.iter().map(|&i| hess[i]).sum();
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            let value = if h_sum + params.reg_lambda > 0.0 {
-                -g_sum / (h_sum + params.reg_lambda)
-            } else {
-                0.0
-            };
-            nodes.push(Node::Leaf { value });
-            nodes.len() - 1
-        };
-        if depth >= params.max_depth || rows.len() < 2 {
-            return make_leaf(&mut self.nodes);
-        }
-        let parent_score = g_sum * g_sum / (h_sum + params.reg_lambda);
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        let mut sorted: Vec<(f64, f64, f64)> = Vec::with_capacity(rows.len());
-        for feature in 0..x.n_cols() {
-            sorted.clear();
-            sorted.extend(rows.iter().map(|&i| (x.get(i, feature), grad[i], hess[i])));
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for w in 0..sorted.len() - 1 {
-                gl += sorted[w].1;
-                hl += sorted[w].2;
-                // Can't split between identical values.
-                if sorted[w].0 == sorted[w + 1].0 {
-                    continue;
-                }
-                let gr = g_sum - gl;
-                let hr = h_sum - hl;
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
-                }
-                let gain = gl * gl / (hl + params.reg_lambda)
-                    + gr * gr / (hr + params.reg_lambda)
-                    - parent_score;
-                if gain > params.min_gain && best.is_none_or(|(bg, _, _)| gain > bg) {
-                    let threshold = 0.5 * (sorted[w].0 + sorted[w + 1].0);
-                    best = Some((gain, feature, threshold));
-                }
-            }
-        }
-        match best {
-            None => make_leaf(&mut self.nodes),
-            Some((_, feature, threshold)) => {
-                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                    rows.iter().partition(|&&i| x.get(i, feature) <= threshold);
-                // Reserve our slot before recursing so children land after us.
-                let idx = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-                let left = self.build_exact(x, grad, hess, &left_rows, depth + 1, params);
-                let right = self.build_exact(x, grad, hess, &right_rows, depth + 1, params);
-                self.nodes[idx] = Node::Split { feature, threshold, left, right };
-                idx
-            }
-        }
     }
 
     /// Prediction for a single encoded row.
@@ -588,6 +510,7 @@ pub(crate) fn node_split_threshold(
 mod tests {
     use super::*;
     use crate::binned::DEFAULT_N_BINS;
+    use tabular::DenseMatrix;
 
     /// Builds gradients/hessians equivalent to a squared-error fit of
     /// `target` from a zero prediction: g = -target, h = 1.
@@ -595,14 +518,11 @@ mod tests {
         (targets.iter().map(|t| -t).collect(), vec![1.0; targets.len()])
     }
 
-    /// Fits both implementations on the same data.
-    fn fit_both(x: &DenseMatrix, g: &[f64], h: &[f64], params: TreeParams) -> [RegressionTree; 2] {
+    /// Fits a histogram tree on every row of `x`.
+    fn fit_hist(x: &DenseMatrix, g: &[f64], h: &[f64], params: TreeParams) -> RegressionTree {
         let binned = BinnedMatrix::from_matrix(x, DEFAULT_N_BINS);
         let rows: Vec<usize> = (0..x.n_rows()).collect();
-        [
-            RegressionTree::fit_exact(x, g, h, params),
-            RegressionTree::fit_binned(&binned, &rows, g, h, params),
-        ]
+        RegressionTree::fit_binned(&binned, &rows, g, h, params)
     }
 
     #[test]
@@ -610,50 +530,39 @@ mod tests {
         let x = DenseMatrix::from_vec(6, 1, vec![0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
         let targets = [0.0, 0.0, 0.0, 5.0, 5.0, 5.0];
         let (g, h) = sq_error_setup(&targets);
-        for tree in fit_both(
+        let tree = fit_hist(
             &x,
             &g,
             &h,
             TreeParams { max_depth: 2, reg_lambda: 0.0, min_child_weight: 0.5, min_gain: 1e-6 },
-        ) {
-            // Leaf values should approximate group means.
-            assert!((tree.predict_row(&[1.0]) - 0.0).abs() < 1e-9);
-            assert!((tree.predict_row(&[11.0]) - 5.0).abs() < 1e-9);
-            assert!(tree.n_leaves() >= 2);
-        }
+        );
+        // Leaf values should approximate group means.
+        assert!((tree.predict_row(&[1.0]) - 0.0).abs() < 1e-9);
+        assert!((tree.predict_row(&[11.0]) - 5.0).abs() < 1e-9);
+        assert!(tree.n_leaves() >= 2);
     }
 
     #[test]
     fn depth_zero_returns_single_leaf_mean() {
         let x = DenseMatrix::from_vec(4, 1, vec![0.0, 1.0, 2.0, 3.0]);
         let (g, h) = sq_error_setup(&[1.0, 2.0, 3.0, 4.0]);
-        for tree in fit_both(
+        let tree = fit_hist(
             &x,
             &g,
             &h,
             TreeParams { max_depth: 0, reg_lambda: 0.0, min_child_weight: 0.0, min_gain: 0.0 },
-        ) {
-            assert_eq!(tree.n_nodes(), 1);
-            assert!((tree.predict_row(&[0.0]) - 2.5).abs() < 1e-9);
-        }
+        );
+        assert_eq!(tree.n_nodes(), 1);
+        assert!((tree.predict_row(&[0.0]) - 2.5).abs() < 1e-9);
     }
 
     #[test]
     fn regularisation_shrinks_leaf_values() {
         let x = DenseMatrix::from_vec(2, 1, vec![0.0, 1.0]);
         let (g, h) = sq_error_setup(&[4.0, 4.0]);
-        let weak = RegressionTree::fit_exact(
-            &x,
-            &g,
-            &h,
-            TreeParams { max_depth: 0, reg_lambda: 0.0, ..Default::default() },
-        );
-        let strong = RegressionTree::fit_exact(
-            &x,
-            &g,
-            &h,
-            TreeParams { max_depth: 0, reg_lambda: 10.0, ..Default::default() },
-        );
+        let params = |reg_lambda| TreeParams { max_depth: 0, reg_lambda, ..Default::default() };
+        let weak = fit_hist(&x, &g, &h, params(0.0));
+        let strong = fit_hist(&x, &g, &h, params(10.0));
         assert!(strong.predict_row(&[0.0]).abs() < weak.predict_row(&[0.0]).abs());
     }
 
@@ -661,25 +570,22 @@ mod tests {
     fn constant_feature_yields_leaf() {
         let x = DenseMatrix::from_vec(4, 1, vec![7.0; 4]);
         let (g, h) = sq_error_setup(&[0.0, 1.0, 0.0, 1.0]);
-        for tree in fit_both(&x, &g, &h, TreeParams::default()) {
-            assert_eq!(tree.n_nodes(), 1);
-        }
+        assert_eq!(fit_hist(&x, &g, &h, TreeParams::default()).n_nodes(), 1);
     }
 
     #[test]
     fn min_child_weight_blocks_tiny_splits() {
         let x = DenseMatrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]);
         let (g, h) = sq_error_setup(&[0.0, 0.0, 9.0]);
-        for tree in fit_both(
+        let tree = fit_hist(
             &x,
             &g,
             &h,
             TreeParams { max_depth: 3, reg_lambda: 0.0, min_child_weight: 2.0, min_gain: 0.0 },
-        ) {
-            // Any split would isolate <2 hessian weight on one side except 2|1...
-            // left {0,1} has weight 2, right {2} has weight 1 < 2 -> blocked.
-            assert_eq!(tree.n_nodes(), 1);
-        }
+        );
+        // Any split would isolate <2 hessian weight on one side except 2|1...
+        // left {0,1} has weight 2, right {2} has weight 1 < 2 -> blocked.
+        assert_eq!(tree.n_nodes(), 1);
     }
 
     #[test]
@@ -687,32 +593,14 @@ mod tests {
         // Feature 0 is noise (constant), feature 1 separates the targets.
         let x = DenseMatrix::from_vec(4, 2, vec![5.0, 0.0, 5.0, 1.0, 5.0, 10.0, 5.0, 11.0]);
         let (g, h) = sq_error_setup(&[0.0, 0.0, 8.0, 8.0]);
-        for tree in fit_both(
+        let tree = fit_hist(
             &x,
             &g,
             &h,
             TreeParams { max_depth: 1, reg_lambda: 0.0, min_child_weight: 0.5, min_gain: 1e-9 },
-        ) {
-            assert!((tree.predict_row(&[5.0, 0.5]) - 0.0).abs() < 1e-9);
-            assert!((tree.predict_row(&[5.0, 10.5]) - 8.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn binned_matches_exact_on_few_distinct_values() {
-        // With <= max_bins distinct values the histogram candidate set is
-        // the exact candidate set, so both trees predict identically.
-        let values: Vec<f64> = (0..60).map(|i| f64::from(i % 6)).collect();
-        let targets: Vec<f64> = values.iter().map(|&v| if v < 3.0 { -1.0 } else { 2.0 }).collect();
-        let x = DenseMatrix::from_vec(60, 1, values);
-        let (g, h) = sq_error_setup(&targets);
-        let [exact, binned] = fit_both(&x, &g, &h, TreeParams::default());
-        for probe in [0.0, 1.0, 2.5, 3.0, 4.9, 5.0] {
-            assert!(
-                (exact.predict_row(&[probe]) - binned.predict_row(&[probe])).abs() < 1e-9,
-                "probe {probe}"
-            );
-        }
+        );
+        assert!((tree.predict_row(&[5.0, 0.5]) - 0.0).abs() < 1e-9);
+        assert!((tree.predict_row(&[5.0, 10.5]) - 8.0).abs() < 1e-9);
     }
 
     #[test]

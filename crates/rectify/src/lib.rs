@@ -47,6 +47,10 @@
 //!   `base_score + lr·Σ trees`, flipping the sign of the decision
 //!   function for the whole cell.
 //!
+//! All three store their trees as `mlcore::RegressionTree`s, so every
+//! family is edited through the same `leaf_for_row` / `leaf_value` /
+//! `set_leaf_value`; only what a leaf value means differs.
+//!
 //! Post-edit metrics are recomputed from the **mutated model's actual
 //! predictions**, never from the search's algebra, so the report's
 //! `constraint_met` is an honest end-to-end check that the score
@@ -340,7 +344,7 @@ pub fn rectify_tree(
         return untouched_report("decision-tree", opts, &state);
     }
     let leaf_per_row: Vec<usize> =
-        (0..x_val.n_rows()).map(|i| model.leaf_for_row(x_val.row(i))).collect();
+        (0..x_val.n_rows()).map(|i| model.tree().leaf_for_row(x_val.row(i))).collect();
     let cells = build_cells(&leaf_per_row);
     let accountings =
         per_leaf_accounting(&cells.assignment, cells.leaves.len(), y_val, &pre_pred, groups);
@@ -348,9 +352,9 @@ pub fn rectify_tree(
     let mut edits = Vec::with_capacity(decision.flips.len());
     for &(cell, label) in &decision.flips {
         let leaf = cells.leaves[cell];
-        let old = model.leaf_probability(leaf).unwrap_or(0.5);
+        let old = model.tree().leaf_value(leaf).unwrap_or(0.5);
         let new = f64::from(label);
-        if model.set_leaf_probability(leaf, new) {
+        if model.tree_mut().set_leaf_value(leaf, new) {
             edits.push(LeafEdit { tree: 0, leaf, to_label: label, old_score: old, new_score: new });
         }
     }
@@ -398,8 +402,8 @@ pub fn rectify_forest(
         } else {
             thresholds.fold(f64::INFINITY, f64::min) - FORCE_MARGIN
         };
-        let old = model.trees()[0].leaf_probability(leaf).unwrap_or(0.5);
-        if model.trees_mut()[0].set_leaf_probability(leaf, new) {
+        let old = model.trees()[0].leaf_value(leaf).unwrap_or(0.5);
+        if model.trees_mut()[0].set_leaf_value(leaf, new) {
             edits.push(LeafEdit { tree: 0, leaf, to_label: label, old_score: old, new_score: new });
         }
     }

@@ -7,14 +7,200 @@
 //! must not move: test accuracy stays within 0.02 and per-group disparity
 //! signs are unchanged (up to near-zero disparities, where the sign
 //! carries no information).
+//!
+//! The exact splitter lives only here, as [`ExactTree`]: mlcore trains
+//! every tree with histograms, and this file keeps the one reference they
+//! are held to.
 
 use datasets::DatasetId;
 use demodq::pipeline::sample_split;
 use demodq::StudyScale;
 use fairness::{group_confusions, FairnessMetric, GroupConfusions};
+use mlcore::dtree::DTreeParams;
 use mlcore::kernels::{self, HistF32, HIST_QUAD};
-use mlcore::{accuracy, BinnedMatrix, Classifier, DecisionTreeClassifier, GbdtClassifier, DEFAULT_N_BINS};
-use tabular::{DataFrame, DenseMatrix, FeatureEncoder};
+use mlcore::linalg::sigmoid;
+use mlcore::{
+    accuracy, BinnedMatrix, Classifier, DecisionTreeClassifier, GbdtClassifier, RegressionTree,
+    TreeParams, DEFAULT_N_BINS,
+};
+use tabular::{DataFrame, DenseMatrix, FeatureEncoder, Rng64};
+
+/// One node of an [`ExactTree`].
+enum ExactNode {
+    Split { feature: usize, threshold: f64, left: usize, right: usize },
+    Leaf(f64),
+}
+
+/// The exact greedy regression tree over (gradient, hessian) targets:
+/// every feature re-sorted at every node, every midpoint between adjacent
+/// distinct values a candidate, scored with the second-order gain and
+/// leaf weight of mlcore's histogram trainer ([`TreeParams`]).
+///
+/// Boosted ([`ExactGbdt`]) it is the exact-split GBDT. Fit on g = −y,
+/// h = 1, λ = 0 ([`exact_dtree`]) it is the exact Gini decision tree: for
+/// 0/1 labels its gain is n/2 × the Gini gain, and its leaf value −Σg/Σh
+/// is the leaf's positive fraction.
+struct ExactTree(Vec<ExactNode>);
+
+impl ExactTree {
+    /// Fits on the rows `rows` of `x`; `grad` and `hess` are indexed by
+    /// row of `x`.
+    fn fit(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        params: TreeParams,
+    ) -> Self {
+        let mut tree = ExactTree(Vec::new());
+        tree.build(x, grad, hess, rows, 0, params);
+        tree
+    }
+
+    /// Builds the subtree for `rows`; returns its arena index.
+    fn build(
+        &mut self,
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        depth: usize,
+        params: TreeParams,
+    ) -> usize {
+        let g_sum: f64 = rows.iter().map(|&i| grad[i]).sum();
+        let h_sum: f64 = rows.iter().map(|&i| hess[i]).sum();
+        let make_leaf = |nodes: &mut Vec<ExactNode>| {
+            let denom = h_sum + params.reg_lambda;
+            nodes.push(ExactNode::Leaf(if denom > 0.0 { -g_sum / denom } else { 0.0 }));
+            nodes.len() - 1
+        };
+        if depth >= params.max_depth || rows.len() < 2 {
+            return make_leaf(&mut self.0);
+        }
+        let parent_score = g_sum * g_sum / (h_sum + params.reg_lambda);
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        let mut sorted: Vec<(f64, f64, f64)> = Vec::with_capacity(rows.len());
+        for feature in 0..x.n_cols() {
+            sorted.clear();
+            sorted.extend(rows.iter().map(|&i| (x.get(i, feature), grad[i], hess[i])));
+            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let (mut gl, mut hl) = (0.0, 0.0);
+            for w in 0..sorted.len() - 1 {
+                gl += sorted[w].1;
+                hl += sorted[w].2;
+                // No split between identical values.
+                if sorted[w].0 == sorted[w + 1].0 {
+                    continue;
+                }
+                let (gr, hr) = (g_sum - gl, h_sum - hl);
+                if hl < params.min_child_weight || hr < params.min_child_weight {
+                    continue;
+                }
+                let gain = gl * gl / (hl + params.reg_lambda) + gr * gr / (hr + params.reg_lambda)
+                    - parent_score;
+                if gain > params.min_gain && best.is_none_or(|(bg, _, _)| gain > bg) {
+                    best = Some((gain, feature, 0.5 * (sorted[w].0 + sorted[w + 1].0)));
+                }
+            }
+        }
+        let Some((_, feature, threshold)) = best else {
+            return make_leaf(&mut self.0);
+        };
+        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+            rows.iter().partition(|&&i| x.get(i, feature) <= threshold);
+        let idx = self.0.len();
+        self.0.push(ExactNode::Leaf(0.0)); // placeholder: children land after it
+        let left = self.build(x, grad, hess, &left_rows, depth + 1, params);
+        let right = self.build(x, grad, hess, &right_rows, depth + 1, params);
+        self.0[idx] = ExactNode::Split { feature, threshold, left, right };
+        idx
+    }
+
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        let mut idx = 0;
+        loop {
+            match self.0[idx] {
+                ExactNode::Leaf(value) => return value,
+                ExactNode::Split { feature, threshold, left, right } => {
+                    idx = if row[feature] <= threshold { left } else { right };
+                }
+            }
+        }
+    }
+}
+
+/// [`GbdtClassifier::fit`]'s boosting with [`ExactTree`] weak learners:
+/// the same base score, 80% row subsample per round, gradients, tree
+/// parameters and early stop.
+struct ExactGbdt {
+    trees: Vec<ExactTree>,
+    learning_rate: f64,
+    base_score: f64,
+}
+
+impl ExactGbdt {
+    fn fit(
+        x: &DenseMatrix,
+        y: &[u8],
+        max_depth: usize,
+        n_rounds: usize,
+        learning_rate: f64,
+        reg_lambda: f64,
+        seed: u64,
+    ) -> Self {
+        let n = x.n_rows();
+        let params = TreeParams { max_depth, reg_lambda, min_child_weight: 1.0, min_gain: 1e-6 };
+        let pos = y.iter().filter(|&&v| v == 1).count() as f64;
+        let rate = (pos / n as f64).clamp(1e-6, 1.0 - 1e-6);
+        let base_score = (rate / (1.0 - rate)).ln();
+        let mut scores = vec![base_score; n];
+        let (mut grad, mut hess) = (vec![0.0; n], vec![0.0; n]);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut sample = Vec::new();
+        let mut trees = Vec::new();
+        for _ in 0..n_rounds {
+            rng.sample_indices_into(n, ((n as f64) * 0.8).ceil() as usize, &mut sample);
+            kernels::logistic_grad_hess(&sample, &scores, y, &mut grad, &mut hess);
+            let tree = ExactTree::fit(x, &grad, &hess, &sample, params);
+            if matches!(tree.0[..], [ExactNode::Leaf(value)] if value.abs() < 1e-12) {
+                break;
+            }
+            for (i, score) in scores.iter_mut().enumerate() {
+                *score += learning_rate * tree.predict_row(x.row(i));
+            }
+            trees.push(tree);
+        }
+        ExactGbdt { trees, learning_rate, base_score }
+    }
+}
+
+impl Classifier for ExactGbdt {
+    fn predict_proba(&self, x: &DenseMatrix) -> Vec<f64> {
+        (0..x.n_rows())
+            .map(|i| {
+                let row = x.row(i);
+                let sum = self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>();
+                sigmoid(self.base_score + self.learning_rate * sum)
+            })
+            .collect()
+    }
+}
+
+/// The exact Gini decision tree of depth ≤ `max_depth` on all rows (see
+/// [`ExactTree`]). `min_gain` sits between rounding noise on a zero gain
+/// and the smallest real gain of these study-sized nodes.
+fn exact_dtree(x: &DenseMatrix, y: &[u8], max_depth: usize) -> ExactTree {
+    let grad: Vec<f64> = y.iter().map(|&v| -f64::from(v)).collect();
+    let rows: Vec<usize> = (0..x.n_rows()).collect();
+    let params = TreeParams { max_depth, reg_lambda: 0.0, min_child_weight: 0.0, min_gain: 1e-9 };
+    ExactTree::fit(x, &grad, &vec![1.0; y.len()], &rows, params)
+}
+
+impl Classifier for ExactTree {
+    fn predict_proba(&self, x: &DenseMatrix) -> Vec<f64> {
+        (0..x.n_rows()).map(|i| self.predict_row(x.row(i))).collect()
+    }
+}
 
 /// Encoded train/test matrices plus the frames for group evaluation.
 struct Encoded {
@@ -116,7 +302,7 @@ fn gbdt_hist_matches_exact_on_all_datasets() {
         let (mut disp_exact, mut disp_hist) = (Vec::new(), Vec::new());
         for seed in PARITY_SEEDS {
             let data = encoded_split(id, seed);
-            let exact = GbdtClassifier::fit_exact(&data.x_train, &data.y_train, 3, 50, 0.3, 1.0, 7);
+            let exact = ExactGbdt::fit(&data.x_train, &data.y_train, 3, 50, 0.3, 1.0, 7);
             let hist = GbdtClassifier::fit(&data.x_train, &data.y_train, 3, 50, 0.3, 1.0, 7);
             let preds_exact = exact.predict(&data.x_test);
             let preds_hist = hist.predict(&data.x_test);
@@ -142,13 +328,12 @@ fn gbdt_hist_matches_exact_on_all_datasets() {
 
 #[test]
 fn dtree_hist_matches_exact_on_all_datasets() {
-    use mlcore::dtree::DTreeParams;
     for id in DatasetId::all() {
         let (mut accs_exact, mut accs_hist) = (Vec::new(), Vec::new());
         for seed in PARITY_SEEDS {
             let data = encoded_split(id, seed.wrapping_mul(77));
             let params = DTreeParams { max_depth: 6, ..Default::default() };
-            let exact = DecisionTreeClassifier::fit_exact(&data.x_train, &data.y_train, params, 3);
+            let exact = exact_dtree(&data.x_train, &data.y_train, params.max_depth);
             let hist = DecisionTreeClassifier::fit(&data.x_train, &data.y_train, params, 3);
             accs_exact.push(accuracy(&data.y_test, &exact.predict(&data.x_test)));
             accs_hist.push(accuracy(&data.y_test, &hist.predict(&data.x_test)));
@@ -210,4 +395,65 @@ fn hist_training_is_deterministic_on_real_data() {
     let a = GbdtClassifier::fit(&data.x_train, &data.y_train, 3, 30, 0.3, 1.0, 9);
     let b = GbdtClassifier::fit(&data.x_train, &data.y_train, 3, 30, 0.3, 1.0, 9);
     assert_eq!(a.predict_proba(&data.x_test), b.predict_proba(&data.x_test));
+}
+
+/// With at most `DEFAULT_N_BINS` distinct values the histogram candidate
+/// set is the exact candidate set, so both trees predict identically.
+#[test]
+fn tree_hist_matches_exact_on_few_distinct_values() {
+    let values: Vec<f64> = (0..60).map(|i| f64::from(i % 6)).collect();
+    let targets: Vec<f64> = values.iter().map(|&v| if v < 3.0 { -1.0 } else { 2.0 }).collect();
+    let x = DenseMatrix::from_vec(60, 1, values);
+    // Squared error from a zero prediction: g = −target, h = 1.
+    let grad: Vec<f64> = targets.iter().map(|t| -t).collect();
+    let hess = vec![1.0; 60];
+    let rows: Vec<usize> = (0..60).collect();
+    let binned = BinnedMatrix::from_matrix(&x, DEFAULT_N_BINS);
+    let hist = RegressionTree::fit_binned(&binned, &rows, &grad, &hess, TreeParams::default());
+    let exact = ExactTree::fit(&x, &grad, &hess, &rows, TreeParams::default());
+    for probe in [0.0, 1.0, 2.5, 3.0, 4.9, 5.0] {
+        let (h, e) = (hist.predict_row(&[probe]), exact.predict_row(&[probe]));
+        assert!((h - e).abs() < 1e-9, "probe {probe}: hist {h} vs exact {e}");
+    }
+}
+
+/// The boosted form of the case above: with few distinct values both
+/// splitters produce the same ensemble.
+#[test]
+fn gbdt_hist_matches_exact_on_few_distinct_values() {
+    let mut data = Vec::new();
+    let mut y = Vec::new();
+    for i in 0..80 {
+        let a = f64::from(i % 4);
+        let b = f64::from((i / 4) % 3);
+        data.extend([a, b]);
+        y.push(u8::from(a + b >= 3.0));
+    }
+    let x = DenseMatrix::from_vec(80, 2, data);
+    let hist = GbdtClassifier::fit(&x, &y, 3, 20, 0.3, 1.0, 11).predict_proba(&x);
+    let exact = ExactGbdt::fit(&x, &y, 3, 20, 0.3, 1.0, 11).predict_proba(&x);
+    for (h, e) in hist.iter().zip(&exact) {
+        assert!((h - e).abs() < 1e-9, "hist {h} vs exact {e}");
+    }
+}
+
+/// The histogram decision tree tracks the exact one's accuracy on a
+/// jittered XOR, which no single split separates.
+#[test]
+fn dtree_hist_tracks_exact_accuracy_on_xor() {
+    let mut rng = Rng64::seed_from_u64(1);
+    let (mut data, mut y) = (Vec::new(), Vec::new());
+    for _ in 0..300 {
+        let a = f64::from(rng.bernoulli(0.5));
+        let b = f64::from(rng.bernoulli(0.5));
+        data.push(a + rng.normal() * 0.05);
+        data.push(b + rng.normal() * 0.05);
+        y.push(u8::from((a > 0.5) != (b > 0.5)));
+    }
+    let x = DenseMatrix::from_vec(300, 2, data);
+    let params = DTreeParams::default();
+    let hist = DecisionTreeClassifier::fit(&x, &y, params, 3);
+    let exact = exact_dtree(&x, &y, params.max_depth);
+    let (ha, ea) = (accuracy(&y, &hist.predict(&x)), accuracy(&y, &exact.predict(&x)));
+    assert!((ha - ea).abs() <= 0.02, "hist {ha} vs exact {ea}");
 }

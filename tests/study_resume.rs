@@ -84,7 +84,7 @@ fn interrupted_then_resumed_study_is_byte_identical() {
         SEED,
         &StudyOptions {
             journal_dir: Some(dir.clone()),
-            stop_after_tasks: Some(2),
+            on_task_complete: Some(|done, _| done >= 2),
             ..StudyOptions::default()
         },
     );
@@ -166,7 +166,7 @@ fn resume_under_parallel_pool_matches_serial_run() {
             SEED,
             &StudyOptions {
                 journal_dir: Some(dir.clone()),
-                stop_after_tasks: Some(1),
+                on_task_complete: Some(|done, _| done >= 1),
                 ..StudyOptions::default()
             },
         )
