@@ -52,11 +52,12 @@ if [ "${1:-}" = "quick" ]; then
     exit 0
 fi
 
-stage "cargo build --release --workspace --all-targets"
+stage "cargo build --release --workspace --bins --examples"
 # The root build above skips the crate binaries (demodq-serve,
-# demodq-bench, studybench, loadgen); compile everything the later gates
-# drive.
-cargo build --release --workspace --all-targets
+# demodq-bench, studybench, loadgen) and the examples; compile everything
+# the later gates run. Tests build in debug below, and clippy
+# --all-targets type-checks every other target.
+cargo build --release --workspace --bins --examples
 
 stage "lint coverage: every workspace member lives under a linted root"
 # demodq-lint scans the crates/, vendor/ and src/ trees. A workspace
@@ -87,7 +88,7 @@ while IFS= read -r manifest; do
 done <<< "$members"
 echo "lint coverage OK ($(wc -l <<< "$members") workspace members)"
 
-stage "demodq-lint (token lints + flow analyses T001/L001/E001/K001 vs lint-baseline.txt)"
+stage "demodq-lint (token lints + flow analyses T001/L001/E001/K001/U001 vs lint-baseline.txt)"
 cargo run -q --release -p demodq-lint -- --format json
 
 stage "lint fixture self-check (seeded violations must fail an empty baseline)"
@@ -102,23 +103,24 @@ if [ "$rc" -ne 1 ]; then
     echo "FAIL: seeded fixture tree exited $rc (want 1: violations found)"
     exit 1
 fi
-for code in T001 L001 E001 K001; do
+for code in T001 L001 E001 K001 U001; do
     grep -q "\"$code\"" target/lint_fixture.json || {
         echo "FAIL: $code did not fire on the seeded fixture tree"
         exit 1
     }
 done
-echo "lint fixture self-check OK (all four flow codes fired)"
+echo "lint fixture self-check OK (all five flow codes fired)"
 
-stage "cargo test --workspace -q"
-cargo test --workspace -q
+stage "cargo test --workspace --exclude demodq-repro -q"
+# The tier-1 stage above already ran the root package's tests.
+cargo test --workspace --exclude demodq-repro -q
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 stage "crash-resume smoke (kill -9 mid-study, resume from journal)"
-# `demodq-bench study` was compiled by the --workspace --all-targets build
-# above.
+# `demodq-bench study` was compiled by the --workspace --bins --examples
+# build above.
 SMOKE_DIR=target/resume_smoke
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
@@ -256,11 +258,33 @@ if [ "$csvs" -ne 5 ]; then
 fi
 echo "artifact smoke OK"
 
-stage "RQ1 figures match results/ (fig1 --drilldown, fig2 at default scale)"
-# Figures 1-2 are the committed RQ1 outputs, and the detectors' flags
-# (the isolation forest's among them) feed both. Regenerating them at the
-# committed settings must reproduce results/ byte for byte, so a change
-# that moves a flag has to recommit the figures.
+stage "examples run (every examples/*.rs exits 0 with output)"
+# The examples document the library API, and demodq-lint's U001 counts
+# their mains as entries, so each must run, not only compile. None writes
+# a file; each still runs from a throwaway directory under target/.
+EXAMPLE_DIR=target/examples_run
+rm -rf "$EXAMPLE_DIR"
+mkdir -p "$EXAMPLE_DIR"
+for src in examples/*.rs; do
+    name=$(basename "$src" .rs)
+    (cd "$EXAMPLE_DIR" && "../release/examples/$name" > "$name.log") || {
+        echo "FAIL: example $name exited nonzero"
+        exit 1
+    }
+    [ -s "$EXAMPLE_DIR/$name.log" ] || {
+        echo "FAIL: example $name printed nothing"
+        exit 1
+    }
+done
+echo "examples OK ($(ls examples/*.rs | wc -l) ran)"
+
+stage "RQ1 figures, RQ2 tables and ablation match results/ (default scale)"
+# Figures 1-2 and Tables II-XIII are the committed RQ1/RQ2 outputs, and
+# the detectors' flags (the isolation forest's among them) and the study
+# scores feed them. Regenerating them at the committed settings must
+# reproduce results/ byte for byte, so a change that moves a flag or a
+# score has to recommit them. The ablation output comes from the
+# artifact smoke above.
 FIG_DIR=target/figures
 rm -rf "$FIG_DIR"
 mkdir -p "$FIG_DIR"
@@ -275,7 +299,21 @@ for fig in fig1 fig2; do
         exit 1
     }
 done
-echo "RQ1 figures OK (cmp-identical to results/)"
+for error in missing_values outliers mislabels; do
+    file=tables_${error%_values}.txt
+    "$BENCH" tables --error "$error" --scale default --seed 42 > "$FIG_DIR/$file"
+    cmp "$FIG_DIR/$file" "results/$file" || {
+        echo "FAIL: tables --error $error differs from results/$file. If the change"
+        echo "is meant to move it, regenerate the file with the command above and"
+        echo "record why in CHANGES.md"
+        exit 1
+    }
+done
+cmp "$ARTIFACT_DIR/ablation.log" results/ablation.txt || {
+    echo "FAIL: ablation output differs from results/ablation.txt"
+    exit 1
+}
+echo "RQ1 figures, RQ2 tables and ablation OK (cmp-identical to results/)"
 
 stage "perfbench builds against the crates (cargo test --release, its own workspace)"
 # perfbench is a separate workspace that calls the crates by path:

@@ -145,7 +145,6 @@ pub struct IsolationForest {
     c_psi: f64,
     /// Scores above this threshold are outliers.
     threshold: f64,
-    contamination: f64,
 }
 
 impl IsolationForest {
@@ -188,16 +187,10 @@ impl IsolationForest {
             encoder,
             c_psi: average_path_length(psi),
             threshold: f64::INFINITY,
-            contamination,
         };
         let scores = forest.score_matrix(&x);
         forest.threshold = percentile(&scores, 1.0 - contamination).unwrap_or(f64::INFINITY);
         Ok(forest)
-    }
-
-    /// The fitted contamination parameter.
-    pub fn contamination(&self) -> f64 {
-        self.contamination
     }
 
     /// Anomaly scores in `(0, 1)`; higher is more anomalous.
@@ -313,7 +306,6 @@ mod tests {
         let frac = report.flagged_fraction();
         // Should be near the contamination rate on the training data.
         assert!(frac > 0.01 && frac < 0.12, "frac={frac}");
-        assert_eq!(forest.contamination(), 0.05);
     }
 
     #[test]

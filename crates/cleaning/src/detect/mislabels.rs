@@ -23,8 +23,6 @@ use tabular::{split::kfold, DataFrame, FeatureEncoder, Result, Rng64, TabularErr
 pub struct MislabelDetector {
     /// Per-row mislabel flags over the fitted frame.
     flags: Vec<bool>,
-    /// Out-of-fold probability of the positive class per row.
-    probabilities: Vec<f64>,
     /// Noisy labels the detector was fitted on.
     labels: Vec<u8>,
     /// Per-class confidence thresholds `[t_0, t_1]`.
@@ -77,7 +75,6 @@ impl MislabelDetector {
             // Single-class data: nothing can be confidently mislabeled.
             return Ok(MislabelDetector {
                 flags: vec![false; n],
-                probabilities,
                 labels,
                 thresholds: [1.0, 1.0],
                 confident_joint: [[counts[0], 0], [0, counts[1]]],
@@ -131,20 +128,17 @@ impl MislabelDetector {
             }
         }
 
-        Ok(MislabelDetector { flags, probabilities, labels, thresholds, confident_joint })
-    }
-
-    /// Out-of-fold positive-class probabilities over the fitted frame.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probabilities
+        Ok(MislabelDetector { flags, labels, thresholds, confident_joint })
     }
 
     /// Per-class confidence thresholds `[t_0, t_1]`.
+    // lint:allow(U001, thresholds_and_joint_are_consistent checks the confident-learning state)
     pub fn thresholds(&self) -> [f64; 2] {
         self.thresholds
     }
 
     /// The confident joint counts.
+    // lint:allow(U001, thresholds_and_joint_are_consistent checks the confident-learning state)
     pub fn confident_joint(&self) -> [[usize; 2]; 2] {
         self.confident_joint
     }

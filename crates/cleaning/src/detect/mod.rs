@@ -1,12 +1,9 @@
 //! The error-detection strategies and their unified fit/detect interface.
 
-pub mod duplicates;
-pub mod inconsistencies;
 pub mod isolation_forest;
 pub mod mislabels;
 pub mod missing;
 pub mod outliers;
-pub mod rules;
 
 use crate::report::DetectionReport;
 use tabular::{DataFrame, Result};

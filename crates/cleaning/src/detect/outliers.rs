@@ -66,11 +66,6 @@ impl OutlierBounds {
             .collect()
     }
 
-    /// The fitted per-column intervals.
-    pub fn bounds(&self) -> &[(String, f64, f64)] {
-        &self.bounds
-    }
-
     /// Flags cells outside the fitted intervals. Missing values are never
     /// outliers.
     pub fn detect(&self, frame: &DataFrame) -> Result<DetectionReport> {
@@ -141,8 +136,8 @@ mod tests {
             .build()
             .unwrap();
         let bounds = OutlierBounds::fit_sd(&df, 3.0).unwrap();
-        assert_eq!(bounds.bounds().len(), 1);
-        assert_eq!(bounds.bounds()[0].0, "x");
+        assert_eq!(bounds.bounds.len(), 1);
+        assert_eq!(bounds.bounds[0].0, "x");
     }
 
     #[test]

@@ -28,11 +28,8 @@ pub mod repair;
 pub mod report;
 pub mod valuation;
 
-pub use detect::duplicates::DuplicateDetector;
-pub use detect::inconsistencies::InconsistencyDetector;
 pub use detect::isolation_forest::IsolationForest;
 pub use detect::mislabels::MislabelDetector;
-pub use detect::rules::{Rule, RuleRepair, RuleSet, RuleSpec};
 pub use detect::{DetectorKind, FittedDetector};
 pub use repair::{CatImpute, LabelRepair, MissingRepair, NumImpute, OutlierRepair};
 pub use report::{CellFlags, DetectionReport};

@@ -174,21 +174,16 @@ impl FittedImputer {
         }
         Ok(out)
     }
-
-    /// The fitted value for a numeric column, if any.
-    pub fn numeric_value(&self, column: &str) -> Option<f64> {
-        self.numeric.iter().find(|(n, _)| n == column).map(|(_, v)| *v)
-    }
-
-    /// The fitted label for a categorical column, if any.
-    pub fn categorical_value(&self, column: &str) -> Option<&str> {
-        self.categorical.iter().find(|(n, _)| n == column).map(|(_, v)| v.as_str())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fitted value for a numeric column, if any.
+    fn numeric_value(imp: &FittedImputer, column: &str) -> Option<f64> {
+        imp.numeric.iter().find(|(n, _)| n == column).map(|(_, v)| *v)
+    }
     use tabular::ColumnRole;
 
     fn frame() -> DataFrame {
@@ -218,7 +213,7 @@ mod tests {
         let df = frame();
         let imp = MissingRepair { num: NumImpute::Mean, cat: CatImpute::Mode }.fit(&df).unwrap();
         // Mean of present values (1, 3, 100).
-        assert!((imp.numeric_value("x").unwrap() - 104.0 / 3.0).abs() < 1e-12);
+        assert!((numeric_value(&imp, "x").unwrap() - 104.0 / 3.0).abs() < 1e-12);
         let repaired = imp.apply(&df).unwrap();
         assert_eq!(repaired.missing_cells(), 0);
         assert!((repaired.numeric("x").unwrap()[1] - 104.0 / 3.0).abs() < 1e-12);
@@ -228,16 +223,17 @@ mod tests {
     fn median_and_mode_imputation() {
         let df = frame();
         let med = MissingRepair { num: NumImpute::Median, cat: CatImpute::Mode }.fit(&df).unwrap();
-        assert_eq!(med.numeric_value("x"), Some(3.0));
+        assert_eq!(numeric_value(&med, "x"), Some(3.0));
         let mode = MissingRepair { num: NumImpute::Mode, cat: CatImpute::Mode }.fit(&df).unwrap();
-        assert_eq!(mode.numeric_value("x"), Some(1.0)); // all unique -> smallest
+        assert_eq!(numeric_value(&mode, "x"), Some(1.0)); // all unique -> smallest
     }
 
     #[test]
     fn categorical_mode_fills_most_frequent() {
         let df = frame();
         let imp = MissingRepair { num: NumImpute::Mean, cat: CatImpute::Mode }.fit(&df).unwrap();
-        assert_eq!(imp.categorical_value("c"), Some("a"));
+        let fitted = imp.categorical.iter().find(|(n, _)| n == "c").map(|(_, v)| v.as_str());
+        assert_eq!(fitted, Some("a"));
         let repaired = imp.apply(&df).unwrap();
         assert_eq!(repaired.categorical("c").unwrap().label(2), Some("a"));
     }
@@ -284,7 +280,7 @@ mod tests {
             .build()
             .unwrap();
         let imp = MissingRepair { num: NumImpute::Mean, cat: CatImpute::Mode }.fit(&df).unwrap();
-        assert_eq!(imp.numeric_value("x"), Some(0.0));
+        assert_eq!(numeric_value(&imp, "x"), Some(0.0));
         let repaired = imp.apply(&df).unwrap();
         assert_eq!(repaired.missing_cells(), 0);
     }

@@ -99,6 +99,7 @@ impl FittedOutlierRepair {
     }
 
     /// The fitted replacement for a column, if any.
+    // lint:allow(U001, outlier_repair_leaves_no_flagged_value_outside_bounds reads it)
     pub fn replacement(&self, column: &str) -> Option<f64> {
         self.replacements.iter().find(|(c, _)| c == column).map(|(_, v)| *v)
     }

@@ -41,6 +41,7 @@ impl CellFlags {
     }
 
     /// Number of flagged cells across all columns.
+    // lint:allow(U001, missing_detection_counts_match_frame and the report tests count with it)
     pub fn flagged_cells(&self) -> usize {
         self.by_column.values().map(|v| v.iter().filter(|&&b| b).count()).sum()
     }

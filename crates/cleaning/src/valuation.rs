@@ -19,24 +19,6 @@
 
 use tabular::DenseMatrix;
 
-/// Exact kNN-Shapley values of every training point with respect to the
-/// k-NN accuracy utility over the given test set.
-///
-/// Returns one value per training row; positive values help accuracy,
-/// negative values hurt. Values are averaged over test points.
-///
-/// Panics on inconsistent input shapes or `k == 0`.
-pub fn knn_shapley(
-    x_train: &DenseMatrix,
-    y_train: &[u8],
-    x_test: &DenseMatrix,
-    y_test: &[u8],
-    k: usize,
-) -> Vec<f64> {
-    let mask = vec![true; x_test.n_rows()];
-    knn_shapley_masked(x_train, y_train, x_test, y_test, k, &mask)
-}
-
 /// kNN-Shapley restricted to the test points where `test_mask` is true —
 /// the building block for group-wise valuation. Returns zeros when the
 /// mask selects no test point.
@@ -195,7 +177,7 @@ mod tests {
     #[test]
     fn correct_points_have_positive_value() {
         let (x, y, y_train) = clustered(15, &[]);
-        let values = knn_shapley(&x, &y_train, &x, &y, 3);
+        let values = knn_shapley_masked(&x, &y_train, &x, &y, 3, &vec![true; x.n_rows()]);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!(mean > 0.0, "mean value {mean}");
         assert!(values.iter().all(|v| v.is_finite()));
@@ -205,7 +187,7 @@ mod tests {
     fn mislabeled_point_gets_lowest_value() {
         // Valuation against *clean* test labels, as in Jia et al.
         let (x, y, y_train) = clustered(15, &[4]);
-        let values = knn_shapley(&x, &y_train, &x, &y, 3);
+        let values = knn_shapley_masked(&x, &y_train, &x, &y, 3, &vec![true; x.n_rows()]);
         let min_idx = values
             .iter()
             .enumerate()
@@ -225,7 +207,7 @@ mod tests {
         // Sum over training points of per-test Shapley is at most 1 per
         // test point (utility is 0/1), so averaged totals lie in [-1, 1].
         let (x, y, y_train) = clustered(10, &[2]);
-        let values = knn_shapley(&x, &y_train, &x, &y, 3);
+        let values = knn_shapley_masked(&x, &y_train, &x, &y, 3, &vec![true; x.n_rows()]);
         let total: f64 = values.iter().sum();
         assert!((-1.0..=1.0).contains(&total), "total {total}");
     }
@@ -301,6 +283,6 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         let (x, y, _) = clustered(3, &[]);
-        knn_shapley(&x, &y, &x, &y, 0);
+        knn_shapley_masked(&x, &y, &x, &y, 0, &vec![true; x.n_rows()]);
     }
 }

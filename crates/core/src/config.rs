@@ -123,15 +123,6 @@ impl RepairSpec {
         }
     }
 
-    /// The detection strategy's name.
-    pub fn detector_name(&self) -> &'static str {
-        match self {
-            RepairSpec::Missing(_) => "missing_values",
-            RepairSpec::Outliers { detector, .. } => detector.name(),
-            RepairSpec::Mislabels => "mislabels",
-        }
-    }
-
     /// All repair variants the study sweeps for an error type:
     /// 6 imputation combos for missing values, 3 detectors × 3 replacement
     /// statistics for outliers, and label flipping for mislabels.
@@ -353,7 +344,6 @@ mod tests {
         for error in ErrorType::all() {
             for spec in RepairSpec::variants_for(error) {
                 assert_eq!(spec.error_type(), error);
-                assert!(!spec.detector_name().is_empty());
             }
         }
     }

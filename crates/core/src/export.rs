@@ -3,33 +3,14 @@
 //! tables, RQ1 disparity rows, and the model comparison, plus the
 //! deterministic JSON export of full study results.
 
-use crate::deepdive::ModelImpactRow;
 use crate::impact::Impact;
 use crate::results::failed_task_record;
-use crate::rq1::DisparityRow;
 use crate::runner::StudyResults;
 use crate::tables::ImpactTable;
 use serde_json::{json, Map, Value};
 use std::fmt::Write;
 
 const AXIS: [Impact; 3] = [Impact::Worse, Impact::Insignificant, Impact::Better];
-
-/// Markdown rendering of a 3×3 impact table (fairness rows × accuracy
-/// columns, `percent% (count)` cells).
-pub fn impact_table_markdown(title: &str, table: &ImpactTable) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "**{title}** (n = {})\n", table.total());
-    let _ = writeln!(out, "| fairness \\ accuracy | worse | insignificant | better |");
-    let _ = writeln!(out, "|---|---|---|---|");
-    for f in AXIS {
-        let mut row = format!("| {} |", f.label());
-        for a in AXIS {
-            let _ = write!(row, " {:.1}% ({}) |", table.percentage(f, a), table.cell(f, a));
-        }
-        let _ = writeln!(out, "{row}");
-    }
-    out
-}
 
 /// CSV rendering of a 3×3 impact table: one row per cell with
 /// `fairness,accuracy,count,percent` columns.
@@ -46,58 +27,6 @@ pub fn impact_table_csv(table: &ImpactTable) -> String {
                 table.percentage(f, a)
             );
         }
-    }
-    out
-}
-
-/// CSV rendering of RQ1 disparity rows (all rows; filtering by
-/// significance is the consumer's choice, unlike the paper-format text
-/// rendering which mimics the figures).
-pub fn disparities_csv(rows: &[DisparityRow]) -> String {
-    let mut out = String::from(
-        "dataset,detector,group,intersectional,priv_flagged,priv_total,dis_flagged,dis_total,g2,p_value\n",
-    );
-    for r in rows {
-        let (g2, p) = r
-            .g_test
-            .map_or((String::new(), String::new()), |t| {
-                (format!("{:.6}", t.g2), format!("{:.6e}", t.p_value))
-            });
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{}",
-            r.dataset,
-            r.detector,
-            r.group,
-            r.intersectional,
-            r.privileged_flagged,
-            r.privileged_total,
-            r.disadvantaged_flagged,
-            r.disadvantaged_total,
-            g2,
-            p
-        );
-    }
-    out
-}
-
-/// Markdown rendering of the model comparison (Table XIV).
-pub fn model_table_markdown(rows: &[ModelImpactRow]) -> String {
-    let mut out = String::from(
-        "| model | fairness worse | fairness better | fairness & accuracy better |\n|---|---|---|---|\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.1}% ({}) | {:.1}% ({}) | {:.1}% ({}) |",
-            r.model.name(),
-            r.pct(r.fairness_worse),
-            r.fairness_worse,
-            r.pct(r.fairness_better),
-            r.fairness_better,
-            r.pct(r.both_better),
-            r.both_better
-        );
     }
     out
 }
@@ -166,7 +95,6 @@ pub fn study_results_json(results: &StudyResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statskit::GTestResult;
 
     fn demo_table() -> ImpactTable {
         let mut t = ImpactTable::default();
@@ -178,45 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn markdown_table_has_all_cells() {
-        let md = impact_table_markdown("Table II", &demo_table());
-        assert!(md.contains("**Table II** (n = 4)"));
-        assert!(md.contains("| worse | 0.0% (0) | 0.0% (0) | 25.0% (1) |"));
-        assert!(md.contains("| better | 0.0% (0) | 0.0% (0) | 50.0% (2) |"));
-        // Valid markdown table: header separator present.
-        assert!(md.contains("|---|---|---|---|"));
-    }
-
-    #[test]
     fn csv_table_has_nine_rows() {
         let csv = impact_table_csv(&demo_table());
         assert_eq!(csv.lines().count(), 10); // header + 9 cells
         assert!(csv.starts_with("fairness,accuracy,count,percent"));
         assert!(csv.contains("better,better,2,50.0000"));
-    }
-
-    #[test]
-    fn disparities_csv_includes_test_stats() {
-        let rows = vec![DisparityRow {
-            dataset: "adult".to_string(),
-            detector: "missing_values".to_string(),
-            group: "sex".to_string(),
-            intersectional: false,
-            privileged_flagged: 10,
-            privileged_total: 100,
-            disadvantaged_flagged: 30,
-            disadvantaged_total: 100,
-            g_test: Some(GTestResult { g2: 12.34, p_value: 4.5e-4, df: 1.0 }),
-        }];
-        let csv = disparities_csv(&rows);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("adult,missing_values,sex,false,10,100,30,100,12.34"));
-        assert!(csv.contains("4.5"));
-        // Degenerate test serialises as empty fields.
-        let mut no_test = rows;
-        no_test[0].g_test = None;
-        let csv = disparities_csv(&no_test);
-        assert!(csv.trim_end().ends_with(",,"));
     }
 
     #[test]
@@ -269,18 +163,5 @@ mod tests {
         results.phases.sample = 123.0;
         results.journal_hits = 7;
         assert_eq!(a, study_results_json(&results));
-    }
-
-    #[test]
-    fn model_markdown_formats_percentages() {
-        let rows = vec![ModelImpactRow {
-            model: mlcore::ModelKind::Knn,
-            n: 10,
-            fairness_worse: 3,
-            fairness_better: 2,
-            both_better: 1,
-        }];
-        let md = model_table_markdown(&rows);
-        assert!(md.contains("| knn | 30.0% (3) | 20.0% (2) | 10.0% (1) |"));
     }
 }

@@ -12,7 +12,6 @@
 //! falling back to the least-disparate candidate when the constraint is
 //! infeasible on this data.
 
-use demodq_rectify::{rectify_classifier, RectificationReport, RectifyOptions};
 use fairness::{group_confusions, FairnessMetric, GroupSpec};
 use mlcore::model::Classifier;
 use mlcore::{accuracy, ModelKind, ModelSpec};
@@ -143,49 +142,6 @@ pub fn tune_and_fit_fair(
     })
 }
 
-/// Fairness-constrained tuning composed with post-training rectification.
-///
-/// Runs [`tune_and_fit_fair`] first (hyperparameter-level fairness), then
-/// — when the winning model is a tree family — rectifies its leaves in
-/// place against the same `(metric, epsilon)` constraint, evaluated on
-/// the full tuning frame. The two levers are complementary: tuning picks
-/// the least-unfair candidate in the grid, rectification then edits that
-/// candidate's decision regions directly, which can succeed where every
-/// grid point was infeasible.
-///
-/// After an in-place rectification the fold-mean validation scores no
-/// longer describe the mutated model, so `val_accuracy`, `val_disparity`
-/// and `constraint_satisfied` are recomputed from the rectified model's
-/// predictions on the tuning frame (the same split the rectifier
-/// optimised over — an optimistic estimate, like any post-hoc repair).
-/// Non-tree winners (log-reg, kNN) return `None` for the report and keep
-/// the tuning-time scores untouched.
-pub fn tune_and_fit_fair_rectified(
-    kind: ModelKind,
-    train: &DataFrame,
-    groups: &GroupSpec,
-    metric: FairnessMetric,
-    epsilon: f64,
-    n_folds: usize,
-    seed: u64,
-) -> Result<(FairTunedModel, Option<RectificationReport>)> {
-    let mut tuned = tune_and_fit_fair(kind, train, groups, metric, epsilon, n_folds, seed)?;
-    let y = train.labels()?;
-    let encoder = FeatureEncoder::fit(train, true)?;
-    let x = encoder.transform(train)?;
-    let membership = groups.evaluate(train)?;
-    let opts = RectifyOptions { metric, epsilon, ..RectifyOptions::default() };
-    let report = rectify_classifier(tuned.model.as_mut(), &x, &y, &membership, &opts);
-    if report.is_some() {
-        let preds = tuned.model.predict(&x);
-        let gc = group_confusions(&y, &preds, &membership);
-        tuned.val_accuracy = accuracy(&y, &preds);
-        tuned.val_disparity = metric.absolute_disparity(&gc).unwrap_or(1.0);
-        tuned.constraint_satisfied = tuned.val_disparity <= epsilon;
-    }
-    Ok((tuned, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,54 +236,6 @@ mod tests {
             1,
         )
         .is_err());
-    }
-
-    #[test]
-    fn rectified_tuning_repairs_trees_and_skips_linear_models() {
-        let (train, groups) = german_train();
-        // Tree family: a report is produced and the recomputed scores
-        // describe the rectified model.
-        let (tuned, report) = tune_and_fit_fair_rectified(
-            ModelKind::DecisionTree,
-            &train,
-            &groups,
-            FairnessMetric::EqualOpportunity,
-            0.05,
-            5,
-            17,
-        )
-        .unwrap();
-        let report = report.expect("decision trees are rectifiable");
-        assert_eq!(report.model, "decision-tree");
-        assert!((0.0..=1.0).contains(&tuned.val_accuracy));
-        if report.constraint_met {
-            assert!(tuned.constraint_satisfied, "report and tuned scores must agree");
-            assert!(tuned.val_disparity <= 0.05 + 1e-12);
-        }
-        // Linear family: no report, tuning-time scores untouched.
-        let (plain, none) = tune_and_fit_fair_rectified(
-            ModelKind::LogReg,
-            &train,
-            &groups,
-            FairnessMetric::EqualOpportunity,
-            0.05,
-            5,
-            17,
-        )
-        .unwrap();
-        assert!(none.is_none());
-        let baseline = tune_and_fit_fair(
-            ModelKind::LogReg,
-            &train,
-            &groups,
-            FairnessMetric::EqualOpportunity,
-            0.05,
-            5,
-            17,
-        )
-        .unwrap();
-        assert_eq!(plain.val_accuracy, baseline.val_accuracy);
-        assert_eq!(plain.val_disparity, baseline.val_disparity);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   drill-down;
 //! * [`deepdive`] — Section VI: per-case best-technique analysis, detector
 //!   and repair comparisons, and the per-model Table XIV;
-//! * [`results`] — CleanML-style JSON result records
-//!   (`impute_mean_dummy__sex_priv__fp` keys);
+//! * [`results`] — failed-task records for the degraded-run summary and
+//!   the study export;
 //! * [`report`] — paper-format text rendering of every table and figure.
 //!
 //! Beyond the paper's protocol, the study grid carries a `repair_side`
@@ -56,7 +56,7 @@ pub mod serving;
 pub mod tables;
 
 pub use config::{ExperimentConfig, RectifySpec, RepairSide, RepairSpec, StudyOptions, StudyScale};
-pub use fair_tuning::{tune_and_fit_fair, tune_and_fit_fair_rectified, FairTunedModel};
+pub use fair_tuning::{tune_and_fit_fair, FairTunedModel};
 pub use impact::{classify_pair, Impact};
 pub use pipeline::{
     encode_arm, evaluate_arm, evaluate_arm_encoded, rectification_split, rectify_unit_model,

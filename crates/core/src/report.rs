@@ -139,68 +139,6 @@ pub fn render_model_table(rows: &[ModelImpactRow]) -> String {
     out
 }
 
-/// Renders the §VI case-analysis outcomes.
-pub fn render_case_outcomes(cases: &[crate::deepdive::CaseOutcome]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<6} {:<8} {:<8} {:<15} {:>6} {:>14} {:>11} {:>8}",
-        "metric", "dataset", "group", "error", "techs", "non-worsening", "improving", "win-win"
-    );
-    for c in cases {
-        let _ = writeln!(
-            out,
-            "{:<6} {:<8} {:<8} {:<15} {:>6} {:>14} {:>11} {:>8}",
-            c.metric.name(),
-            c.dataset,
-            c.group,
-            c.error,
-            c.n_techniques,
-            if c.has_non_worsening { "yes" } else { "NO" },
-            if c.has_improving { "yes" } else { "no" },
-            if c.has_win_win { "yes" } else { "no" },
-        );
-    }
-    let (total, non_worsening, improving, win_win) = crate::deepdive::case_summary(cases);
-    let _ = writeln!(
-        out,
-        "\n{total} cases: {non_worsening} non-worsening, {improving} improving, {win_win} win-win (paper: 40/37/23/17)"
-    );
-    out
-}
-
-/// Renders selector recommendations.
-pub fn render_recommendations(recs: &[crate::selector::Recommendation]) -> String {
-    use crate::selector::SelectorChoice;
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<10} {:<10} {:<8} recommendation", "dataset", "group", "metric");
-    for rec in recs {
-        match &rec.choice {
-            SelectorChoice::Clean { config, fairness, accuracy } => {
-                let _ = writeln!(
-                    out,
-                    "{:<10} {:<10} {:<8} {} + {} (fairness {fairness}, accuracy {accuracy})",
-                    rec.dataset,
-                    rec.group,
-                    rec.metric.name(),
-                    config.repair.name(),
-                    config.model.name(),
-                );
-            }
-            SelectorChoice::KeepDirty { rejected } => {
-                let _ = writeln!(
-                    out,
-                    "{:<10} {:<10} {:<8} KEEP DIRTY ({rejected} candidates rejected)",
-                    rec.dataset,
-                    rec.group,
-                    rec.metric.name(),
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Renders Table I (dataset inventory).
 pub fn render_dataset_table(specs: &[DatasetSpec]) -> String {
     let mut out = String::new();
@@ -304,54 +242,6 @@ mod tests {
         assert!(text.contains("36.0%"));
         assert!(text.contains("21.0%"));
         assert!(text.contains("16.0%"));
-    }
-
-    #[test]
-    fn case_outcomes_render() {
-        let cases = vec![crate::deepdive::CaseOutcome {
-            metric: fairness::FairnessMetric::PredictiveParity,
-            dataset: "german".to_string(),
-            group: "sex".to_string(),
-            error: "mislabels".to_string(),
-            n_techniques: 3,
-            has_non_worsening: true,
-            has_improving: false,
-            has_win_win: false,
-        }];
-        let text = render_case_outcomes(&cases);
-        assert!(text.contains("german"));
-        assert!(text.contains("1 cases: 1 non-worsening, 0 improving, 0 win-win"));
-    }
-
-    #[test]
-    fn recommendations_render_both_choices() {
-        use crate::config::{ExperimentConfig, RepairSpec};
-        use crate::selector::{Recommendation, SelectorChoice};
-        let recs = vec![
-            Recommendation {
-                dataset: "german".to_string(),
-                group: "sex".to_string(),
-                metric: fairness::FairnessMetric::PredictiveParity,
-                choice: SelectorChoice::Clean {
-                    config: ExperimentConfig {
-                        dataset: datasets::DatasetId::German,
-                        model: mlcore::ModelKind::LogReg,
-                        repair: RepairSpec::Mislabels,
-                    },
-                    fairness: Impact::Better,
-                    accuracy: Impact::Insignificant,
-                },
-            },
-            Recommendation {
-                dataset: "adult".to_string(),
-                group: "race".to_string(),
-                metric: fairness::FairnessMetric::EqualOpportunity,
-                choice: SelectorChoice::KeepDirty { rejected: 6 },
-            },
-        ];
-        let text = render_recommendations(&recs);
-        assert!(text.contains("flip_labels + log-reg"));
-        assert!(text.contains("KEEP DIRTY (6 candidates rejected)"));
     }
 
     #[test]

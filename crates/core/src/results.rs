@@ -1,18 +1,7 @@
-//! CleanML-style JSON result records.
-//!
-//! The paper (Section IV) shows the result schema: per configuration-run,
-//! general metrics (`train_acc`, `val_acc`, `<repair>_test_acc`,
-//! `<repair>_test_f1`) plus the raw group-wise confusion counts under keys
-//! like `impute_mean_dummy__sex_priv__fp` and
-//! `impute_mean_dummy__sex_priv__age_priv__fp` for intersectional groups.
-//! Recording raw counts keeps every group-fairness metric computable after
-//! the fact. This module reproduces that schema byte-for-byte in spirit
-//! (deterministic key order via `BTreeMap` — CleanML's reshuffling bug,
-//! which the paper reports and fixes, is structurally impossible here).
+//! Failed-task records: the degraded-run summary of a study and its
+//! entry in the study export ([`crate::export::study_results_json`]).
 
-use crate::config::ExperimentConfig;
-use crate::pipeline::RunPair;
-use serde_json::{json, Map, Value};
+use serde_json::{json, Value};
 
 /// A (dataset, split) task that failed during a study run and was excluded
 /// from assembly; part of the degraded-run summary in
@@ -47,121 +36,9 @@ pub fn failed_task_record(task: &FailedTask) -> Value {
     })
 }
 
-/// Sanitises a repair name for use as a key prefix (CleanML uses
-/// underscores, not slashes).
-fn key_prefix(name: &str) -> String {
-    name.replace(['/', '-'], "_")
-}
-
-/// Turns a group label (`sex` or `sex*age`) and side into CleanML key
-/// segments: `sex_priv` / `sex_priv__age_priv`.
-fn group_segment(group: &str, privileged: bool) -> String {
-    let suffix = if privileged { "priv" } else { "dis" };
-    group
-        .split('*')
-        .map(|attr| format!("{attr}_{suffix}"))
-        .collect::<Vec<_>>()
-        .join("__")
-}
-
-/// Serialises one run of one configuration into the CleanML record format.
-///
-/// `run_id` identifies the (split, model-seed) pair.
-pub fn run_record(config: &ExperimentConfig, run_id: usize, pair: &RunPair) -> Value {
-    let prefix = key_prefix(&config.repair.name());
-    let mut fields = Map::new();
-    fields.insert("best_params".to_string(), json!(pair.repaired.best_params));
-    fields.insert("train_acc".to_string(), json!(pair.repaired.train_accuracy));
-    fields.insert("val_acc".to_string(), json!(pair.repaired.val_accuracy));
-    fields.insert(format!("{prefix}_test_acc"), json!(pair.repaired.test_accuracy));
-    fields.insert(format!("{prefix}_test_f1"), json!(pair.repaired.test_f1));
-    fields.insert("dirty_test_acc".to_string(), json!(pair.dirty.test_accuracy));
-    fields.insert("dirty_test_f1".to_string(), json!(pair.dirty.test_f1));
-    for (group, gc) in &pair.repaired.group_confusions {
-        for (side, cm) in
-            [(true, &gc.privileged), (false, &gc.disadvantaged)]
-        {
-            let seg = group_segment(group, side);
-            fields.insert(format!("{prefix}__{seg}__tn"), json!(cm.tn));
-            fields.insert(format!("{prefix}__{seg}__fp"), json!(cm.fp));
-            fields.insert(format!("{prefix}__{seg}__fn"), json!(cm.fn_));
-            fields.insert(format!("{prefix}__{seg}__tp"), json!(cm.tp));
-        }
-    }
-    for (group, gc) in &pair.dirty.group_confusions {
-        for (side, cm) in
-            [(true, &gc.privileged), (false, &gc.disadvantaged)]
-        {
-            let seg = group_segment(group, side);
-            fields.insert(format!("dirty__{seg}__tn"), json!(cm.tn));
-            fields.insert(format!("dirty__{seg}__fp"), json!(cm.fp));
-            fields.insert(format!("dirty__{seg}__fn"), json!(cm.fn_));
-            fields.insert(format!("dirty__{seg}__tp"), json!(cm.tp));
-        }
-    }
-    let mut record = Map::new();
-    record.insert(format!("{}/{run_id}", config.key()), Value::Object(fields));
-    Value::Object(record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RepairSpec;
-    use crate::pipeline::ArmEvaluation;
-    use cleaning::repair::MissingRepair;
-    use datasets::DatasetId;
-    use fairness::{ConfusionMatrix, GroupConfusions};
-    use mlcore::ModelKind;
-
-    fn arm() -> ArmEvaluation {
-        let gc = GroupConfusions {
-            privileged: ConfusionMatrix { tn: 145, fp: 22, fn_: 39, tp: 24 },
-            disadvantaged: ConfusionMatrix { tn: 31, fp: 16, fn_: 9, tp: 14 },
-        };
-        ArmEvaluation {
-            test_accuracy: 0.713,
-            test_f1: 0.469,
-            val_accuracy: 0.747,
-            train_accuracy: 0.822,
-            best_params: "C=0.37".to_string(),
-            group_confusions: vec![("age".to_string(), gc), ("sex*age".to_string(), gc)],
-        }
-    }
-
-    #[test]
-    fn record_has_cleanml_keys() {
-        let config = ExperimentConfig {
-            dataset: DatasetId::German,
-            model: ModelKind::LogReg,
-            repair: RepairSpec::Missing(MissingRepair::all()[0]),
-        };
-        let pair = RunPair { dirty: arm(), repaired: arm() };
-        let record = run_record(&config, 6130, &pair);
-        let text = serde_json::to_string(&record).unwrap();
-        // The paper's example keys appear (modulo the configured repair).
-        assert!(text.contains("impute_mean_mode__age_priv__tn")
-            || text.contains("impute_mean_dummy__age_priv__tn"), "{text}");
-        assert!(text.contains("__sex_priv__age_priv__fp"), "{text}");
-        assert!(text.contains("best_params"));
-        assert!(text.contains("train_acc"));
-        assert!(text.contains("_test_acc"));
-        assert!(text.contains("dirty_test_acc"));
-    }
-
-    #[test]
-    fn group_segments() {
-        assert_eq!(group_segment("sex", true), "sex_priv");
-        assert_eq!(group_segment("sex", false), "sex_dis");
-        assert_eq!(group_segment("sex*age", true), "sex_priv__age_priv");
-        assert_eq!(group_segment("sex*age", false), "sex_dis__age_dis");
-    }
-
-    #[test]
-    fn key_prefix_sanitises() {
-        assert_eq!(key_prefix("outliers-iqr/impute_mean"), "outliers_iqr_impute_mean");
-        assert_eq!(key_prefix("impute_mean_dummy"), "impute_mean_dummy");
-    }
 
     #[test]
     fn failed_task_record_has_all_fields() {
@@ -177,18 +54,5 @@ mod tests {
         assert!(text.contains("\"split\":3"), "{text}");
         assert!(text.contains("\"error\":\"boom\""), "{text}");
         assert!(text.contains(&format!("\"seed\":{}", 0xDEAD_BEEFu64)), "{text}");
-    }
-
-    #[test]
-    fn record_is_deterministic() {
-        let config = ExperimentConfig {
-            dataset: DatasetId::German,
-            model: ModelKind::LogReg,
-            repair: RepairSpec::Mislabels,
-        };
-        let pair = RunPair { dirty: arm(), repaired: arm() };
-        let a = serde_json::to_string(&run_record(&config, 1, &pair)).unwrap();
-        let b = serde_json::to_string(&run_record(&config, 1, &pair)).unwrap();
-        assert_eq!(a, b);
     }
 }

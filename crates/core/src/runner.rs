@@ -100,10 +100,6 @@ pub struct ConfigScores {
 }
 
 impl ConfigScores {
-    /// The scores entry for a `(group, metric)` pair.
-    pub fn fairness_for(&self, group: &str, metric: FairnessMetric) -> Option<&GroupMetricScores> {
-        self.fairness.iter().find(|f| f.group == group && f.metric == metric)
-    }
 }
 
 /// Results of a study over one error type.
@@ -133,6 +129,7 @@ pub struct StudyResults {
 impl StudyResults {
     /// A plain result carrying only scores (no failures, no journal
     /// statistics) — what an undisturbed in-memory run produces.
+    // lint:allow(U001, selector/tables/export/runner tests and core proptests build studies with it)
     pub fn new(error: ErrorType, scale: StudyScale, configs: Vec<ConfigScores>) -> StudyResults {
         StudyResults {
             error,
@@ -750,8 +747,11 @@ mod tests {
         assert_eq!(cs.repaired_accuracy.len(), expected_runs);
         // 3 groups (age, sex, age*sex) × 6 metrics.
         assert_eq!(cs.fairness.len(), 18);
-        assert!(cs.fairness_for("sex", FairnessMetric::PredictiveParity).is_some());
-        assert!(cs.fairness_for("age*sex", FairnessMetric::EqualOpportunity).is_some());
+        let scored = |group: &str, metric| {
+            cs.fairness.iter().any(|f| f.group == group && f.metric == metric)
+        };
+        assert!(scored("sex", FairnessMetric::PredictiveParity));
+        assert!(scored("age*sex", FairnessMetric::EqualOpportunity));
         assert!(cs.fairness.iter().any(|f| f.intersectional));
         assert!(results.n_model_evaluations() >= expected_runs * 2);
         assert!(!results.degraded());

@@ -84,52 +84,6 @@ fn policy_key(entry: &ClassifiedEntry, policy: SelectionPolicy) -> (u8, u8) {
     }
 }
 
-/// Recommends one cleaning technique per (dataset, group) of a study,
-/// guarding the given fairness metric.
-///
-/// The guardrail is strict: any candidate classified fairness-*worse* is
-/// rejected regardless of its accuracy gain.
-pub fn recommend(
-    results: &StudyResults,
-    metric: FairnessMetric,
-    intersectional: bool,
-    alpha: f64,
-    policy: SelectionPolicy,
-) -> Vec<Recommendation> {
-    let entries = classify_study(results, metric, intersectional, alpha);
-    let mut by_setting: BTreeMap<(String, String), Vec<ClassifiedEntry>> = BTreeMap::new();
-    for e in entries {
-        by_setting
-            .entry((e.config.dataset.name().to_string(), e.group.clone()))
-            .or_default()
-            .push(e);
-    }
-    by_setting
-        .into_iter()
-        .map(|((dataset, group), candidates)| {
-            let total = candidates.len();
-            let mut passing: Vec<&ClassifiedEntry> =
-                candidates.iter().filter(|e| e.fairness != Impact::Worse).collect();
-            // Deterministic ranking: policy key, then config key as a
-            // stable tiebreak.
-            passing.sort_by(|a, b| {
-                policy_key(b, policy)
-                    .cmp(&policy_key(a, policy))
-                    .then_with(|| a.config.key().cmp(&b.config.key()))
-            });
-            let choice = match passing.first() {
-                Some(best) => SelectorChoice::Clean {
-                    config: best.config,
-                    fairness: best.fairness,
-                    accuracy: best.accuracy,
-                },
-                None => SelectorChoice::KeepDirty { rejected: total },
-            };
-            Recommendation { dataset, group, metric, choice }
-        })
-        .collect()
-}
-
 /// Recommends jointly for *both* headline metrics: a candidate must pass
 /// the guardrail on PP **and** EO simultaneously (the paper's observation
 /// that improving one metric while worsening the other creates in-group
@@ -223,13 +177,23 @@ mod tests {
             config: ExperimentConfig { dataset: DatasetId::German, model: ModelKind::LogReg, repair },
             dirty_accuracy: flat.clone(),
             repaired_accuracy: acc,
-            fairness: vec![GroupMetricScores {
-                group: "sex".to_string(),
-                intersectional: false,
-                metric: FairnessMetric::PredictiveParity,
-                dirty: disparity_flat.clone(),
-                repaired: disp,
-            }],
+            fairness: vec![
+                GroupMetricScores {
+                    group: "sex".to_string(),
+                    intersectional: false,
+                    metric: FairnessMetric::PredictiveParity,
+                    dirty: disparity_flat.clone(),
+                    repaired: disp,
+                },
+                // EO never moves, so the dual guardrail decides on PP.
+                GroupMetricScores {
+                    group: "sex".to_string(),
+                    intersectional: false,
+                    metric: FairnessMetric::EqualOpportunity,
+                    dirty: disparity_flat.clone(),
+                    repaired: disparity_flat.clone(),
+                },
+            ],
         };
         let variants = MissingRepair::all();
         StudyResults::new(
@@ -249,13 +213,7 @@ mod tests {
     #[test]
     fn guardrail_rejects_fairness_worsening_candidates() {
         let results = study(true);
-        let recs = recommend(
-            &results,
-            FairnessMetric::PredictiveParity,
-            false,
-            0.05,
-            SelectionPolicy::AccuracyFirst,
-        );
+        let recs = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::AccuracyFirst);
         assert_eq!(recs.len(), 1);
         match &recs[0].choice {
             SelectorChoice::Clean { config, fairness, .. } => {
@@ -271,13 +229,7 @@ mod tests {
     #[test]
     fn accuracy_first_prefers_accuracy_when_guardrail_passes() {
         let results = study(false);
-        let recs = recommend(
-            &results,
-            FairnessMetric::PredictiveParity,
-            false,
-            0.05,
-            SelectionPolicy::AccuracyFirst,
-        );
+        let recs = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::AccuracyFirst);
         match &recs[0].choice {
             SelectorChoice::Clean { config, accuracy, .. } => {
                 assert_eq!(config.repair.name(), MissingRepair::all()[0].name());
@@ -293,13 +245,7 @@ mod tests {
         // Make the second candidate worsen fairness too.
         results.configs[1].fairness[0].repaired =
             vec![0.15, 0.16, 0.15, 0.14, 0.15, 0.16];
-        let recs = recommend(
-            &results,
-            FairnessMetric::PredictiveParity,
-            false,
-            0.05,
-            SelectionPolicy::FairnessFirst,
-        );
+        let recs = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::FairnessFirst);
         match &recs[0].choice {
             SelectorChoice::KeepDirty { rejected } => assert_eq!(*rejected, 2),
             other => panic!("expected KeepDirty, got {other:?}"),
@@ -311,20 +257,8 @@ mod tests {
     #[test]
     fn selector_is_deterministic() {
         let results = study(false);
-        let a = recommend(
-            &results,
-            FairnessMetric::PredictiveParity,
-            false,
-            0.05,
-            SelectionPolicy::FairnessFirst,
-        );
-        let b = recommend(
-            &results,
-            FairnessMetric::PredictiveParity,
-            false,
-            0.05,
-            SelectionPolicy::FairnessFirst,
-        );
+        let a = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::FairnessFirst);
+        let b = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::FairnessFirst);
         for (x, y) in a.iter().zip(&b) {
             match (&x.choice, &y.choice) {
                 (SelectorChoice::Clean { config: ca, .. }, SelectorChoice::Clean { config: cb, .. }) => {

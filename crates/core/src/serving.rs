@@ -113,23 +113,6 @@ impl ServingModel {
     pub fn predict_frame(&self, frame: &DataFrame) -> Result<Vec<u8>> {
         Ok(self.classifier.predict(&self.encoder.transform(frame)?))
     }
-
-    /// Predicts 0/1 labels and reports how many rows carried a category
-    /// the encoder never saw at fit time (those cells one-hot to all
-    /// zeros, silently shifting the feature distribution — callers should
-    /// surface the count instead of swallowing it).
-    pub fn predict_frame_with_report(
-        &self,
-        frame: &DataFrame,
-    ) -> Result<(Vec<u8>, tabular::encode::TransformReport)> {
-        let (x, report) = self.encoder.transform_with_report(frame)?;
-        Ok((self.classifier.predict(&x), report))
-    }
-
-    /// Predicts positive-class probabilities for the rows of `frame`.
-    pub fn predict_proba_frame(&self, frame: &DataFrame) -> Result<Vec<f64>> {
-        Ok(self.classifier.predict_proba(&self.encoder.transform(frame)?))
-    }
 }
 
 /// Trains one serving model: generate the dataset pool, take one
@@ -253,7 +236,7 @@ mod tests {
         let preds = served.predict_frame(&batch).unwrap();
         assert_eq!(preds.len(), 40);
         assert!(preds.iter().all(|&p| p <= 1));
-        let probas = served.predict_proba_frame(&batch).unwrap();
+        let probas = served.classifier.predict_proba(&served.encoder.transform(&batch).unwrap());
         assert!(probas.iter().all(|p| (0.0..=1.0).contains(p)));
         // Linear models have no editable decision regions.
         assert!(served.rectification.is_none());

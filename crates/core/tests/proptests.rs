@@ -5,7 +5,7 @@
 use demodq::config::{ExperimentConfig, RepairSpec, StudyScale};
 use demodq::impact::{classify_pair, Impact};
 use demodq::runner::{ConfigScores, GroupMetricScores, StudyResults};
-use demodq::selector::{recommend, SelectionPolicy, SelectorChoice};
+use demodq::selector::{recommend_dual_metric, SelectionPolicy, SelectorChoice};
 use demodq::tables::build_table;
 use datasets::{DatasetId, ErrorType};
 use fairness::FairnessMetric;
@@ -106,19 +106,28 @@ proptest! {
                     },
                     dirty_accuracy: acc_d[..n].to_vec(),
                     repaired_accuracy: acc_r[..n].to_vec(),
-                    fairness: vec![GroupMetricScores {
-                        group: "sex".to_string(),
-                        intersectional: false,
-                        metric: FairnessMetric::PredictiveParity,
-                        dirty: disp[..n].to_vec(),
-                        repaired: acc_d[..n].to_vec(),
-                    }],
+                    fairness: vec![
+                        GroupMetricScores {
+                            group: "sex".to_string(),
+                            intersectional: false,
+                            metric: FairnessMetric::PredictiveParity,
+                            dirty: disp[..n].to_vec(),
+                            repaired: acc_d[..n].to_vec(),
+                        },
+                        GroupMetricScores {
+                            group: "sex".to_string(),
+                            intersectional: false,
+                            metric: FairnessMetric::EqualOpportunity,
+                            dirty: acc_d[..n].to_vec(),
+                            repaired: disp[..n].to_vec(),
+                        },
+                    ],
                 }
             })
             .collect();
         let results = StudyResults::new(ErrorType::MissingValues, StudyScale::smoke(), configs);
         for policy in [SelectionPolicy::FairnessFirst, SelectionPolicy::AccuracyFirst] {
-            for rec in recommend(&results, FairnessMetric::PredictiveParity, false, 0.05, policy) {
+            for rec in recommend_dual_metric(&results, false, 0.05, policy) {
                 if let SelectorChoice::Clean { fairness, .. } = rec.choice {
                     prop_assert_ne!(fairness, Impact::Worse);
                 }

@@ -82,29 +82,6 @@ pub fn inject_corruption(
     Ok(())
 }
 
-/// Flips labels with per-row probability `base_rate * boost[i]` — the
-/// group-dependent label-noise mechanism.
-pub fn inject_label_noise(
-    frame: &mut DataFrame,
-    base_rate: f64,
-    boost: &[f64],
-    rng: &mut Rng64,
-) -> Result<()> {
-    let mut labels = frame.labels()?;
-    if boost.len() != labels.len() {
-        return Err(TabularError::LengthMismatch {
-            expected: labels.len(),
-            actual: boost.len(),
-        });
-    }
-    for (label, &b) in labels.iter_mut().zip(boost) {
-        if rng.bernoulli((base_rate * b).clamp(0.0, 1.0)) {
-            *label = 1 - *label;
-        }
-    }
-    frame.set_labels(&labels)
-}
-
 /// Flips labels *directionally*: a true-0 row becomes a recorded 1
 /// ("false positive label") with probability `fp_rate[i]`, a true-1 row
 /// becomes a recorded 0 ("false negative label") with probability
@@ -251,17 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn label_noise_flips_expected_fraction() {
-        let mut df = base_frame(2000);
-        let before = df.labels().unwrap();
-        let mut rng = Rng64::seed_from_u64(4);
-        inject_label_noise(&mut df, 0.2, &vec![1.0; 2000], &mut rng).unwrap();
-        let after = df.labels().unwrap();
-        let flipped = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        assert!((flipped as f64 / 2000.0 - 0.2).abs() < 0.04);
-    }
-
-    #[test]
     fn directional_noise_respects_directions() {
         let mut df = base_frame(4000);
         let before = df.labels().unwrap();
@@ -336,6 +302,5 @@ mod tests {
         let mut df = base_frame(10);
         let mut rng = Rng64::seed_from_u64(5);
         assert!(inject_missing_numeric(&mut df, "x", 0.1, &[1.0], &mut rng).is_err());
-        assert!(inject_label_noise(&mut df, 0.1, &[1.0], &mut rng).is_err());
     }
 }

@@ -35,5 +35,5 @@ pub mod heart;
 pub mod registry;
 pub mod spec;
 
-pub use registry::{all_specs, default_size, generate, DatasetId};
+pub use registry::{all_specs, default_size, DatasetId};
 pub use spec::{DatasetSpec, ErrorType, SensitiveAttribute};

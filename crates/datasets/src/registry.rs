@@ -123,13 +123,6 @@ pub fn default_size(id: DatasetId) -> usize {
     id.spec().full_size
 }
 
-/// Generates a dataset by name.
-pub fn generate(name: &str, n: usize, seed: u64) -> Result<DataFrame> {
-    DatasetId::parse(name)
-        .ok_or_else(|| TabularError::UnknownColumn(format!("dataset '{name}'")))?
-        .generate(n, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,9 +173,9 @@ mod tests {
 
     #[test]
     fn generate_by_name_and_errors() {
-        assert!(generate("adult", 100, 1).is_ok());
-        assert!(generate("nope", 100, 1).is_err());
-        assert!(generate("adult", 0, 1).is_err());
+        assert!(DatasetId::parse("adult").expect("known name").generate(100, 1).is_ok());
+        assert!(DatasetId::parse("nope").is_none());
+        assert!(DatasetId::Adult.generate(0, 1).is_err());
     }
 
     #[test]

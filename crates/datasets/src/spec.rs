@@ -101,11 +101,6 @@ impl DatasetSpec {
         ]))
     }
 
-    /// The sensitive attribute with the given name.
-    pub fn sensitive_attribute(&self, name: &str) -> Option<&SensitiveAttribute> {
-        self.sensitive_attributes.iter().find(|a| a.name == name)
-    }
-
     /// True when the spec cleans the given error type.
     pub fn has_error_type(&self, error: ErrorType) -> bool {
         self.error_types.contains(&error)
@@ -173,8 +168,6 @@ mod tests {
     #[test]
     fn lookup_and_error_membership() {
         let spec = demo_spec();
-        assert!(spec.sensitive_attribute("sex").is_some());
-        assert!(spec.sensitive_attribute("race").is_none());
         assert!(spec.has_error_type(ErrorType::Outliers));
         assert!(!spec.has_error_type(ErrorType::Mislabels));
     }

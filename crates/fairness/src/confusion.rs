@@ -49,26 +49,6 @@ impl GroupConfusions {
     pub fn total(&self) -> u64 {
         self.privileged.total() + self.disadvantaged.total()
     }
-
-    /// Element-wise sum — used to aggregate counts across repeated runs
-    /// before computing metrics (the paper aggregates confusion-matrix
-    /// values over samples before computing fairness).
-    pub fn merged(&self, other: &GroupConfusions) -> GroupConfusions {
-        GroupConfusions {
-            privileged: ConfusionMatrix {
-                tn: self.privileged.tn + other.privileged.tn,
-                fp: self.privileged.fp + other.privileged.fp,
-                fn_: self.privileged.fn_ + other.privileged.fn_,
-                tp: self.privileged.tp + other.privileged.tp,
-            },
-            disadvantaged: ConfusionMatrix {
-                tn: self.disadvantaged.tn + other.disadvantaged.tn,
-                fp: self.disadvantaged.fp + other.disadvantaged.fp,
-                fn_: self.disadvantaged.fn_ + other.disadvantaged.fn_,
-                tp: self.disadvantaged.tp + other.disadvantaged.tp,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,19 +90,6 @@ mod tests {
         let dis_mask: Vec<bool> = priv_mask.iter().map(|&b| !b).collect();
         let gc = group_confusions(&y_true, &y_pred, &groups(priv_mask, dis_mask));
         assert_eq!(gc.total(), 50);
-    }
-
-    #[test]
-    fn merged_adds_counts() {
-        let a = GroupConfusions {
-            privileged: ConfusionMatrix { tn: 1, fp: 2, fn_: 3, tp: 4 },
-            disadvantaged: ConfusionMatrix { tn: 5, fp: 6, fn_: 7, tp: 8 },
-        };
-        let b = a;
-        let m = a.merged(&b);
-        assert_eq!(m.privileged.tp, 8);
-        assert_eq!(m.disadvantaged.tn, 10);
-        assert_eq!(m.total(), 72);
     }
 
     #[test]

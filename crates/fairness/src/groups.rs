@@ -203,17 +203,20 @@ pub struct Groups {
 
 impl Groups {
     /// Number of privileged rows.
+    // lint:allow(U001, the group tests of fairness and datasets and their proptests count with it)
     pub fn n_privileged(&self) -> usize {
         self.privileged.iter().filter(|&&b| b).count()
     }
 
     /// Number of disadvantaged rows.
+    // lint:allow(U001, the group tests of fairness and datasets and their proptests count with it)
     pub fn n_disadvantaged(&self) -> usize {
         self.disadvantaged.iter().filter(|&&b| b).count()
     }
 
     /// Number of rows excluded from both groups (always 0 for
     /// single-attribute specs).
+    // lint:allow(U001, the group tests of fairness and datasets and their proptests count with it)
     pub fn n_excluded(&self) -> usize {
         self.privileged
             .iter()

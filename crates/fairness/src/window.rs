@@ -6,31 +6,25 @@
 //! tier can compute windowed disparities in O(1) per observation instead
 //! of re-tallying the window on every scrape.
 //!
-//! Determinism: the window is **count-based** and every observation is
-//! stamped with a caller-supplied logical `tick` (an injected clock, not
-//! a wall-clock read — this module never touches `SystemTime`/`Instant`,
-//! so drift accounting replays identically in tests). Time-based
-//! trimming, when wanted, goes through [`SlidingGroupWindow::evict_older_than`]
-//! with whatever tick source the caller injects.
+//! Determinism: the window is **count-based** — it never reads a clock,
+//! so drift accounting replays identically in tests.
 
 use crate::confusion::GroupConfusions;
 use crate::metrics::FairnessMetric;
 use std::collections::VecDeque;
 
-/// One labeled, group-attributed observation, packed to a byte plus its
-/// logical timestamp.
+/// One labeled, group-attributed observation, packed to a byte.
 #[derive(Debug, Clone, Copy)]
 struct Observation {
-    tick: u64,
     /// bit 0: privileged, bit 1: y_true, bit 2: y_pred.
     bits: u8,
 }
 
 impl Observation {
-    fn new(tick: u64, privileged: bool, y_true: bool, y_pred: bool) -> Observation {
+    fn new(privileged: bool, y_true: bool, y_pred: bool) -> Observation {
         let bits =
             u8::from(privileged) | (u8::from(y_true) << 1) | (u8::from(y_pred) << 2);
-        Observation { tick, bits }
+        Observation { bits }
     }
 
     fn privileged(self) -> bool {
@@ -89,39 +83,18 @@ impl SlidingGroupWindow {
         self.observed
     }
 
-    /// Adds one labeled observation at logical time `tick`, evicting the
-    /// oldest entry when the window is full. Nonzero labels count as
-    /// positive. Ticks are expected to be non-decreasing; the window does
-    /// not reorder.
-    pub fn push(&mut self, tick: u64, privileged: bool, y_true: u8, y_pred: u8) {
+    /// Adds one labeled observation, evicting the oldest entry when the
+    /// window is full. Nonzero labels count as positive.
+    pub fn push(&mut self, privileged: bool, y_true: u8, y_pred: u8) {
         if self.entries.len() == self.capacity {
             if let Some(old) = self.entries.pop_front() {
                 Self::tally(&mut self.counts, old, false);
             }
         }
-        let obs = Observation::new(tick, privileged, y_true != 0, y_pred != 0);
+        let obs = Observation::new(privileged, y_true != 0, y_pred != 0);
         Self::tally(&mut self.counts, obs, true);
         self.entries.push_back(obs);
         self.observed += 1;
-    }
-
-    /// Drops observations whose tick is older than `now_tick - max_age`.
-    /// `now_tick` comes from the caller's injected clock, so eviction is
-    /// as deterministic as the tick stream itself.
-    pub fn evict_older_than(&mut self, now_tick: u64, max_age: u64) {
-        let cutoff = now_tick.saturating_sub(max_age);
-        while let Some(&front) = self.entries.front() {
-            if front.tick >= cutoff {
-                break;
-            }
-            Self::tally(&mut self.counts, front, false);
-            self.entries.pop_front();
-        }
-    }
-
-    /// The window's current pair of group confusion matrices.
-    pub fn confusions(&self) -> GroupConfusions {
-        self.counts
     }
 
     /// Windowed signed disparity of `metric`; `None` while the metric is
@@ -188,10 +161,10 @@ mod tests {
             let privileged = state & 1 == 0;
             let y_true = u8::from(state & 2 != 0);
             let y_pred = u8::from(state & 4 != 0);
-            window.push(tick, privileged, y_true, y_pred);
+            window.push(privileged, y_true, y_pred);
             log.push((privileged, y_true, y_pred));
             let tail = &log[log.len().saturating_sub(8)..];
-            assert_eq!(window.confusions(), brute_force(tail), "tick {tick}");
+            assert_eq!(window.counts, brute_force(tail), "tick {tick}");
             assert_eq!(window.len(), tail.len());
         }
         assert_eq!(window.observed(), 50);
@@ -204,36 +177,21 @@ mod tests {
         assert!(window.is_empty());
         assert!(window.signed_disparity(FairnessMetric::EqualOpportunity).is_none());
         // Fill with perfect parity: both groups get a recalled positive.
-        window.push(0, true, 1, 1);
-        window.push(1, false, 1, 1);
-        window.push(2, true, 1, 1);
-        window.push(3, false, 1, 1);
+        window.push(true, 1, 1);
+        window.push(false, 1, 1);
+        window.push(true, 1, 1);
+        window.push(false, 1, 1);
         assert_eq!(window.signed_disparity(FairnessMetric::EqualOpportunity), Some(0.0));
         // Push 4 unfair observations: privileged positives recalled, the
         // disadvantaged missed; the fair prefix must be fully evicted.
-        window.push(4, true, 1, 1);
-        window.push(5, false, 1, 0);
-        window.push(6, true, 1, 1);
-        window.push(7, false, 1, 0);
+        window.push(true, 1, 1);
+        window.push(false, 1, 0);
+        window.push(true, 1, 1);
+        window.push(false, 1, 0);
         let eo = window.signed_disparity(FairnessMetric::EqualOpportunity);
         assert_eq!(eo, Some(1.0), "window must forget the fair history");
         assert_eq!(window.absolute_disparity(FairnessMetric::EqualOpportunity), Some(1.0));
         assert_eq!(window.len(), 4);
-    }
-
-    #[test]
-    fn tick_eviction_uses_the_injected_clock() {
-        let mut window = SlidingGroupWindow::new(100);
-        for tick in 0..10u64 {
-            window.push(tick, tick & 1 == 0, 1, 1);
-        }
-        window.evict_older_than(12, 5); // cutoff at tick 7
-        assert_eq!(window.len(), 3, "ticks 7, 8, 9 survive");
-        let gc = window.confusions();
-        assert_eq!(gc.privileged.tp + gc.disadvantaged.tp, 3);
-        // Re-running the same eviction is a no-op (deterministic).
-        window.evict_older_than(12, 5);
-        assert_eq!(window.len(), 3);
     }
 
     /// Every gauge a scrape could export from `window`: either undefined
@@ -271,7 +229,7 @@ mod tests {
         // undefined, and nothing may leak a NaN from the empty side.
         let mut window = SlidingGroupWindow::new(8);
         for tick in 0..12u64 {
-            window.push(tick, true, u8::from(tick & 1 == 0), u8::from(tick & 2 == 0));
+            window.push(true, u8::from(tick & 1 == 0), u8::from(tick & 2 == 0));
             assert_gauges_finite(&window, "privileged-only traffic");
         }
         for metric in FairnessMetric::all() {
@@ -293,7 +251,7 @@ mod tests {
         for privileged in [false, true] {
             for y_true in [0u8, 1] {
                 for y_pred in [0u8, 1] {
-                    window.push(0, privileged, y_true, y_pred);
+                    window.push(privileged, y_true, y_pred);
                     assert_eq!(window.len(), 1);
                     assert_gauges_finite(
                         &window,

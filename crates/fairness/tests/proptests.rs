@@ -123,9 +123,15 @@ proptest! {
     }
 
     #[test]
-    fn merged_confusions_add(p in arb_confusion(), d in arb_confusion()) {
+    fn ratio_metrics_are_scale_invariant(p in arb_confusion(), d in arb_confusion()) {
         let gc = GroupConfusions { privileged: p, disadvantaged: d };
-        let doubled = gc.merged(&gc);
+        let twice = |m: ConfusionMatrix| ConfusionMatrix {
+            tn: 2 * m.tn,
+            fp: 2 * m.fp,
+            fn_: 2 * m.fn_,
+            tp: 2 * m.tp,
+        };
+        let doubled = GroupConfusions { privileged: twice(p), disadvantaged: twice(d) };
         prop_assert_eq!(doubled.total(), gc.total() * 2);
         // Ratio metrics are invariant under uniform scaling of counts.
         for metric in FairnessMetric::all() {

@@ -1,5 +1,5 @@
 //! The flow analyses: parse every source, build the workspace call
-//! graph, and run the four checks the token lints cannot express:
+//! graph, and run the five checks the token lints cannot express:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -7,6 +7,14 @@
 //! | L001 | lock-order cycle across `Mutex`/`RwLock` acquisition orders (one call level inlined) |
 //! | E001 | blocking call (`thread::sleep`, `read_to_end`/`write_all`, lock held across `predict_batch`) reachable from an event-loop handler |
 //! | K001 | allocation (`Vec::new`/`push`/`to_vec`/`vec!`/`format!`) inside the hot scoring kernels |
+//! | U001 | `pub fn` in library code that no `fn main` reaches (binaries, examples, perfbench) through calls or value references |
+//!
+//! E001 and U001 share one forward-reachability pass,
+//! `Graph::reach`. The graph over-approximates calls (a method call
+//! links to every same-name method), so U001 under-reports: each finding
+//! is a fn no program runs. Tests are not entries, so a fn that only
+//! tests call is reported; `pub(crate)` and private fns are left to
+//! rustc's `dead_code`, and trait-impl methods carry no `pub`.
 //!
 //! Findings use the same `// lint:allow(CODE, reason)` suppressions and
 //! the same baseline as the token lints; [`crate::lint_tree`] runs both
@@ -15,7 +23,7 @@
 
 use crate::callgraph::{self, Graph, RawCall};
 use crate::parser;
-use crate::{Code, Config, Finding};
+use crate::{Code, Config, FileClass, Finding};
 
 /// Analyzes a set of in-memory sources (`(rel_path, source)` pairs) and
 /// returns the findings sorted by (file, line, code); [`crate::lint_tree`]
@@ -50,6 +58,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Vec<Fin
     crate::locks::run(&graph, &mut findings);
     run_e001(&graph, config, &mut findings);
     run_k001(&graph, config, &mut findings);
+    run_u001(&graph, &mut findings);
 
     // Suppressions: same machinery as the token lints, driven by the lex
     // that the parse already produced.
@@ -72,36 +81,17 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Vec<Fin
 /// E001: forward reachability from the event-loop handler fns; any
 /// blocking call on a reachable path is reported with its entry chain.
 fn run_e001(graph: &Graph, config: &Config, findings: &mut Vec<Finding>) {
-    let n = graph.fns.len();
-    // parent[i] = (caller index, entry distance) for the BFS tree.
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut reachable = vec![false; n];
-    let mut queue: Vec<usize> = Vec::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        if config.is_entry_file(&f.file) && !f.in_test {
-            reachable[i] = true;
-            queue.push(i);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let cur = queue[head];
-        head += 1;
-        for edge in &graph.fns[cur].edges {
-            let callee = &graph.fns[edge.callee];
-            if reachable[edge.callee] || callee.in_test {
-                continue;
-            }
-            reachable[edge.callee] = true;
-            parent[edge.callee] = Some(cur);
-            queue.push(edge.callee);
-        }
-    }
+    let entries: Vec<usize> = graph
+        .fns_in_files(|rel| config.is_entry_file(rel))
+        .into_iter()
+        .filter(|&i| !graph.fns[i].in_test)
+        .collect();
+    let reach = graph.reach(&entries, false);
 
     let chain = |mut i: usize| -> String {
         let mut names = vec![graph.fns[i].display()];
         let mut guard = 0;
-        while let Some(p) = parent[i] {
+        while let Some(p) = reach.parent[i] {
             names.push(graph.fns[p].display());
             i = p;
             guard += 1;
@@ -114,7 +104,7 @@ fn run_e001(graph: &Graph, config: &Config, findings: &mut Vec<Finding>) {
     };
 
     for (i, f) in graph.fns.iter().enumerate() {
-        if !reachable[i] {
+        if !reach.reached[i] {
             continue;
         }
         let mut lock_lines: Vec<usize> = Vec::new();
@@ -229,5 +219,39 @@ fn run_k001(graph: &Graph, config: &Config, findings: &mut Vec<Finding>) {
                 });
             }
         }
+    }
+}
+
+/// U001: every `pub fn` in library code that no non-test `fn main`
+/// reaches through call edges and value references.
+fn run_u001(graph: &Graph, findings: &mut Vec<Finding>) {
+    let entries: Vec<usize> = (0..graph.fns.len())
+        .filter(|&i| {
+            let f = &graph.fns[i];
+            f.name == "main" && f.owner.is_none() && !f.in_test
+        })
+        .collect();
+    let reach = graph.reach(&entries, true);
+    for (i, f) in graph.fns.iter().enumerate() {
+        if reach.reached[i]
+            || !f.public
+            || f.in_test
+            || crate::classify(&f.file) != FileClass::Library
+        {
+            continue;
+        }
+        findings.push(Finding {
+            file: f.file.clone(),
+            line: f.line,
+            code: Code::U001,
+            message: format!(
+                "public fn `{}` is reached from no entry (the `main` of a binary, an example \
+                 or perfbench); delete it with the tests that exist only for it, or name the \
+                 test that needs it in lint:allow(U001, ..)",
+                f.display()
+            ),
+            suppressed: false,
+            reason: None,
+        });
     }
 }

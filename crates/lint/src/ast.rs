@@ -1,13 +1,14 @@
 //! The analyzer's AST: a deliberately small subset of Rust surface
 //! syntax — items, functions, blocks, paths, calls, method calls,
-//! macros and closures — which is exactly the structure the flow-aware
-//! analyses (T001/L001/E001/K001) consume.
+//! macros, closures and paths used as values — which is exactly the
+//! structure the flow-aware analyses (T001/L001/E001/K001/U001) consume.
 //!
 //! Everything the parser cannot classify is skipped, never mis-parsed:
-//! the AST over-approximates "what does this function call" and nothing
-//! else. Expression *values* are not modelled; argument spans only
-//! record whether they contain an identifier (enough to tell a
-//! literal-only `seed_from_u64(42)` from a derived seed).
+//! the AST over-approximates "what does this function call or name" and
+//! nothing else. Expression *values* are not modelled beyond the paths
+//! they name; argument spans only record whether they contain an
+//! identifier (enough to tell a literal-only `seed_from_u64(42)` from a
+//! derived seed).
 
 /// One parsed source file.
 #[derive(Debug, Default)]
@@ -55,6 +56,8 @@ pub struct FnItem {
     pub line: usize,
     /// `true` for `#[test]` / `#[cfg(test)]`-gated functions.
     pub is_test: bool,
+    /// `true` for an unrestricted `pub` (not `pub(crate)`/`pub(super)`).
+    pub is_pub: bool,
     /// The body; `None` for bodyless declarations (trait methods,
     /// `extern` items).
     pub body: Option<Block>,
@@ -105,6 +108,9 @@ pub enum Expr {
     Closure(ClosureExpr),
     /// A nested `{ ... }` block (loop/if/match bodies and friends).
     Block(Block),
+    /// A path used as a value, not called here: `.map(f)`,
+    /// `Some(Type::f)`, but also every local variable and constant.
+    Ref(RefExpr),
 }
 
 /// A path call.
@@ -118,6 +124,15 @@ pub struct CallExpr {
     pub args_have_ident: bool,
     /// Nested expressions found inside the argument list.
     pub args: Vec<Expr>,
+}
+
+/// A path in value position.
+#[derive(Debug)]
+pub struct RefExpr {
+    /// Path segments, e.g. `["StudyResults", "n_model_evaluations"]`.
+    pub path: Vec<String>,
+    /// 1-based line.
+    pub line: usize,
 }
 
 /// A method call.
@@ -179,6 +194,7 @@ fn walk_exprs<'a>(exprs: &'a [Expr], visit: &mut impl FnMut(&'a Expr)) {
             Expr::Macro(m) => walk_exprs(&m.body, visit),
             Expr::Closure(c) => walk_exprs(&c.body, visit),
             Expr::Block(b) => walk_exprs(&b.exprs, visit),
+            Expr::Ref(_) => {}
         }
     }
 }

@@ -8,8 +8,15 @@
 //! every impl/trait method named `m` in the workspace. Paths that match
 //! nothing (std and external crates) produce no edge — the analyses
 //! pattern-match those call sites directly instead.
+//!
+//! A path used as a value (`.map(f)`, `Some(Type::f)`) resolves like a
+//! path call into [`FnNode::refs`], except that a bare name resolves only
+//! to free fns: a local named `bias` must not reach a `bias` method.
+//! Integration tests, examples and perfbench are crates downstream of the
+//! libraries, so library and binary code never resolves into them.
 
 use crate::ast::{Expr, File};
+use crate::FileClass;
 use std::collections::BTreeMap;
 
 /// A call observed in a function body, normalized for the analyses.
@@ -86,17 +93,17 @@ pub struct FnNode {
     pub line: usize,
     /// `#[test]` / `#[cfg(test)]`-gated.
     pub in_test: bool,
+    /// Declared with an unrestricted `pub`.
+    pub public: bool,
     /// Every call in the body, in source order.
     pub calls: Vec<RawCall>,
     /// Resolved workspace edges.
     pub edges: Vec<Edge>,
+    /// Workspace fns the body names as values, resolved and deduplicated.
+    pub refs: Vec<usize>,
 }
 
 impl FnNode {
-    /// `file:line` display for messages.
-    pub fn site(&self) -> String {
-        format!("{}:{}", self.file, self.line)
-    }
 
     /// Qualified display name (`Type::name` or `name`).
     pub fn display(&self) -> String {
@@ -143,12 +150,15 @@ pub fn file_modules(rel: &str) -> Vec<String> {
 /// Builds the graph over a set of parsed files.
 pub fn build(files: &[File]) -> Graph {
     let mut graph = Graph::default();
+    // Value-reference paths per fn, resolved once every fn is known.
+    let mut ref_paths: Vec<Vec<Vec<String>>> = Vec::new();
     for file in files {
         let base_mods = file_modules(&file.rel);
         for fr in file.functions() {
             let mut modules = base_mods.clone();
             modules.extend(fr.modules.iter().cloned());
             let mut calls = Vec::new();
+            let mut paths = Vec::new();
             if let Some(body) = &fr.item.body {
                 body.walk(&mut |e| match e {
                     Expr::Call(c) => calls.push(RawCall::Path {
@@ -164,9 +174,11 @@ pub fn build(files: &[File]) -> Graph {
                         args_have_ident: m.args_have_ident,
                     }),
                     Expr::Macro(m) => calls.push(RawCall::Macro { name: m.name.clone(), line: m.line }),
+                    Expr::Ref(r) => paths.push(r.path.clone()),
                     _ => {}
                 });
             }
+            ref_paths.push(paths);
             let idx = graph.fns.len();
             graph.by_name.entry(fr.item.name.clone()).or_default().push(idx);
             graph.fns.push(FnNode {
@@ -177,12 +189,14 @@ pub fn build(files: &[File]) -> Graph {
                 name: fr.item.name.clone(),
                 line: fr.item.line,
                 in_test: fr.in_test,
+                public: fr.item.is_pub,
                 calls,
                 edges: Vec::new(),
+                refs: Vec::new(),
             });
         }
     }
-    resolve_edges(&mut graph);
+    resolve_edges(&mut graph, &ref_paths);
     graph
 }
 
@@ -194,82 +208,98 @@ fn crate_matches(qualifier: &str, krate: &str) -> bool {
     q.replace('-', "_") == krate.replace('-', "_")
 }
 
-fn resolve_edges(graph: &mut Graph) {
+/// The workspace fns that `path`, called or (`is_ref`) named as a value
+/// in `caller`, may resolve to.
+fn resolve_path(graph: &Graph, caller: &FnNode, path: &[String], is_ref: bool) -> Vec<usize> {
+    let Some(name) = path.last() else { return Vec::new() };
+    let Some(cands) = graph.by_name.get(name) else { return Vec::new() };
+    let qualifier = if path.len() >= 2 { Some(path[path.len() - 2].as_str()) } else { None };
+    // A bare value path names a local or a free fn, never a method.
+    let nameable = |i: usize| !is_ref || qualifier.is_some() || graph.fns[i].owner.is_none();
+    match qualifier {
+        // `Self::f()` — the caller's own impl type.
+        Some("Self") => cands
+            .iter()
+            .copied()
+            .filter(|&i| graph.fns[i].krate == caller.krate && graph.fns[i].owner == caller.owner)
+            .collect(),
+        // Path keywords point into the caller's crate.
+        Some("crate") | Some("super") | Some("self") | None => {
+            let same: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&i| graph.fns[i].krate == caller.krate && nameable(i))
+                .collect();
+            if same.is_empty() && qualifier.is_none() {
+                // A bare path with no same-crate target may be a
+                // `use`-imported workspace fn.
+                cands.iter().copied().filter(|&i| nameable(i)).collect()
+            } else {
+                same
+            }
+        }
+        Some(q) => cands
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let f = &graph.fns[i];
+                f.owner.as_deref() == Some(q)
+                    || f.modules.last().map(String::as_str) == Some(q)
+                    || crate_matches(q, &f.krate)
+            })
+            .collect(),
+    }
+}
+
+fn resolve_edges(graph: &mut Graph, ref_paths: &[Vec<Vec<String>>]) {
+    let downstream: Vec<bool> =
+        graph.fns.iter().map(|f| crate::classify(&f.file) == FileClass::Test).collect();
+    // Test fns are reached only from tests, and downstream crates only
+    // from downstream crates.
+    let linkable = |caller: usize, callee: usize| {
+        (!graph.fns[callee].in_test || graph.fns[caller].in_test)
+            && (!downstream[callee] || downstream[caller])
+    };
     let mut all_edges: Vec<Vec<Edge>> = Vec::with_capacity(graph.fns.len());
-    for caller_idx in 0..graph.fns.len() {
+    let mut all_refs: Vec<Vec<usize>> = Vec::with_capacity(graph.fns.len());
+    for (caller_idx, paths) in ref_paths.iter().enumerate() {
         let caller = &graph.fns[caller_idx];
         let mut edges: Vec<Edge> = Vec::new();
         for (seq, call) in caller.calls.iter().enumerate() {
-            match call {
-                RawCall::Path { path, line, .. } => {
-                    let Some(name) = path.last() else { continue };
-                    let Some(cands) = graph.by_name.get(name) else { continue };
-                    let qualifier = if path.len() >= 2 { Some(path[path.len() - 2].as_str()) } else { None };
-                    let matched: Vec<usize> = match qualifier {
-                        // `Self::f()` — the caller's own impl type.
-                        Some("Self") => cands
-                            .iter()
-                            .copied()
-                            .filter(|&i| {
-                                graph.fns[i].krate == caller.krate
-                                    && graph.fns[i].owner == caller.owner
-                            })
-                            .collect(),
-                        // Path keywords point into the caller's crate.
-                        Some("crate") | Some("super") | Some("self") | None => {
-                            let same: Vec<usize> = cands
-                                .iter()
-                                .copied()
-                                .filter(|&i| graph.fns[i].krate == caller.krate)
-                                .collect();
-                            if same.is_empty() && qualifier.is_none() {
-                                // A bare call with no same-crate target may
-                                // be a `use`-imported workspace fn.
-                                cands.clone()
-                            } else {
-                                same
-                            }
-                        }
-                        Some(q) => cands
-                            .iter()
-                            .copied()
-                            .filter(|&i| {
-                                let f = &graph.fns[i];
-                                f.owner.as_deref() == Some(q)
-                                    || f.modules.last().map(String::as_str) == Some(q)
-                                    || crate_matches(q, &f.krate)
-                            })
-                            .collect(),
-                    };
-                    for i in matched {
-                        if graph.fns[i].in_test && !caller.in_test {
-                            continue;
-                        }
-                        edges.push(Edge { callee: i, line: *line, seq });
-                    }
+            let matched = match call {
+                RawCall::Path { path, .. } => resolve_path(graph, caller, path, false),
+                // Methods only — a free fn cannot be `.name()`-called.
+                RawCall::Method { name, .. } => graph
+                    .by_name
+                    .get(name)
+                    .map(|cands| {
+                        cands.iter().copied().filter(|&i| graph.fns[i].owner.is_some()).collect()
+                    })
+                    .unwrap_or_default(),
+                RawCall::Macro { .. } => Vec::new(),
+            };
+            for i in matched {
+                if linkable(caller_idx, i) {
+                    edges.push(Edge { callee: i, line: call.line(), seq });
                 }
-                RawCall::Method { name, .. } => {
-                    let Some(cands) = graph.by_name.get(name) else { continue };
-                    for &i in cands {
-                        // Methods only — a free fn cannot be `.name()`-called.
-                        if graph.fns[i].owner.is_none() {
-                            continue;
-                        }
-                        if graph.fns[i].in_test && !caller.in_test {
-                            continue;
-                        }
-                        edges.push(Edge { callee: i, line: call.line(), seq });
-                    }
-                }
-                RawCall::Macro { .. } => {}
             }
         }
         edges.sort_by_key(|e| (e.callee, e.line, e.seq));
         edges.dedup();
         all_edges.push(edges);
+
+        let mut refs: Vec<usize> = paths
+            .iter()
+            .flat_map(|path| resolve_path(graph, caller, path, true))
+            .filter(|&i| linkable(caller_idx, i))
+            .collect();
+        refs.sort_unstable();
+        refs.dedup();
+        all_refs.push(refs);
     }
-    for (node, edges) in graph.fns.iter_mut().zip(all_edges) {
+    for ((node, edges), refs) in graph.fns.iter_mut().zip(all_edges).zip(all_refs) {
         node.edges = edges;
+        node.refs = refs;
     }
 }
 
@@ -290,6 +320,46 @@ impl Graph {
     pub fn fns_in_files(&self, pred: impl Fn(&str) -> bool) -> Vec<usize> {
         (0..self.fns.len()).filter(|&i| pred(&self.fns[i].file)).collect()
     }
+
+    /// Forward reachability from `entries` through call edges, and
+    /// through value references when `follow_refs` is set. Test fns are
+    /// never entered.
+    pub(crate) fn reach(&self, entries: &[usize], follow_refs: bool) -> Reach {
+        let n = self.fns.len();
+        let mut reach = Reach { reached: vec![false; n], parent: vec![None; n] };
+        let mut queue: Vec<usize> = Vec::new();
+        for &i in entries {
+            if !reach.reached[i] {
+                reach.reached[i] = true;
+                queue.push(i);
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let cur = queue[head];
+            head += 1;
+            let node = &self.fns[cur];
+            let refs = if follow_refs { node.refs.as_slice() } else { &[] };
+            for callee in node.edges.iter().map(|e| e.callee).chain(refs.iter().copied()) {
+                if reach.reached[callee] || self.fns[callee].in_test {
+                    continue;
+                }
+                reach.reached[callee] = true;
+                reach.parent[callee] = Some(cur);
+                queue.push(callee);
+            }
+        }
+        reach
+    }
+}
+
+/// The result of [`Graph::reach`]: the BFS tree over the graph.
+#[derive(Debug)]
+pub(crate) struct Reach {
+    /// `reached[i]`: fn `i` is an entry or reachable from one.
+    pub reached: Vec<bool>,
+    /// The fn that first reached `i`; `None` for entries and unreached fns.
+    pub parent: Vec<Option<usize>>,
 }
 
 #[cfg(test)]
@@ -351,6 +421,34 @@ mod tests {
         )]);
         assert!(has_edge(&g, "new", "setup"), "Self:: resolves in-impl");
         assert!(has_edge(&g, "driver", "observe"), "method call links to impl method");
+    }
+
+    #[test]
+    fn value_references_resolve_and_bare_ones_only_to_free_fns() {
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            "pub struct M;\n\
+             impl M { pub fn bias(&self) {} pub fn weights(&self) {} }\n\
+             pub fn record() {}\n\
+             pub fn entry(bias: f64) { let _ = (bias, Some(record), [1].map(M::weights)); }",
+        )]);
+        let entry = idx(&g, "entry");
+        let mut want = vec![idx(&g, "record"), idx(&g, "weights")];
+        want.sort_unstable();
+        // The parameter `bias` names no fn: bare paths skip methods.
+        assert_eq!(g.fns[entry].refs, want);
+        assert!(g.fns[entry].edges.is_empty(), "a value reference is not a call");
+    }
+
+    #[test]
+    fn library_code_never_resolves_into_downstream_crates() {
+        let g = graph_of(&[
+            ("crates/a/src/lib.rs", "pub fn run(s: &S) { s.finish(); }"),
+            ("perfbench/src/trace.rs", "impl Span { pub fn finish(&self) { crate::now(); } }"),
+            ("examples/demo.rs", "fn main() { a::run(&S); } impl Demo { fn finish(&self) {} }"),
+        ]);
+        assert!(g.fns[idx(&g, "run")].edges.is_empty(), "{:?}", g.fns[idx(&g, "run")].edges);
+        assert!(has_edge(&g, "main", "run"), "downstream crates still call the libraries");
     }
 
     #[test]

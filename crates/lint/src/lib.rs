@@ -30,11 +30,16 @@
 //! | L001 | lock-order cycle across `Mutex`/`RwLock` acquisition orders (one call level inlined) |
 //! | E001 | blocking call reachable from an event-loop handler |
 //! | K001 | allocation inside the hot scoring kernels |
+//! | U001 | public fn in library code that no program's `main` reaches |
 //!
 //! They catch what the token lints cannot see: a tainted helper three
 //! calls away, a lock-order inversion across functions, a blocking call
-//! on an event-loop path. T001 does not replace D002: D002 still flags
-//! a clock read that reaches no export at all.
+//! on an event-loop path, public API only tests call. T001 does not
+//! replace D002: D002 still flags a clock read that reaches no export at
+//! all. U001's entries are the non-test `fn main`s of the binaries, the
+//! examples and perfbench. perfbench is scanned for them; like the
+//! examples and tests it is in the test class, so of the token lints
+//! only S001 applies to it.
 //!
 //! # Suppressions
 //!
@@ -88,11 +93,13 @@ pub enum Code {
     E001,
     /// Allocation in a hot kernel (flow analysis).
     K001,
+    /// Public fn no entry reaches (flow analysis).
+    U001,
 }
 
 impl Code {
     /// All codes, in reporting order.
-    pub const ALL: [Code; 10] = [
+    pub const ALL: [Code; 11] = [
         Code::D001,
         Code::D002,
         Code::D003,
@@ -103,6 +110,7 @@ impl Code {
         Code::L001,
         Code::E001,
         Code::K001,
+        Code::U001,
     ];
 
     /// The stable code string.
@@ -118,6 +126,7 @@ impl Code {
             Code::L001 => "L001",
             Code::E001 => "E001",
             Code::K001 => "K001",
+            Code::U001 => "U001",
         }
     }
 
@@ -155,6 +164,10 @@ impl Code {
                 "allocation (Vec::new/push/to_vec/vec!/format!) inside a hot scoring \
                  kernel; buffers must come from the caller-reserved scratch pool"
             }
+            Code::U001 => {
+                "public fn in library code that no non-test fn main (binaries, examples, \
+                 perfbench) reaches through calls or value references"
+            }
         }
     }
 
@@ -171,7 +184,7 @@ pub enum FileClass {
     Library,
     /// Binaries (`src/bin`, `main.rs`, `build.rs`) — determinism + safety lints.
     Binary,
-    /// Integration tests, examples, benches — safety lints only.
+    /// Integration tests, examples, benches, perfbench — safety lints only.
     Test,
 }
 
@@ -183,6 +196,7 @@ pub fn classify(rel: &str) -> FileClass {
         || p.starts_with("examples/")
         || p.contains("/examples/")
         || p.contains("/benches/")
+        || p.starts_with("perfbench/")
     {
         return FileClass::Test;
     }
@@ -237,6 +251,7 @@ impl Config {
                 "src".to_string(),
                 "tests".to_string(),
                 "examples".to_string(),
+                "perfbench".to_string(),
             ],
             entry_files: vec!["crates/serve/src/event.rs".to_string()],
             kernel_paths: vec!["crates/mlcore/src/kernels.rs".to_string()],
@@ -1022,6 +1037,13 @@ mod tests {
         assert_eq!(classify("tests/study_resume.rs"), FileClass::Test);
         assert_eq!(classify("crates/tabular/tests/proptests.rs"), FileClass::Test);
         assert_eq!(classify("examples/serve_quickstart.rs"), FileClass::Test);
+    }
+
+    #[test]
+    fn perfbench_is_scanned_as_a_test_class_crate_of_its_own() {
+        assert!(Config::demodq().roots.iter().any(|r| r == "perfbench"));
+        assert_eq!(classify("perfbench/src/main.rs"), FileClass::Test);
+        assert_eq!(parser::crate_of("perfbench/src/study.rs"), "perfbench");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! A recursive-descent parser for the Rust subset the analyzer needs:
-//! items (`mod`/`fn`/`impl`/`trait`), blocks, paths, calls, method
-//! calls, macro invocations and closures, built directly on the
-//! [`crate::lexer`] token stream.
+//! items (`mod`/`fn`/`impl`/`trait`) and whether a fn is `pub`, blocks,
+//! paths, calls, method calls, macro invocations, closures and paths used
+//! as values, built directly on the [`crate::lexer`] token stream.
 //!
 //! The parser is **total and error-tolerant**: it never fails and never
 //! loops — anything it cannot classify is skipped token-by-token, and
 //! every skipping helper is bounded. The produced AST over-approximates
-//! "which calls can this function make", which is the only question the
-//! analyses ask of it. Known, deliberate approximations:
+//! "which fns can this function call or name", which is the only question
+//! the analyses ask of it. Known, deliberate approximations:
 //!
+//! * every path that is not called is a value reference, locals and
+//!   constants included; name resolution decides which of them name fns;
 //! * expression-bodied closures contribute their calls to the enclosing
 //!   scope (block-bodied closures nest properly);
 //! * `if`/`match`/`loop` control flow is flattened — both arms "happen";
@@ -18,7 +20,7 @@
 
 use crate::ast::{
     Block, CallExpr, ClosureExpr, Expr, File, FnItem, ImplItem, Item, MacroExpr, MethodCallExpr,
-    ModItem, TraitItem,
+    ModItem, RefExpr, TraitItem,
 };
 use crate::lexer::{self, Lexed, Tok, Token};
 
@@ -36,6 +38,7 @@ pub fn crate_of(rel: &str) -> String {
     let mut parts = rel.split('/');
     match parts.next() {
         Some("crates") | Some("vendor") => parts.next().unwrap_or("unknown").to_string(),
+        Some("perfbench") => "perfbench".to_string(),
         // Root package sources, integration tests, examples.
         _ => "demodq".to_string(),
     }
@@ -56,11 +59,13 @@ struct Parser<'a> {
     prev: Option<Tok>,
 }
 
-/// Attribute flags pending application to the next item.
+/// Attribute and visibility flags pending application to the next item.
 #[derive(Default, Clone, Copy)]
 struct PendingAttrs {
     test: bool,
     cfg_test: bool,
+    /// An unrestricted `pub` preceded the item.
+    public: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -150,6 +155,8 @@ impl<'a> Parser<'a> {
                         self.bump();
                         if self.at_punct('(') {
                             self.skip_delimited('(', ')');
+                        } else if kw == "pub" {
+                            pending.public = true;
                         }
                     }
                     _ => self.bump(),
@@ -219,7 +226,8 @@ impl<'a> Parser<'a> {
         };
         // Signature: skip generics/params/return type up to `{` or `;`.
         let body = if self.skip_signature() { Some(self.parse_block()) } else { None };
-        FnItem { name, line, is_test: pending.test || pending.cfg_test, body }
+        let is_test = pending.test || pending.cfg_test;
+        FnItem { name, line, is_test, is_pub: pending.public, body }
     }
 
     /// Skips a fn signature up to its body. Returns `true` when a `{`
@@ -607,7 +615,7 @@ impl<'a> Parser<'a> {
     }
 
     /// An identifier in expression position: a (possibly multi-segment)
-    /// path, optionally a call or a macro invocation.
+    /// path that is called, invoked as a macro, or used as a value.
     fn parse_path_expr(&mut self) -> Option<Expr> {
         let line = self.line();
         let mut path: Vec<String> = Vec::new();
@@ -678,7 +686,7 @@ impl<'a> Parser<'a> {
             let (args, _n, args_have_ident) = self.parse_args();
             return Some(Expr::Call(CallExpr { path, line, args_have_ident, args }));
         }
-        None
+        Some(Expr::Ref(RefExpr { path, line }))
     }
 
     /// Parses a `( ... )` argument list, cursor on `(`. Returns the
@@ -1042,6 +1050,29 @@ mod tests {
         assert!(names.contains(&"score"));
         assert!(names.contains(&"shim"));
         assert_eq!(calls_of(&file, "score"), vec!["fallback"]);
+    }
+
+    #[test]
+    fn visibility_and_value_references() {
+        let src = r#"
+            pub fn open() { rows.iter().map(Summary::render).count(); Some(helper); }
+            pub(crate) fn crate_only() {}
+            pub const unsafe fn modified() {}
+            fn private() {}
+            impl Summary { pub fn render(&self) {} fn hidden(&self) {} }
+        "#;
+        let file = parse(src);
+        let fns = file.functions();
+        let public: Vec<&str> =
+            fns.iter().filter(|f| f.item.is_pub).map(|f| f.item.name.as_str()).collect();
+        assert_eq!(public, vec!["open", "modified", "render"]);
+        let mut refs = Vec::new();
+        fns[0].item.body.as_ref().expect("body").walk(&mut |e| {
+            if let Expr::Ref(r) = e {
+                refs.push(r.path.join("::"));
+            }
+        });
+        assert_eq!(refs, vec!["rows", "Summary::render", "helper"]);
     }
 
     #[test]

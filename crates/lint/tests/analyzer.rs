@@ -7,8 +7,8 @@ use demodq_lint::analyze::analyze_sources;
 use demodq_lint::{compare, lint_tree, Baseline, Code, Config, Finding};
 use std::path::Path;
 
-/// The four flow-analysis codes.
-const FLOW: [Code; 4] = [Code::T001, Code::L001, Code::E001, Code::K001];
+/// The five flow-analysis codes.
+const FLOW: [Code; 5] = [Code::T001, Code::L001, Code::E001, Code::K001, Code::U001];
 
 fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
     let sources: Vec<(String, String)> =
@@ -258,6 +258,129 @@ fn k001_suppression_with_reason_is_honored() {
     let k001: Vec<_> = findings.iter().filter(|f| f.code == Code::K001).collect();
     assert_eq!(k001.len(), 1);
     assert!(k001[0].suppressed);
+}
+
+// -- U001 -------------------------------------------------------------------
+
+/// The display names of the active U001 findings, sorted.
+fn unreached(findings: &[Finding]) -> Vec<String> {
+    let mut names: Vec<String> = active_of(findings, Code::U001)
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn u001_follows_value_references() {
+    let findings = analyze(&[
+        (
+            "crates/bench/src/main.rs",
+            "fn main() {\n\
+                 let record = Some(export::failed_task_record);\n\
+                 let n: usize = results().iter().map(StudyResults::n_model_evaluations).sum();\n\
+                 drop((record, n));\n\
+             }",
+        ),
+        ("crates/core/src/export.rs", "pub fn failed_task_record(id: u64) -> u64 { id }"),
+        (
+            "crates/core/src/runner.rs",
+            "pub struct StudyResults;\n\
+             impl StudyResults {\n\
+                 pub fn n_model_evaluations(&self) -> usize { 0 }\n\
+             }\n\
+             pub fn results() -> Vec<StudyResults> { Vec::new() }\n\
+             pub fn run_unreached() {}",
+        ),
+    ]);
+    assert_eq!(unreached(&findings), ["run_unreached"], "{findings:?}");
+}
+
+#[test]
+fn u001_bare_value_paths_name_only_free_fns() {
+    // A local that shares a method's name does not reach the method.
+    let findings = analyze(&[
+        (
+            "crates/bench/src/main.rs",
+            "fn main() { let bias = 0.5; let weights = [bias]; println!(\"{weights:?}\"); }",
+        ),
+        (
+            "crates/mlcore/src/logreg.rs",
+            "pub struct LogReg;\n\
+             impl LogReg {\n\
+                 pub fn bias(&self) -> f64 { 0.0 }\n\
+                 pub fn weights(&self) -> &[f64] { &[] }\n\
+             }",
+        ),
+    ]);
+    assert_eq!(unreached(&findings), ["LogReg::bias", "LogReg::weights"], "{findings:?}");
+}
+
+#[test]
+fn u001_reports_fns_that_only_tests_call() {
+    let findings = analyze(&[
+        ("crates/bench/src/main.rs", "fn main() { ttest::paired_t_test(); }"),
+        (
+            "crates/statskit/src/ttest.rs",
+            "pub fn paired_t_test() {}\n\
+             pub fn unpaired_t_test() {}\n\
+             pub fn gamma_p() {}\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[test]\n\
+                 fn unpaired_matches() { super::unpaired_t_test(); }\n\
+             }",
+        ),
+        ("tests/closed_forms.rs", "#[test]\nfn gamma() { statskit::ttest::gamma_p(); }"),
+    ]);
+    assert_eq!(unreached(&findings), ["gamma_p", "unpaired_t_test"], "{findings:?}");
+}
+
+#[test]
+fn u001_never_reports_restricted_or_trait_impl_fns() {
+    let findings = analyze(&[(
+        "crates/core/src/report.rs",
+        "pub(crate) fn crate_only() {}\n\
+         pub(super) fn parent_only() {}\n\
+         fn private() {}\n\
+         pub struct Table;\n\
+         impl std::fmt::Display for Table {\n\
+             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { Ok(()) }\n\
+         }\n\
+         pub trait Render { fn render(&self) -> String { String::new() } }\n\
+         pub fn render_markdown() {}",
+    )]);
+    assert_eq!(unreached(&findings), ["render_markdown"], "{findings:?}");
+}
+
+#[test]
+fn u001_counts_a_perfbench_only_caller() {
+    let findings = analyze(&[
+        ("perfbench/src/main.rs", "fn main() { study::traced_run(); }"),
+        (
+            "perfbench/src/study.rs",
+            "pub fn traced_run() { demodq::runner::run_configuration_once(); }",
+        ),
+        (
+            "crates/core/src/runner.rs",
+            "pub fn run_configuration_once() {}\npub fn run_nothing() {}",
+        ),
+    ]);
+    // perfbench's own `pub fn`s are not library API.
+    assert_eq!(unreached(&findings), ["run_nothing"], "{findings:?}");
+}
+
+#[test]
+fn u001_suppression_names_the_test_that_needs_the_fn() {
+    let findings = analyze(&[(
+        "crates/statskit/src/special.rs",
+        "// lint:allow(U001, gamma_p_q_sum_to_one checks gamma_q against it)\n\
+         pub fn gamma_p() -> f64 { 1.0 }",
+    )]);
+    let u001: Vec<_> = findings.iter().filter(|f| f.code == Code::U001).collect();
+    assert_eq!(u001.len(), 1, "{findings:?}");
+    assert!(u001[0].suppressed);
 }
 
 // -- Fixture tree (the ci.sh self-check target) -----------------------------

@@ -28,3 +28,10 @@ impl App {
         drop((j, r));
     }
 }
+
+impl Guarded {
+    /// Seeded U001 violation: public, and no `main` reaches it.
+    pub fn legacy_dump(&self) -> u64 {
+        0
+    }
+}

@@ -136,12 +136,6 @@ impl BinnedMatrix {
         self.n_cols
     }
 
-    /// Bin index of row `i`, feature `j`.
-    #[inline]
-    pub fn bin(&self, i: usize, j: usize) -> u8 {
-        self.bins[j * self.n_rows + i]
-    }
-
     /// The contiguous bin-index column of feature `j`.
     #[inline]
     pub fn feature_bins(&self, j: usize) -> &[u8] {
@@ -238,11 +232,6 @@ impl BinnedMatrix {
     ) -> bool {
         !self.has_nan && right_bin.is_none_or(|r| self.bin_lo[self.offsets[j] + r] > threshold)
     }
-
-    /// The strictly increasing cut points of feature `j`.
-    pub fn feature_cuts(&self, j: usize) -> &[f64] {
-        &self.cuts[j]
-    }
 }
 
 /// Builds strictly increasing cut points from an ascending value slice.
@@ -298,6 +287,11 @@ fn push_cut(cuts: &mut Vec<f64>, lo: f64, hi: f64) {
 mod tests {
     use super::*;
 
+    /// Bin index of row `i`, feature `j`.
+    fn bin_of(b: &BinnedMatrix, i: usize, j: usize) -> u8 {
+        b.bins[j * b.n_rows + i]
+    }
+
     fn matrix_of(col: Vec<f64>) -> DenseMatrix {
         let n = col.len();
         DenseMatrix::from_vec(n, 1, col)
@@ -309,7 +303,7 @@ mod tests {
         values.push(f64::MAX);
         values.push(f64::MIN);
         let b = BinnedMatrix::from_matrix(&matrix_of(values), 32);
-        let cuts = b.feature_cuts(0);
+        let cuts = &b.cuts[0];
         assert!(!cuts.is_empty());
         for w in cuts.windows(2) {
             assert!(w[0] < w[1], "cuts not strictly increasing: {} >= {}", w[0], w[1]);
@@ -327,7 +321,7 @@ mod tests {
         for i in 0..x.n_rows() {
             for k in 0..x.n_rows() {
                 if x.get(i, 0) == x.get(k, 0) {
-                    assert_eq!(b.bin(i, 0), b.bin(k, 0), "tie split across bins");
+                    assert_eq!(bin_of(&b, i, 0), bin_of(&b, k, 0), "tie split across bins");
                 }
             }
         }
@@ -341,7 +335,7 @@ mod tests {
         for i in 0..x.n_rows() {
             for k in 0..x.n_rows() {
                 if x.get(i, 0) < x.get(k, 0) {
-                    assert!(b.bin(i, 0) <= b.bin(k, 0), "order not preserved");
+                    assert!(bin_of(&b, i, 0) <= bin_of(&b, k, 0), "order not preserved");
                 }
             }
         }
@@ -356,7 +350,7 @@ mod tests {
         for bsel in 0..b.n_bins(0) - 1 {
             let t = b.threshold(0, bsel);
             for i in 0..x.n_rows() {
-                assert_eq!(x.get(i, 0) <= t, usize::from(b.bin(i, 0)) <= bsel);
+                assert_eq!(x.get(i, 0) <= t, usize::from(bin_of(&b, i, 0)) <= bsel);
             }
         }
     }
@@ -368,7 +362,7 @@ mod tests {
         // Six distinct values => five cuts, six bins: identical candidate
         // thresholds to the exact greedy splitter.
         assert_eq!(b.n_bins(0), 6);
-        assert_eq!(b.feature_cuts(0).len(), 5);
+        assert_eq!(b.cuts[0].len(), 5);
         assert!((b.threshold(0, 2) - 6.0).abs() < 1e-12); // midpoint of 2 and 10
     }
 
@@ -382,14 +376,14 @@ mod tests {
             let t = b.split_threshold(0, left, left + 1);
             // Same routing as the raw cut edge: v <= t iff bin(v) <= left...
             for i in 0..x.n_rows() {
-                assert_eq!(x.get(i, 0) <= t, usize::from(b.bin(i, 0)) <= left);
+                assert_eq!(x.get(i, 0) <= t, usize::from(bin_of(&b, i, 0)) <= left);
             }
             // ...but centred: strictly above the left bin's largest value
             // and strictly below the right bin's smallest.
             let (mut hi, mut lo) = (f64::NEG_INFINITY, f64::INFINITY);
             for i in 0..x.n_rows() {
                 let v = x.get(i, 0);
-                if usize::from(b.bin(i, 0)) <= left {
+                if usize::from(bin_of(&b, i, 0)) <= left {
                     hi = hi.max(v);
                 } else {
                     lo = lo.min(v);
@@ -405,8 +399,8 @@ mod tests {
         let x = matrix_of(vec![5.0; 40]);
         let b = BinnedMatrix::from_matrix(&x, 64);
         assert_eq!(b.n_bins(0), 1);
-        assert!(b.feature_cuts(0).is_empty());
-        assert!((0..40).all(|i| b.bin(i, 0) == 0));
+        assert!(b.cuts[0].is_empty());
+        assert!((0..40).all(|i| bin_of(&b, i, 0) == 0));
     }
 
     #[test]
@@ -415,8 +409,8 @@ mod tests {
         let x = matrix_of(values);
         let a = BinnedMatrix::from_matrix(&x, 24);
         let b = BinnedMatrix::from_matrix(&x, 24);
-        assert_eq!(a.feature_cuts(0), b.feature_cuts(0));
-        assert!((0..x.n_rows()).all(|i| a.bin(i, 0) == b.bin(i, 0)));
+        assert_eq!(a.cuts[0], b.cuts[0]);
+        assert!((0..x.n_rows()).all(|i| bin_of(&a, i, 0) == bin_of(&b, i, 0)));
     }
 
     #[test]
@@ -441,9 +435,9 @@ mod tests {
         // and bin indices 0..=255 with order preserved.
         let values: Vec<f64> = (0..256).map(|i| i as f64).collect();
         let b = BinnedMatrix::from_matrix(&matrix_of(values), 256);
-        assert_eq!(b.feature_cuts(0).len(), 255);
+        assert_eq!(b.cuts[0].len(), 255);
         assert_eq!(b.n_bins(0), 256);
-        assert!((0..256).all(|i| usize::from(b.bin(i, 0)) == i));
+        assert!((0..256).all(|i| usize::from(bin_of(&b, i, 0)) == i));
     }
 
     #[test]
@@ -453,14 +447,14 @@ mod tests {
         // every index inside u8.
         let values: Vec<f64> = (0..1000).map(|i| i as f64 * 0.25).collect();
         let b = BinnedMatrix::from_matrix(&matrix_of(values), 256);
-        assert!(b.feature_cuts(0).len() < 256);
+        assert!(b.cuts[0].len() < 256);
         assert!(b.n_bins(0) <= 256);
     }
 
     #[test]
     fn constant_column_at_max_bin_budget_has_no_cuts() {
         let b = BinnedMatrix::from_matrix(&matrix_of(vec![-2.5; 300]), 256);
-        assert!(b.feature_cuts(0).is_empty());
+        assert!(b.cuts[0].is_empty());
         assert_eq!(b.n_bins(0), 1);
     }
 
@@ -468,7 +462,7 @@ mod tests {
     fn empty_feature_has_no_cuts() {
         // Zero rows: quantile_cuts sees an empty slice and must not cut.
         let b = BinnedMatrix::from_matrix(&DenseMatrix::zeros(0, 1), 256);
-        assert!(b.feature_cuts(0).is_empty());
+        assert!(b.cuts[0].is_empty());
         assert_eq!(b.n_bins(0), 1);
     }
 
@@ -488,7 +482,7 @@ mod tests {
             let row = b.row_bins(i);
             assert_eq!(row.len(), 3);
             for (&code, &j) in row.iter().zip(b.split_features()) {
-                assert_eq!(code, b.bin(i, j));
+                assert_eq!(code, bin_of(&b, i, j));
             }
         }
     }
@@ -513,7 +507,7 @@ mod tests {
                 let t = b.split_threshold(0, left, right);
                 assert!(b.routes_like_bins(0, Some(right), t));
                 for i in 0..x.n_rows() {
-                    let bin = usize::from(b.bin(i, 0));
+                    let bin = usize::from(bin_of(&b, i, 0));
                     if bin <= left || bin >= right {
                         assert_eq!(x.get(i, 0) <= t, bin <= left);
                     }

@@ -292,11 +292,6 @@ impl RandomForestClassifier {
         RandomForestClassifier { trees }
     }
 
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// The bagged component trees, in fitting order; leaf values are
     /// positive-class probabilities.
     pub fn trees(&self) -> &[RegressionTree] {
@@ -396,7 +391,7 @@ mod tests {
     fn forest_learns_xor_and_is_deterministic() {
         let (x, y) = xor_data(200);
         let forest = RandomForestClassifier::fit(&x, &y, 25, 6, 7);
-        assert_eq!(forest.n_trees(), 25);
+        assert_eq!(forest.trees.len(), 25);
         let preds = forest.predict(&x);
         let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
         assert!(correct >= 190, "correct={correct}/200");

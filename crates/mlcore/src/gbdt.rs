@@ -140,6 +140,7 @@ impl GbdtClassifier {
     }
 
     /// Number of fitted boosting rounds.
+    // lint:allow(U001, gbdt_rounds_match_a_tree_walk_reference counts the boosting rounds with it)
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }

@@ -36,6 +36,6 @@ pub use dtree::{DecisionTreeClassifier, RandomForestClassifier};
 pub use gbdt::GbdtClassifier;
 pub use knn::KnnClassifier;
 pub use logreg::LogRegClassifier;
-pub use metrics::{accuracy, confusion_matrix, f1_score, precision, recall, roc_auc, ConfusionMatrix};
+pub use metrics::{accuracy, f1_score, ConfusionMatrix};
 pub use model::{Classifier, ModelKind, ModelSpec};
 pub use tree::{RegressionTree, TreeParams};

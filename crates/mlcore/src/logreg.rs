@@ -79,16 +79,6 @@ impl LogRegClassifier {
         LogRegClassifier { weights: w, bias }
     }
 
-    /// The fitted weights (without the intercept).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The fitted intercept.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-
     /// Decision-function value for one row.
     #[inline]
     pub fn decision(&self, row: &[f64]) -> f64 {
@@ -151,10 +141,10 @@ mod tests {
         let strong = LogRegClassifier::fit(&x, &y, 0.01, 50);
         let weak = LogRegClassifier::fit(&x, &y, 100.0, 50);
         assert!(
-            strong.weights()[0].abs() < weak.weights()[0].abs(),
+            strong.weights[0].abs() < weak.weights[0].abs(),
             "strong reg should shrink weights: {} vs {}",
-            strong.weights()[0],
-            weak.weights()[0]
+            strong.weights[0],
+            weak.weights[0]
         );
     }
 
@@ -201,7 +191,7 @@ mod tests {
         let (x, y) = separable_data();
         let a = LogRegClassifier::fit(&x, &y, 1.0, 50);
         let b = LogRegClassifier::fit(&x, &y, 1.0, 50);
-        assert_eq!(a.weights(), b.weights());
-        assert_eq!(a.bias(), b.bias());
+        assert_eq!(a.weights, b.weights);
+        assert_eq!(a.bias, b.bias);
     }
 }

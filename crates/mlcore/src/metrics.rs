@@ -1,5 +1,5 @@
-//! Classification metrics: confusion matrix, accuracy, precision, recall,
-//! F1, ROC-AUC.
+//! Classification metrics: confusion matrix, accuracy, precision, recall
+//! and F1.
 //!
 //! The experimentation framework computes *group-wise* confusion matrices
 //! (see the `fairness` crate); the scalar metrics here serve the overall
@@ -26,25 +26,6 @@ impl ConfusionMatrix {
         assert_eq!(y_true.len(), y_pred.len(), "prediction length mismatch");
         let mut cm = ConfusionMatrix::default();
         for (&t, &p) in y_true.iter().zip(y_pred) {
-            match (t, p) {
-                (0, 0) => cm.tn += 1,
-                (0, _) => cm.fp += 1,
-                (_, 0) => cm.fn_ += 1,
-                _ => cm.tp += 1,
-            }
-        }
-        cm
-    }
-
-    /// Tallies only rows where `mask` is true (group-wise tallying).
-    pub fn from_predictions_masked(y_true: &[u8], y_pred: &[u8], mask: &[bool]) -> Self {
-        assert_eq!(y_true.len(), y_pred.len(), "prediction length mismatch");
-        assert_eq!(y_true.len(), mask.len(), "mask length mismatch");
-        let mut cm = ConfusionMatrix::default();
-        for ((&t, &p), &m) in y_true.iter().zip(y_pred).zip(mask) {
-            if !m {
-                continue;
-            }
             match (t, p) {
                 (0, 0) => cm.tn += 1,
                 (0, _) => cm.fp += 1,
@@ -102,16 +83,6 @@ impl ConfusionMatrix {
             Some(2.0 * p * r / (p + r))
         }
     }
-
-    /// Element-wise sum of two confusion matrices.
-    pub fn merged(&self, other: &ConfusionMatrix) -> ConfusionMatrix {
-        ConfusionMatrix {
-            tn: self.tn + other.tn,
-            fp: self.fp + other.fp,
-            fn_: self.fn_ + other.fn_,
-            tp: self.tp + other.tp,
-        }
-    }
 }
 
 /// Plain accuracy over hard predictions.
@@ -119,60 +90,9 @@ pub fn accuracy(y_true: &[u8], y_pred: &[u8]) -> f64 {
     ConfusionMatrix::from_predictions(y_true, y_pred).accuracy().unwrap_or(0.0)
 }
 
-/// Precision over hard predictions (0.0 when undefined).
-pub fn precision(y_true: &[u8], y_pred: &[u8]) -> f64 {
-    ConfusionMatrix::from_predictions(y_true, y_pred).precision().unwrap_or(0.0)
-}
-
-/// Recall over hard predictions (0.0 when undefined).
-pub fn recall(y_true: &[u8], y_pred: &[u8]) -> f64 {
-    ConfusionMatrix::from_predictions(y_true, y_pred).recall().unwrap_or(0.0)
-}
-
 /// F1 over hard predictions (0.0 when undefined).
 pub fn f1_score(y_true: &[u8], y_pred: &[u8]) -> f64 {
     ConfusionMatrix::from_predictions(y_true, y_pred).f1().unwrap_or(0.0)
-}
-
-/// Convenience constructor mirroring `ConfusionMatrix::from_predictions`.
-pub fn confusion_matrix(y_true: &[u8], y_pred: &[u8]) -> ConfusionMatrix {
-    ConfusionMatrix::from_predictions(y_true, y_pred)
-}
-
-/// Area under the ROC curve from scores, computed via the Mann–Whitney
-/// statistic with midrank tie handling. Returns `None` when either class
-/// is absent.
-pub fn roc_auc(y_true: &[u8], scores: &[f64]) -> Option<f64> {
-    assert_eq!(y_true.len(), scores.len(), "score length mismatch");
-    let n_pos = y_true.iter().filter(|&&y| y == 1).count();
-    let n_neg = y_true.len() - n_pos;
-    if n_pos == 0 || n_neg == 0 {
-        return None;
-    }
-    // Rank the scores (average ranks for ties).
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&i, &j| scores[i].partial_cmp(&scores[j]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut ranks = vec![0.0; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i + 1;
-        while j < order.len() && scores[order[j]] == scores[order[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j + 1) as f64 / 2.0; // 1-based midrank
-        for &idx in &order[i..j] {
-            ranks[idx] = avg_rank;
-        }
-        i = j;
-    }
-    let rank_sum_pos: f64 = y_true
-        .iter()
-        .zip(&ranks)
-        .filter(|(&y, _)| y == 1)
-        .map(|(_, &r)| r)
-        .sum();
-    let u = rank_sum_pos - (n_pos * (n_pos + 1)) as f64 / 2.0;
-    Some(u / (n_pos * n_neg) as f64)
 }
 
 #[cfg(test)]
@@ -193,16 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_tally_restricts_rows() {
-        let cm = ConfusionMatrix::from_predictions_masked(
-            &[0, 1, 1, 0],
-            &[0, 1, 0, 1],
-            &[true, true, false, false],
-        );
-        assert_eq!(cm, ConfusionMatrix { tn: 1, fp: 0, fn_: 0, tp: 1 });
-    }
-
-    #[test]
     fn undefined_metrics_are_none() {
         let empty = ConfusionMatrix::default();
         assert!(empty.accuracy().is_none());
@@ -216,48 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_adds_counts() {
-        let a = ConfusionMatrix { tn: 1, fp: 2, fn_: 3, tp: 4 };
-        let b = ConfusionMatrix { tn: 10, fp: 20, fn_: 30, tp: 40 };
-        assert_eq!(a.merged(&b), ConfusionMatrix { tn: 11, fp: 22, fn_: 33, tp: 44 });
-    }
-
-    #[test]
     fn scalar_helpers_match_matrix() {
         let t = [0, 1, 1, 0, 1];
         let p = [0, 1, 0, 1, 1];
-        let cm = confusion_matrix(&t, &p);
+        let cm = ConfusionMatrix::from_predictions(&t, &p);
         assert_eq!(accuracy(&t, &p), cm.accuracy().unwrap());
-        assert_eq!(precision(&t, &p), cm.precision().unwrap());
-        assert_eq!(recall(&t, &p), cm.recall().unwrap());
         assert_eq!(f1_score(&t, &p), cm.f1().unwrap());
-    }
-
-    #[test]
-    fn auc_perfect_and_inverted() {
-        let y = [0, 0, 1, 1];
-        assert_eq!(roc_auc(&y, &[0.1, 0.2, 0.8, 0.9]), Some(1.0));
-        assert_eq!(roc_auc(&y, &[0.9, 0.8, 0.2, 0.1]), Some(0.0));
-    }
-
-    #[test]
-    fn auc_chance_level_for_constant_scores() {
-        let y = [0, 1, 0, 1];
-        assert_eq!(roc_auc(&y, &[0.5; 4]), Some(0.5));
-    }
-
-    #[test]
-    fn auc_with_ties_uses_midranks() {
-        // scores: pos {0.8, 0.5}, neg {0.5, 0.2} -> AUC = (1 + 0.5 + 1 + 0)/4... compute:
-        // pairs: (0.8 vs 0.5)=1, (0.8 vs 0.2)=1, (0.5 vs 0.5)=0.5, (0.5 vs 0.2)=1 -> 3.5/4
-        let y = [1, 1, 0, 0];
-        let s = [0.8, 0.5, 0.5, 0.2];
-        assert!((roc_auc(&y, &s).unwrap() - 0.875).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_single_class_is_none() {
-        assert!(roc_auc(&[1, 1], &[0.1, 0.9]).is_none());
-        assert!(roc_auc(&[0, 0], &[0.1, 0.9]).is_none());
     }
 }

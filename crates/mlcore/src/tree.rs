@@ -134,20 +134,6 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()
-    }
-
-    /// Arena indices of every leaf, in arena (construction) order.
-    pub fn leaf_ids(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| matches!(n, Node::Leaf { .. }).then_some(i))
-            .collect()
-    }
-
     /// The leaf's value; `None` when `node` is not a leaf (or out of
     /// range).
     pub fn leaf_value(&self, node: usize) -> Option<f64> {
@@ -539,7 +525,7 @@ mod tests {
         // Leaf values should approximate group means.
         assert!((tree.predict_row(&[1.0]) - 0.0).abs() < 1e-9);
         assert!((tree.predict_row(&[11.0]) - 5.0).abs() < 1e-9);
-        assert!(tree.n_leaves() >= 2);
+        assert!(tree.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count() >= 2);
     }
 
     #[test]

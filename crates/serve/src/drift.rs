@@ -9,9 +9,8 @@
 //! row adds an observation to a group spec's window only when it carries
 //! a label and every attribute the spec reads: a row without `sex` says
 //! nothing about the `sex` window, so it must not count as disadvantaged
-//! there. Windows are count-based and stamped with a
-//! logical tick (a monotonic counter, not a wall clock), so the whole
-//! drift pipeline replays deterministically in tests. Windows survive a
+//! there. Windows are count-based and read no clock, so the whole drift
+//! pipeline replays deterministically in tests. Windows survive a
 //! registry hot swap — the traffic is the same traffic — but the baseline
 //! is re-read from the serving model on every observation, so a swap
 //! immediately re-anchors the drift.
@@ -19,7 +18,6 @@
 use demodq::serving::ServingModel;
 use fairness::{disparity_drift, FairnessMetric, GroupPredicate, GroupSpec, SlidingGroupWindow};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use tabular::{Cell, DataFrame};
 
@@ -84,25 +82,18 @@ pub struct DriftEntry {
 /// model's group specs, which every registry generation shares.
 pub struct DriftStore {
     states: Mutex<BTreeMap<(&'static str, &'static str), Vec<GroupState>>>,
-    /// Logical clock: one tick per observed batch.
-    tick: AtomicU64,
     config: DriftConfig,
 }
 
 impl DriftStore {
     /// An empty store with the given knobs.
     pub fn new(config: DriftConfig) -> DriftStore {
-        DriftStore { states: Mutex::new(BTreeMap::new()), tick: AtomicU64::new(0), config }
+        DriftStore { states: Mutex::new(BTreeMap::new()), config }
     }
 
     /// The configured alert threshold.
     pub fn alert_threshold(&self) -> f64 {
         self.config.alert_threshold
-    }
-
-    /// The configured window capacity.
-    pub fn window_capacity(&self) -> usize {
-        self.config.window
     }
 
     /// Feeds one labeled, scored batch of `frame` rows into the windows
@@ -138,7 +129,6 @@ impl DriftStore {
         if n == 0 {
             return 0;
         }
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
         let mut pushed = 0usize;
         let mut states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
         let windows = states
@@ -167,7 +157,7 @@ impl DriftStore {
                 let Some(privileged) = side(spec, |attribute| cell(i, attribute)) else {
                     continue;
                 };
-                state.window.push(tick, privileged, y_true, y_pred[i]);
+                state.window.push(privileged, y_true, y_pred[i]);
                 pushed += 1;
             }
         }
@@ -259,7 +249,7 @@ mod tests {
         let store = DriftStore::new(DriftConfig { window: 64, alert_threshold: 0.0 });
         assert!(store.snapshot().is_empty());
         assert!((store.alert_threshold()).abs() < 1e-12);
-        assert_eq!(store.window_capacity(), 64);
+        assert_eq!(store.config.window, 64);
 
         let batch = DatasetId::German.generate(40, 99).unwrap();
         let y_pred = served.predict_frame(&batch).unwrap();

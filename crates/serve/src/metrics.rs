@@ -105,11 +105,6 @@ impl Metrics {
         self.unseen_category_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Total prediction rows with unseen categories so far.
-    pub fn unseen_category_rows(&self) -> u64 {
-        self.unseen_category_rows.load(Ordering::Relaxed)
-    }
-
     /// Records one flushed prediction micro-batch: how many coalesced
     /// requests it carried and how many rows were scored together.
     pub fn observe_batch(&self, requests: u64, rows: u64) {
@@ -121,16 +116,6 @@ impl Metrics {
             .position(|&b| rows <= b)
             .unwrap_or(BATCH_BUCKET_BOUNDS.len());
         self.batch_size_buckets[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total flushed micro-batches.
-    pub fn batches_total(&self) -> u64 {
-        self.batches_total.load(Ordering::Relaxed)
-    }
-
-    /// Total requests that went through a micro-batch.
-    pub fn batched_requests_total(&self) -> u64 {
-        self.batched_requests_total.load(Ordering::Relaxed)
     }
 
     /// Records a newly accepted connection.
@@ -307,7 +292,7 @@ mod tests {
 
         m.observe_unseen_category_rows(3);
         m.observe_unseen_category_rows(2);
-        assert_eq!(m.unseen_category_rows(), 5);
+        assert_eq!(m.unseen_category_rows.load(Ordering::Relaxed), 5);
         assert!(m.render().contains("demodq_unseen_category_rows_total 5"));
     }
 

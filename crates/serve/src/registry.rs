@@ -183,6 +183,7 @@ impl SharedRegistry {
     }
 
     /// The current generation number.
+    // lint:allow(U001, hot_swap_under_predict_load_keeps_generations_coherent checks the swaps)
     pub fn generation(&self) -> u64 {
         self.current.lock().unwrap_or_else(PoisonError::into_inner).1
     }

@@ -104,12 +104,14 @@ impl App {
     }
 
     /// The drift-telemetry store.
+    // lint:allow(U001, labelled_rows_without_a_sensitive_attribute_skip_that_window reads it)
     pub fn drift(&self) -> &DriftStore {
         &self.drift
     }
 
     /// The hot-swappable registry handle (for `/v1/reload` driving and
     /// tests that swap generations directly).
+    // lint:allow(U001, hot_swap_under_predict_load_keeps_generations_coherent swaps through it)
     pub fn shared_registry(&self) -> &Arc<SharedRegistry> {
         &self.registry
     }

@@ -77,11 +77,6 @@ impl Server {
         self.local_addr
     }
 
-    /// A flag that triggers shutdown when set (for signal handlers).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Stops accepting, drains in-flight requests, and joins the loop.
     pub fn shutdown(mut self) {
         self.stop();

@@ -72,27 +72,6 @@ pub fn g_test_2x2(a: u64, b: u64, c: u64, d: u64) -> Option<GTestResult> {
     Some(GTestResult { g2, p_value: chi2_survival(g2, 1.0), df: 1.0 })
 }
 
-/// Pearson χ² test on the same 2×2 table, provided for cross-checking the
-/// G² results (the two agree asymptotically).
-pub fn pearson_chi2_2x2(a: u64, b: u64, c: u64, d: u64) -> Option<GTestResult> {
-    if a + b == 0 || c + d == 0 || a + c == 0 || b + d == 0 {
-        return None;
-    }
-    let n = (a + b + c + d) as f64;
-    let row1 = (a + b) as f64;
-    let row2 = (c + d) as f64;
-    let col1 = (a + c) as f64;
-    let col2 = (b + d) as f64;
-    let observed = [a as f64, b as f64, c as f64, d as f64];
-    let expected = [row1 * col1 / n, row1 * col2 / n, row2 * col1 / n, row2 * col2 / n];
-    let x2: f64 = observed
-        .iter()
-        .zip(&expected)
-        .map(|(&o, &e)| (o - e) * (o - e) / e)
-        .sum();
-    Some(GTestResult { g2: x2, p_value: chi2_survival(x2, 1.0), df: 1.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +126,6 @@ mod tests {
         assert!(g_test_2x2(0, 5, 0, 5).is_none()); // nothing flagged
         assert!(g_test_2x2(5, 0, 5, 0).is_none()); // everything flagged
         assert!(g_test_2x2(0, 0, 0, 0).is_none());
-        assert!(pearson_chi2_2x2(0, 0, 0, 0).is_none());
     }
 
     #[test]
@@ -155,14 +133,6 @@ mod tests {
         let r = g_test_2x2(0, 50, 25, 25).unwrap();
         assert!(r.g2.is_finite());
         assert!(r.significant(0.05));
-    }
-
-    #[test]
-    fn g2_and_pearson_agree_for_large_samples() {
-        let g = g_test_2x2(400, 600, 350, 650).unwrap();
-        let p = pearson_chi2_2x2(400, 600, 350, 650).unwrap();
-        assert!((g.g2 - p.g2).abs() / g.g2 < 0.01, "g2={} x2={}", g.g2, p.g2);
-        assert!((g.p_value - p.p_value).abs() < 0.01);
     }
 
     #[test]

@@ -10,59 +10,6 @@ pub fn bonferroni_alpha(alpha: f64, m: usize) -> f64 {
     alpha / m.max(1) as f64
 }
 
-/// Holm–Bonferroni step-down procedure.
-///
-/// Given raw p-values, returns a rejection mask controlling the family-wise
-/// error rate at `alpha`. Uniformly more powerful than plain Bonferroni;
-/// provided for the deep-dive analyses.
-pub fn holm_reject(p_values: &[f64], alpha: f64) -> Vec<bool> {
-    let m = p_values.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| {
-        p_values[i].partial_cmp(&p_values[j]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut reject = vec![false; m];
-    for (rank, &idx) in order.iter().enumerate() {
-        let threshold = alpha / (m - rank) as f64;
-        if p_values[idx] < threshold {
-            reject[idx] = true;
-        } else {
-            break; // Step-down: once we fail, everything later fails too.
-        }
-    }
-    reject
-}
-
-/// Benjamini–Hochberg false-discovery-rate procedure (for exploratory
-/// follow-up analyses; the paper's headline results use Bonferroni).
-pub fn benjamini_hochberg_reject(p_values: &[f64], q: f64) -> Vec<bool> {
-    let m = p_values.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| {
-        p_values[i].partial_cmp(&p_values[j]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // Largest k with p_(k) <= k/m * q.
-    let mut cutoff_rank = None;
-    for (rank, &idx) in order.iter().enumerate() {
-        if p_values[idx] <= (rank + 1) as f64 / m as f64 * q {
-            cutoff_rank = Some(rank);
-        }
-    }
-    let mut reject = vec![false; m];
-    if let Some(k) = cutoff_rank {
-        for &idx in &order[..=k] {
-            reject[idx] = true;
-        }
-    }
-    reject
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,47 +25,5 @@ mod tests {
     #[should_panic(expected = "alpha must be")]
     fn bonferroni_rejects_bad_alpha() {
         bonferroni_alpha(1.5, 2);
-    }
-
-    #[test]
-    fn holm_rejects_in_step_down_order() {
-        // p = [0.01, 0.04, 0.03, 0.005], alpha = 0.05
-        // sorted: 0.005 (th 0.0125, reject), 0.01 (th 0.0167, reject),
-        //         0.03 (th 0.025, fail -> stop), 0.04 not rejected.
-        let reject = holm_reject(&[0.01, 0.04, 0.03, 0.005], 0.05);
-        assert_eq!(reject, vec![true, false, false, true]);
-    }
-
-    #[test]
-    fn holm_empty_and_all_significant() {
-        assert!(holm_reject(&[], 0.05).is_empty());
-        let all = holm_reject(&[1e-10, 1e-9, 1e-8], 0.05);
-        assert_eq!(all, vec![true, true, true]);
-    }
-
-    #[test]
-    fn holm_at_least_as_powerful_as_bonferroni() {
-        let ps = [0.012, 0.02, 0.3, 0.8];
-        let alpha = 0.05;
-        let bonf: Vec<bool> = ps.iter().map(|&p| p < bonferroni_alpha(alpha, ps.len())).collect();
-        let holm = holm_reject(&ps, alpha);
-        for (b, h) in bonf.iter().zip(&holm) {
-            assert!(!b | h, "holm must reject whenever bonferroni does");
-        }
-    }
-
-    #[test]
-    fn bh_rejects_contiguous_prefix() {
-        // Classic BH example: m=5, q=0.05.
-        let ps = [0.001, 0.008, 0.039, 0.041, 0.042];
-        let rej = benjamini_hochberg_reject(&ps, 0.05);
-        // thresholds: .01, .02, .03, .04, .05 -> largest k where p<=th is k=4 (p=.042<=.05)
-        assert_eq!(rej, vec![true, true, true, true, true]);
-        // p(1)=0.04 > 0.025 and p(2)=0.9 > 0.05: nothing rejected.
-        let rej2 = benjamini_hochberg_reject(&[0.04, 0.9], 0.05);
-        assert_eq!(rej2, vec![false, false]);
-        let rej3 = benjamini_hochberg_reject(&[0.02, 0.9], 0.05);
-        assert_eq!(rej3, vec![true, false]);
-        assert!(benjamini_hochberg_reject(&[], 0.05).is_empty());
     }
 }

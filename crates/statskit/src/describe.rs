@@ -38,11 +38,6 @@ impl Description {
         let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Some(Description { n, mean, std_dev, std_err, min, max })
     }
-
-    /// Approximate 95% confidence half-width (1.96 standard errors).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_err
-    }
 }
 
 #[cfg(test)]
@@ -78,6 +73,5 @@ mod tests {
         let d = Description::of(&[42.0]).unwrap();
         assert_eq!(d.std_dev, 0.0);
         assert_eq!(d.std_err, 0.0);
-        assert_eq!(d.ci95_half_width(), 0.0);
     }
 }

@@ -35,6 +35,6 @@ pub mod special;
 pub mod ttest;
 
 pub use chi2::{chi2_survival, g_test_2x2, GTestResult};
-pub use correction::{bonferroni_alpha, holm_reject};
+pub use correction::bonferroni_alpha;
 pub use describe::Description;
-pub use ttest::{paired_t_test, t_survival, TTestResult};
+pub use ttest::{paired_t_test, TTestResult};

@@ -40,6 +40,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Regularised lower incomplete gamma function `P(a, x)`.
 ///
 /// `P(a, x) = γ(a, x) / Γ(a)`, for `a > 0`, `x >= 0`.
+// lint:allow(U001, gamma_p_q_sum_to_one and gamma_p_q_complementary check gamma_q against it)
 pub fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p domain error: a={a}, x={x}");
     if x.total_cmp(&0.0).is_eq() {

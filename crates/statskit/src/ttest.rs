@@ -7,18 +7,6 @@
 
 use crate::special::beta_inc;
 
-/// Survival function of Student's t with `df` degrees of freedom:
-/// `P(T >= t)` (one-sided).
-pub fn t_survival(t: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "df must be positive");
-    let p_two = beta_inc(df / 2.0, 0.5, df / (df + t * t));
-    if t >= 0.0 {
-        p_two / 2.0
-    } else {
-        1.0 - p_two / 2.0
-    }
-}
-
 /// Two-sided p-value for a t statistic.
 pub fn t_two_sided(t: f64, df: f64) -> f64 {
     assert!(df > 0.0, "df must be positive");
@@ -84,53 +72,18 @@ pub fn paired_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
     Some(TTestResult { t, p_value: t_two_sided(t, df), df, mean_diff: mean })
 }
 
-/// Welch's (unpaired, unequal-variance) t-test — used by follow-up analyses
-/// where pairing is unavailable.
-pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
-    let na = a.len();
-    let nb = b.len();
-    if na < 2 || nb < 2 {
-        return None;
-    }
-    let ma = a.iter().sum::<f64>() / na as f64;
-    let mb = b.iter().sum::<f64>() / nb as f64;
-    let va = a.iter().map(|x| (x - ma) * (x - ma)).sum::<f64>() / (na - 1) as f64;
-    let vb = b.iter().map(|x| (x - mb) * (x - mb)).sum::<f64>() / (nb - 1) as f64;
-    let se2 = va / na as f64 + vb / nb as f64;
-    if se2 <= 1e-24 {
-        let mean = mb - ma;
-        let df = (na + nb - 2) as f64;
-        return if mean.abs() <= 1e-12 {
-            Some(TTestResult { t: 0.0, p_value: 1.0, df, mean_diff: mean })
-        } else {
-            Some(TTestResult {
-                t: if mean > 0.0 { f64::INFINITY } else { f64::NEG_INFINITY },
-                p_value: 0.0,
-                df,
-                mean_diff: mean,
-            })
-        };
-    }
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2
-        / ((va / na as f64).powi(2) / (na - 1) as f64
-            + (vb / nb as f64).powi(2) / (nb - 1) as f64);
-    let t = (mb - ma) / se2.sqrt();
-    Some(TTestResult { t, p_value: t_two_sided(t, df), df, mean_diff: mb - ma })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn t_distribution_reference() {
-        // scipy.stats.t.sf(2.0, 10) ~ 0.0366940
-        assert!((t_survival(2.0, 10.0) - 0.036_694_0).abs() < 1e-6);
-        // Symmetry: sf(-t) = 1 - sf(t).
-        assert!((t_survival(-2.0, 10.0) + t_survival(2.0, 10.0) - 1.0).abs() < 1e-12);
-        // sf(0) = 0.5.
-        assert!((t_survival(0.0, 5.0) - 0.5).abs() < 1e-12);
+        // 2 * scipy.stats.t.sf(2.0, 10) ~ 2 * 0.0366940
+        assert!((t_two_sided(2.0, 10.0) - 0.073_388_0).abs() < 1e-6);
+        // Symmetry: the two-sided p-value depends on |t| only.
+        assert_eq!(t_two_sided(-2.0, 10.0), t_two_sided(2.0, 10.0));
+        // t = 0 is no evidence at all.
+        assert!((t_two_sided(0.0, 5.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -194,26 +147,5 @@ mod tests {
         let r = paired_t_test(&a, &b).unwrap();
         assert!(r.mean_diff < 0.0);
         assert!(r.t < 0.0);
-    }
-
-    #[test]
-    fn welch_reference() {
-        // Hand-checkable: both samples have var 5/3, n=4, so
-        // t = (5 - 2.5) / sqrt(2 * (5/3) / 4) = 2.5/sqrt(5/6).
-        let r = welch_t_test(&[1.0, 2.0, 3.0, 4.0], &[3.0, 4.0, 5.0, 6.0]).unwrap();
-        let expected_t = 2.0 / (5.0f64 / 6.0).sqrt();
-        assert!((r.t - expected_t).abs() < 1e-12, "t={}", r.t);
-        // Equal variances -> Welch df reduces to n1+n2-2 = 6.
-        assert!((r.df - 6.0).abs() < 1e-9, "df={}", r.df);
-        assert!(r.p_value > 0.05 && r.p_value < 0.10, "p={}", r.p_value);
-    }
-
-    #[test]
-    fn welch_degenerate_cases() {
-        assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_none());
-        let same = welch_t_test(&[2.0, 2.0], &[2.0, 2.0]).unwrap();
-        assert_eq!(same.p_value, 1.0);
-        let shifted = welch_t_test(&[2.0, 2.0], &[3.0, 3.0]).unwrap();
-        assert_eq!(shifted.p_value, 0.0);
     }
 }

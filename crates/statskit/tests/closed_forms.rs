@@ -1,10 +1,10 @@
-//! The t and χ² survival functions against their closed forms at small
-//! degrees of freedom, on dense grids that include the range ends. The
+//! The two-sided t p-value and the χ² survival function against their
+//! closed forms at small degrees of freedom, on dense grids that include the range ends. The
 //! χ²₁ form needs `erfc`, which std lacks, so the test integrates it by
 //! quadrature.
 
 use statskit::chi2_survival;
-use statskit::ttest::t_survival;
+use statskit::ttest::t_two_sided;
 use std::f64::consts::PI;
 
 const TOL: f64 = 1e-12;
@@ -31,20 +31,23 @@ fn worst(
 }
 
 #[test]
-fn t_survival_at_one_df_is_the_cauchy_survival_function() {
-    let (gap, at) =
-        worst(grid(-50.0, 50.0, 20_000), |t| t_survival(t, 1.0), |t| 0.5 - t.atan() / PI);
-    assert!(gap < TOL, "|t_survival(t, 1) - (1/2 - atan(t)/pi)| = {gap:e} at t = {at}");
+fn t_two_sided_at_one_df_is_the_cauchy_two_sided_tail() {
+    let (gap, at) = worst(
+        grid(-50.0, 50.0, 20_000),
+        |t| t_two_sided(t, 1.0),
+        |t| 1.0 - 2.0 * t.abs().atan() / PI,
+    );
+    assert!(gap < TOL, "|t_two_sided(t, 1) - (1 - 2 atan|t|/pi)| = {gap:e} at t = {at}");
 }
 
 #[test]
-fn t_survival_at_two_df_matches_its_closed_form() {
+fn t_two_sided_at_two_df_matches_its_closed_form() {
     let (gap, at) = worst(
         grid(-50.0, 50.0, 20_000),
-        |t| t_survival(t, 2.0),
-        |t| 0.5 - t / (2.0 * (t * t + 2.0).sqrt()),
+        |t| t_two_sided(t, 2.0),
+        |t| 1.0 - t.abs() / (t * t + 2.0).sqrt(),
     );
-    assert!(gap < TOL, "|t_survival(t, 2) - closed form| = {gap:e} at t = {at}");
+    assert!(gap < TOL, "|t_two_sided(t, 2) - closed form| = {gap:e} at t = {at}");
 }
 
 #[test]

@@ -89,12 +89,6 @@ impl CatColumn {
         self.codes.push(Some(code));
     }
 
-    /// Appends an existing code. Panics in debug builds on invalid codes.
-    pub fn push_code(&mut self, code: Option<u32>) {
-        debug_assert!(code.is_none_or(|c| (c as usize) < self.categories.len()));
-        self.codes.push(code);
-    }
-
     /// Appends a missing value.
     pub fn push_missing(&mut self) {
         self.codes.push(None);

@@ -12,7 +12,7 @@ use crate::error::TabularError;
 use crate::frame::DataFrame;
 use crate::schema::{ColumnKind, ColumnRole, FieldMeta, Schema};
 use crate::Result;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Write};
 
 /// An empty string is quoted too: unquoted, it would read back missing.
 fn needs_quoting(s: &str) -> bool {
@@ -227,15 +227,6 @@ pub fn from_csv_str(text: &str, schema: Schema) -> Result<DataFrame> {
         }
     }
     DataFrame::new(schema, columns)
-}
-
-/// Reads a frame from any buffered reader.
-pub fn read_csv<R: BufRead>(mut reader: R, schema: Schema) -> Result<DataFrame> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| TabularError::Parse(format!("io error: {e}")))?;
-    from_csv_str(&text, schema)
 }
 
 /// Infers a schema from CSV text: columns whose non-empty values all parse

@@ -297,16 +297,6 @@ impl FeatureEncoder {
         report.unseen_category_rows = row_has_unseen.iter().filter(|&&b| b).count() as u64;
         Ok((out, report))
     }
-
-    /// Fit and transform in one step (training-set convenience).
-    pub fn fit_transform(
-        frame: &DataFrame,
-        with_missing_indicators: bool,
-    ) -> Result<(FeatureEncoder, DenseMatrix)> {
-        let enc = FeatureEncoder::fit(frame, with_missing_indicators)?;
-        let m = enc.transform(frame)?;
-        Ok((enc, m))
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +321,8 @@ mod tests {
     #[test]
     fn standardises_numeric_features() {
         let df = train_frame();
-        let (enc, m) = FeatureEncoder::fit_transform(&df, false).unwrap();
+        let enc = FeatureEncoder::fit(&df, false).unwrap();
+        let m = enc.transform(&df).unwrap();
         assert_eq!(enc.n_output_cols(), 3); // x + one-hot(a, b)
         // Column 0 is standardised x: mean 0, unit-ish scale.
         let mean: f64 = (0..4).map(|i| m.get(i, 0)).sum::<f64>() / 4.0;
@@ -343,7 +334,7 @@ mod tests {
     #[test]
     fn one_hot_encoding() {
         let df = train_frame();
-        let (_, m) = FeatureEncoder::fit_transform(&df, false).unwrap();
+        let m = FeatureEncoder::fit(&df, false).unwrap().transform(&df).unwrap();
         // Row 0 has category "a" -> [.., 1, 0]; row 1 "b" -> [.., 0, 1].
         assert_eq!(m.get(0, 1), 1.0);
         assert_eq!(m.get(0, 2), 0.0);
@@ -358,7 +349,8 @@ mod tests {
             .categorical("c", ColumnRole::Feature, &[Some("a"), None])
             .build()
             .unwrap();
-        let (enc, m) = FeatureEncoder::fit_transform(&df, true).unwrap();
+        let enc = FeatureEncoder::fit(&df, true).unwrap();
+        let m = enc.transform(&df).unwrap();
         // x + onehot(a) + 2 indicators.
         assert_eq!(enc.n_output_cols(), 4);
         assert_eq!(m.get(0, 2), 0.0); // indicator for x, row 0
@@ -408,7 +400,7 @@ mod tests {
             .numeric("x", ColumnRole::Feature, vec![5.0, 5.0, 5.0])
             .build()
             .unwrap();
-        let (_, m) = FeatureEncoder::fit_transform(&df, false).unwrap();
+        let m = FeatureEncoder::fit(&df, false).unwrap().transform(&df).unwrap();
         for i in 0..3 {
             assert_eq!(m.get(i, 0), 0.0);
             assert!(m.get(i, 0).is_finite());

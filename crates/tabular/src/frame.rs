@@ -192,6 +192,7 @@ impl DataFrame {
     }
 
     /// Vertically concatenates two frames with identical schemas.
+    // lint:allow(U001, block.rs tests and block_store_round_trips_appended_chunks compare with it)
     pub fn concat(&self, other: &DataFrame) -> Result<DataFrame> {
         if self.schema != other.schema {
             return Err(TabularError::Parse("schema mismatch in concat".to_string()));
@@ -228,22 +229,6 @@ impl DataFrame {
             })
             .collect::<Result<Vec<_>>>()?;
         DataFrame::new(self.schema.clone(), columns)
-    }
-
-    /// Names of feature columns, split by kind: `(numeric, categorical)`.
-    pub fn feature_names(&self) -> (Vec<String>, Vec<String>) {
-        let mut numeric = Vec::new();
-        let mut categorical = Vec::new();
-        for f in self.schema.fields() {
-            if f.role != ColumnRole::Feature {
-                continue;
-            }
-            match f.kind {
-                ColumnKind::Numeric => numeric.push(f.name.clone()),
-                ColumnKind::Categorical => categorical.push(f.name.clone()),
-            }
-        }
-        (numeric, categorical)
     }
 
     /// Compact builder for tests and examples.
@@ -377,14 +362,6 @@ mod tests {
         let col = both.categorical("c").unwrap();
         assert_eq!(col.label(0), Some("x"));
         assert_eq!(col.label(1), Some("y"));
-    }
-
-    #[test]
-    fn feature_names_split_by_kind() {
-        let df = demo_frame();
-        let (num, cat) = df.feature_names();
-        assert_eq!(num, vec!["income"]);
-        assert_eq!(cat, vec!["job"]);
     }
 
     #[test]

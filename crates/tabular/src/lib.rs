@@ -26,7 +26,8 @@
 //! assert_eq!(frame.missing_cells(), 2);
 //!
 //! // Standardised + one-hot + missing-indicator matrix for the models:
-//! let (encoder, matrix) = FeatureEncoder::fit_transform(&frame, true).unwrap();
+//! let encoder = FeatureEncoder::fit(&frame, true).unwrap();
+//! let matrix = encoder.transform(&frame).unwrap();
 //! assert_eq!(matrix.n_rows(), 3);
 //! assert_eq!(matrix.n_cols(), encoder.n_output_cols());
 //! ```
@@ -34,7 +35,6 @@
 pub mod block;
 pub mod column;
 pub mod csv;
-pub mod describe;
 pub mod encode;
 pub mod error;
 pub mod frame;

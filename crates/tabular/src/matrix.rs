@@ -76,34 +76,6 @@ impl DenseMatrix {
         out
     }
 
-    /// Matrix–vector product `self * v`.
-    ///
-    /// Panics if `v.len() != n_cols`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Transposed matrix–vector product `selfᵀ * v`.
-    ///
-    /// Panics if `v.len() != n_rows`.
-    pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "matvec_t dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            // lint:allow(F001, exact-zero sparsity skip; any nonzero value must be processed)
-            if vi == 0.0 {
-                continue;
-            }
-            for (o, &x) in out.iter_mut().zip(self.row(i)) {
-                *o += vi * x;
-            }
-        }
-        out
-    }
-
     /// Squared Euclidean distance between row `i` and an external point.
     #[inline]
     pub fn row_distance_sq(&self, i: usize, point: &[f64]) -> f64 {
@@ -138,13 +110,6 @@ mod tests {
     #[should_panic(expected = "buffer size mismatch")]
     fn from_vec_size_mismatch_panics() {
         DenseMatrix::from_vec(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    fn matvec_and_transpose() {
-        let m = DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-        assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl Rng64 {
         Rng64 { s, gauss_cache: None }
     }
 
-    /// Derives an independent child generator; used to hand out
-    /// per-configuration seeds without correlating their streams.
-    pub fn fork(&mut self) -> Self {
-        Rng64::seed_from_u64(self.next_u64())
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -89,13 +83,6 @@ impl Rng64 {
                 return (m >> 64) as usize;
             }
         }
-    }
-
-    /// Uniform integer in `[lo, hi)`. Panics if the range is empty.
-    #[inline]
-    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.below(hi - lo)
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -336,15 +323,6 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = Rng64::seed_from_u64(21);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 3);
     }
 
     #[test]

@@ -96,20 +96,6 @@ impl Schema {
         self.index_of(name).map(|i| &self.fields[i])
     }
 
-    /// Field metadata by position.
-    pub fn field_at(&self, index: usize) -> &FieldMeta {
-        &self.fields[index]
-    }
-
-    /// Names of all columns with the given role.
-    pub fn names_with_role(&self, role: ColumnRole) -> Vec<&str> {
-        self.fields
-            .iter()
-            .filter(|f| f.role == role)
-            .map(|f| f.name.as_str())
-            .collect()
-    }
-
     /// The unique label column, if any.
     pub fn label(&self) -> Option<&FieldMeta> {
         self.fields.iter().find(|f| f.role == ColumnRole::Label)
@@ -158,7 +144,6 @@ mod tests {
     #[test]
     fn role_queries() {
         let s = demo_schema();
-        assert_eq!(s.names_with_role(ColumnRole::Feature), vec!["income", "job"]);
         assert_eq!(s.label().unwrap().name, "credit");
     }
 

@@ -31,37 +31,6 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> Result<(Vec<
     Ok((train, test))
 }
 
-/// Stratified train/test split: preserves the proportion of each stratum
-/// (e.g. the class label) in both parts.
-pub fn stratified_split(
-    strata: &[u8],
-    test_fraction: f64,
-    seed: u64,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    if !(0.0..1.0).contains(&test_fraction) {
-        return Err(TabularError::InvalidArgument(format!(
-            "test_fraction must be in [0,1), got {test_fraction}"
-        )));
-    }
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut by_stratum: std::collections::BTreeMap<u8, Vec<usize>> = Default::default();
-    for (i, &s) in strata.iter().enumerate() {
-        by_stratum.entry(s).or_default().push(i);
-    }
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for (_, mut members) in by_stratum {
-        rng.shuffle(&mut members);
-        let n_test = ((members.len() as f64) * test_fraction).round() as usize;
-        let n_test = n_test.min(members.len().saturating_sub(1));
-        test.extend_from_slice(&members[..n_test]);
-        train.extend_from_slice(&members[n_test..]);
-    }
-    train.sort_unstable();
-    test.sort_unstable();
-    Ok((train, test))
-}
-
 /// K-fold cross-validation index sets.
 ///
 /// Returns `k` pairs of `(train_indices, validation_indices)`. Every row
@@ -94,24 +63,6 @@ pub fn kfold(n: usize, k: usize, seed: u64) -> Result<Vec<(Vec<usize>, Vec<usize
         out.push((train, val));
     }
     Ok(out)
-}
-
-/// Samples `m` row indices without replacement (sorted ascending).
-/// If `m >= n`, returns all indices.
-pub fn sample_rows(n: usize, m: usize, seed: u64) -> Vec<usize> {
-    if m >= n {
-        return (0..n).collect();
-    }
-    let mut rng = Rng64::seed_from_u64(seed);
-    rng.sample_indices(n, m)
-}
-
-/// Bootstrap sample: `m` indices drawn *with* replacement (unsorted, in
-/// draw order). Useful for failure-injection and robustness tests.
-pub fn bootstrap_rows(n: usize, m: usize, seed: u64) -> Vec<usize> {
-    assert!(n > 0, "bootstrap from empty set");
-    let mut rng = Rng64::seed_from_u64(seed);
-    (0..m).map(|_| rng.below(n)).collect()
 }
 
 #[cfg(test)]
@@ -151,16 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn stratified_preserves_proportions() {
-        let strata: Vec<u8> = (0..100).map(|i| u8::from(i < 20)).collect();
-        let (train, test) = stratified_split(&strata, 0.25, 3).unwrap();
-        let test_pos = test.iter().filter(|&&i| strata[i] == 1).count();
-        assert_eq!(test_pos, 5); // 25% of the 20 positives
-        assert_eq!(test.len(), 25);
-        assert_eq!(train.len(), 75);
-    }
-
-    #[test]
     fn kfold_covers_every_row_once() {
         let folds = kfold(23, 5, 11).unwrap();
         assert_eq!(folds.len(), 5);
@@ -181,20 +122,5 @@ mod tests {
     fn kfold_rejects_bad_args() {
         assert!(kfold(10, 1, 0).is_err());
         assert!(kfold(3, 5, 0).is_err());
-    }
-
-    #[test]
-    fn sample_rows_caps_at_n() {
-        assert_eq!(sample_rows(5, 100, 0), vec![0, 1, 2, 3, 4]);
-        let s = sample_rows(100, 10, 1);
-        assert_eq!(s.len(), 10);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn bootstrap_has_requested_size() {
-        let b = bootstrap_rows(10, 30, 2);
-        assert_eq!(b.len(), 30);
-        assert!(b.iter().all(|&i| i < 10));
     }
 }

@@ -294,7 +294,7 @@ proptest! {
             .numeric("y", ColumnRole::Label, labels)
             .build()
             .unwrap();
-        let (_, m) = FeatureEncoder::fit_transform(&df, true).unwrap();
+        let m = FeatureEncoder::fit(&df, true).unwrap().transform(&df).unwrap();
         for v in m.as_slice() {
             prop_assert!(v.is_finite(), "encoder produced {v}");
         }

@@ -1,61 +1,23 @@
-//! Integration tests for the extension surface: the CleanML error types
-//! beyond the paper's three (duplicates, inconsistencies), denial-
-//! constraint rules, the extended model zoo, data valuation, and the
-//! fairness-aware selection stack — all driven end-to-end on generated
-//! data.
+//! Integration tests for the extension surface: the extended model zoo,
+//! data valuation, and the fairness-aware selection stack — all driven
+//! end-to-end on generated data.
 
-use demodq_repro::cleaning::{
-    valuation, DuplicateDetector, InconsistencyDetector, RuleSet,
-};
+use demodq_repro::cleaning::valuation;
 use demodq_repro::datasets::{DatasetId, ErrorType};
 use demodq_repro::demodq::config::StudyScale;
 use demodq_repro::demodq::fair_tuning::tune_and_fit_fair;
 use demodq_repro::demodq::runner::run_error_type_study;
-use demodq_repro::demodq::selector::{recommend, SelectionPolicy, SelectorChoice};
+use demodq_repro::demodq::selector::{recommend_dual_metric, SelectionPolicy, SelectorChoice};
 use demodq_repro::demodq_rectify::{rectify_classifier, RectifyOptions};
 use demodq_repro::fairness::FairnessMetric;
 use demodq_repro::mlcore::{tune_and_fit, BinnedMatrix, ModelKind, DEFAULT_N_BINS};
 use demodq_repro::tabular::FeatureEncoder;
 
 #[test]
-fn rules_engine_cleans_heart_bp_corruption() {
-    let df = DatasetId::Heart.generate(3_000, 3).unwrap();
-    let rules = RuleSet::heart_defaults();
-    let report = rules.detect(&df).unwrap();
-    // The generator's ten-fold BP misrecordings violate the constraints.
-    assert!(
-        report.flagged_fraction() > 0.01,
-        "expected >1% violations, got {}",
-        report.flagged_fraction()
-    );
-    let repaired = rules.repair(&df).unwrap();
-    assert_eq!(rules.detect(&repaired).unwrap().flagged_rows(), 0);
-    // SetMissing repairs introduce missing values for imputation to handle.
-    assert!(repaired.missing_cells() > 0);
-}
-
-#[test]
-fn duplicates_and_inconsistencies_on_generated_data() {
-    // Build a frame with injected duplicates and spelling variants on top
-    // of german.
-    let base = DatasetId::German.generate(300, 7).unwrap();
-    let mut with_dups_rows: Vec<usize> = (0..300).collect();
-    with_dups_rows.extend([5, 10, 15]); // three exact duplicates
-    let df = base.take(&with_dups_rows).unwrap();
-    let dup_report = DuplicateDetector::default().detect(&df).unwrap();
-    assert!(dup_report.flagged_rows() >= 3, "flags {}", dup_report.flagged_rows());
-    let deduped = DuplicateDetector::default().repair(&df, &dup_report).unwrap();
-    assert!(deduped.n_rows() <= 300);
-
-    // german's generated categories are consistent; the detector agrees.
-    let inc_report = InconsistencyDetector.detect(&base).unwrap();
-    assert_eq!(inc_report.flagged_rows(), 0);
-}
-
-#[test]
 fn extended_models_run_through_cv_tuning() {
     let df = DatasetId::Heart.generate(400, 9).unwrap();
-    let (encoder, x) = FeatureEncoder::fit_transform(&df, true).unwrap();
+    let encoder = FeatureEncoder::fit(&df, true).unwrap();
+    let x = encoder.transform(&df).unwrap();
     let y = df.labels().unwrap();
     for kind in [ModelKind::DecisionTree, ModelKind::RandomForest] {
         let tuned = tune_and_fit(kind, &x, &y, 3, 5);
@@ -69,9 +31,9 @@ fn extended_models_run_through_cv_tuning() {
 fn valuation_and_selector_compose_with_the_study() {
     // Valuation on a real dataset slice.
     let df = DatasetId::German.generate(250, 11).unwrap().drop_incomplete_rows().unwrap();
-    let (_, x) = FeatureEncoder::fit_transform(&df, true).unwrap();
+    let x = FeatureEncoder::fit(&df, true).unwrap().transform(&df).unwrap();
     let y = df.labels().unwrap();
-    let values = valuation::knn_shapley(&x, &y, &x, &y, 5);
+    let values = valuation::knn_shapley_masked(&x, &y, &x, &y, 5, &vec![true; x.n_rows()]);
     assert_eq!(values.len(), df.n_rows());
     assert!(values.iter().all(|v| v.is_finite()));
     // At least some points should be helpful on self-evaluation.
@@ -87,13 +49,7 @@ fn valuation_and_selector_compose_with_the_study() {
         13,
     )
     .unwrap();
-    let recs = recommend(
-        &results,
-        FairnessMetric::EqualOpportunity,
-        false,
-        0.05,
-        SelectionPolicy::FairnessFirst,
-    );
+    let recs = recommend_dual_metric(&results, false, 0.05, SelectionPolicy::FairnessFirst);
     assert_eq!(recs.len(), 2); // age, sex
     for rec in &recs {
         if let SelectorChoice::Clean { fairness, .. } = &rec.choice {
@@ -141,7 +97,7 @@ fn extension_tree_models_are_bit_stable() {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for id in [DatasetId::German, DatasetId::Heart] {
         let df = id.generate(400, 5).unwrap().drop_incomplete_rows().unwrap();
-        let (_, x) = FeatureEncoder::fit_transform(&df, true).unwrap();
+        let x = FeatureEncoder::fit(&df, true).unwrap().transform(&df).unwrap();
         let y = df.labels().unwrap();
         let groups = id.spec().single_attribute_specs()[0].evaluate(&df).unwrap();
         let binned = BinnedMatrix::from_matrix(&x, DEFAULT_N_BINS);

@@ -4,9 +4,8 @@
 //! result-record keys must map stably to their values.
 
 use demodq_repro::datasets::{DatasetId, ErrorType};
-use demodq_repro::demodq::config::{ExperimentConfig, RepairSpec, StudyScale};
-use demodq_repro::demodq::pipeline::run_configuration_once;
-use demodq_repro::demodq::results::run_record;
+use demodq_repro::demodq::config::StudyScale;
+use demodq_repro::demodq::export::study_results_json;
 use demodq_repro::demodq::runner::run_error_type_study;
 use demodq_repro::mlcore::ModelKind;
 
@@ -60,42 +59,27 @@ fn different_seeds_change_results() {
 #[test]
 fn result_record_keys_are_stable_across_serialisations() {
     // The CleanML bug: technique-name -> metric-value mapping reshuffled
-    // between runs. Our records use ordered maps; serialising the same
-    // run twice must give byte-identical JSON, and the technique prefix
-    // in every key must match the configured repair.
-    let pool = DatasetId::German.generate_store(700, 77).unwrap();
-    let spec = DatasetId::German.spec();
-    let groups = spec.single_attribute_specs();
-    let repair = RepairSpec::Missing(demodq_repro::cleaning::repair::MissingRepair {
-        num: demodq_repro::cleaning::repair::NumImpute::Median,
-        cat: demodq_repro::cleaning::repair::CatImpute::Dummy,
-    });
-    let config =
-        ExperimentConfig { dataset: DatasetId::German, model: ModelKind::LogReg, repair };
-    let pair = run_configuration_once(
-        &pool,
-        ModelKind::LogReg,
-        &repair,
-        &groups,
+    // between runs. The study export uses ordered maps; serialising the
+    // same results twice must give byte-identical JSON, and every exported
+    // record must carry its own configuration's key, in study order.
+    let results = run_error_type_study(
+        ErrorType::MissingValues,
+        &[DatasetId::German],
+        &[ModelKind::LogReg],
         &StudyScale::smoke(),
-        5,
-        6,
+        77,
     )
     .unwrap();
-    let json_a = serde_json::to_string(&run_record(&config, 0, &pair)).unwrap();
-    let json_b = serde_json::to_string(&run_record(&config, 0, &pair)).unwrap();
+    let json_a = study_results_json(&results);
+    let json_b = study_results_json(&results);
     assert_eq!(json_a, json_b);
-    // Every per-group key carries the repair's (sanitised) name or the
-    // dirty prefix — no key can silently refer to another technique.
     let value: serde_json::Value = serde_json::from_str(&json_a).unwrap();
-    let record = value.as_object().unwrap().values().next().unwrap().as_object().unwrap();
-    for key in record.keys() {
-        if key.contains("__") {
-            assert!(
-                key.starts_with("impute_median_dummy__") || key.starts_with("dirty__"),
-                "unexpected technique prefix in key {key}"
-            );
-        }
+    let records = value.get("configs").and_then(|c| c.as_array()).unwrap();
+    assert_eq!(records.len(), results.configs.len());
+    for (record, scores) in records.iter().zip(&results.configs) {
+        let key = record.get("key").and_then(|k| k.as_str()).unwrap();
+        assert_eq!(key, scores.config.key());
+        assert!(key.contains(&scores.config.repair.name()), "unexpected technique in key {key}");
     }
 }
 
