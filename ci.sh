@@ -88,6 +88,26 @@ while IFS= read -r manifest; do
 done <<< "$members"
 echo "lint coverage OK ($(wc -l <<< "$members") workspace members)"
 
+stage "one scheduler: no workspace member depends on rayon"
+# The study runner's flat unit queue is the one scheduler. vendor/rayon
+# stays only for perfbench's rebuilt study grid (perfbench is its own
+# workspace) until ROADMAP item 2 Step B deletes both; a member that
+# depends on the shim again would bring back a second scheduler.
+rayon_users=$(cargo metadata --offline --no-deps --format-version 1 | python3 -c '
+import json, sys
+meta = json.load(sys.stdin)
+ids = set(meta["workspace_members"])
+for pkg in meta["packages"]:
+    if pkg["id"] in ids and pkg["name"] != "rayon":
+        if any(dep["name"] == "rayon" for dep in pkg["dependencies"]):
+            print(pkg["name"])
+')
+if [ -n "$rayon_users" ]; then
+    echo "FAIL: workspace member(s) depend on rayon:" $rayon_users
+    exit 1
+fi
+echo "one scheduler OK (no workspace member depends on rayon)"
+
 stage "demodq-lint (token lints + flow analyses T001/L001/E001/K001/U001 vs lint-baseline.txt)"
 cargo run -q --release -p demodq-lint -- --format json
 
@@ -131,8 +151,10 @@ SMOKE_ARGS=(--error mislabels --scale smoke --seed 42)
 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/clean.json"
 
 # 2. Journaled run killed with SIGKILL after ~50% of the 10 tasks. The
-#    self-kill makes a nonzero exit the expected outcome.
-if "${STUDY[@]}" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" --kill-after 5; then
+#    self-kill makes a nonzero exit the expected outcome. Eight workers
+#    keep several tasks' units in flight when the kill lands.
+if DEMODQ_THREADS=8 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --journal "$SMOKE_DIR/journal" \
+    --kill-after 5; then
     echo "FAIL: the --kill-after run was supposed to die mid-study"
     exit 1
 fi
@@ -163,8 +185,9 @@ stage "thread-count byte-identity smoke (1 vs 2 vs 8 threads)"
 # The serial run is the reference semantics; any parallel run must export
 # the identical bytes (unit seeds derive from grid position, never from
 # the schedule, and each unit trains serially on the worker that took
-# it). The 2-thread leg exercises the uneven rayon::join splits a
-# power-of-two pool never sees.
+# it). With 2 and 8 workers, units of neighbouring tasks finish out of
+# grid order, and a task's last unit is taken by whichever worker is
+# free.
 DEMODQ_THREADS=1 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads1.json"
 DEMODQ_THREADS=2 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads2.json"
 DEMODQ_THREADS=8 "${STUDY[@]}" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads8.json"

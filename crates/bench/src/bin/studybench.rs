@@ -33,7 +33,7 @@
 //!   plus cumulative per-phase wall time (sample / prepare / encode /
 //!   train_eval / rectify, the last also surfaced as
 //!   `study.rectify_seconds`) and the failed-task count. This section
-//!   always runs on a **1-thread pool** so the numbers are the serial
+//!   always runs on **one worker thread** so the numbers are the serial
 //!   reference and stay comparable across machines and baselines.
 //!
 //! With `--baseline PATH` the run is also a regression gate: it exits
@@ -337,39 +337,36 @@ fn kernels_section(seed: u64) -> Value {
     })
 }
 
-/// Runs the full study on a dedicated 1-thread pool, the serial
-/// reference configuration, and returns the section JSON.
+/// Runs the full study on one worker thread, the serial reference
+/// configuration, and returns the section JSON.
 fn study_section(scale: &StudyScale, seed: u64) -> Value {
-    let pool = rayon::ThreadPool::new(1);
     // `both` exercises the full repair surface: data repairs on the
     // variant arms plus post-training leaf rectification of tree models.
     let options = StudyOptions {
         progress: true,
         repair_side: RepairSide::Both,
+        threads: 1,
         ..StudyOptions::default()
     };
     let t = Instant::now();
-    let (evals, failed_tasks, phases) = pool.install(|| {
-        let mut evals = 0usize;
-        let mut failed_tasks = 0usize;
-        let mut phases = PhaseSeconds::default();
-        for error in ErrorType::all() {
-            eprintln!("study: running {error}...");
-            let results = demodq::runner::run_error_type_study_with(
-                error,
-                &DatasetId::all(),
-                &ModelKind::all(),
-                scale,
-                seed,
-                &options,
-            )
-            .expect("study failed");
-            evals += results.n_model_evaluations();
-            failed_tasks += results.failed_tasks.len();
-            phases.accumulate(&results.phases);
-        }
-        (evals, failed_tasks, phases)
-    });
+    let mut evals = 0usize;
+    let mut failed_tasks = 0usize;
+    let mut phases = PhaseSeconds::default();
+    for error in ErrorType::all() {
+        eprintln!("study: running {error}...");
+        let results = demodq::runner::run_error_type_study_with(
+            error,
+            &DatasetId::all(),
+            &ModelKind::all(),
+            scale,
+            seed,
+            &options,
+        )
+        .expect("study failed");
+        evals += results.n_model_evaluations();
+        failed_tasks += results.failed_tasks.len();
+        phases.accumulate(&results.phases);
+    }
     let wall = t.elapsed().as_secs_f64();
     let evals_per_sec = evals as f64 / wall;
     eprintln!(

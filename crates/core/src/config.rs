@@ -7,6 +7,7 @@ use datasets::{DatasetId, ErrorType};
 use fairness::FairnessMetric;
 use mlcore::ModelKind;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Which side of the pipeline a study's repairs act on.
@@ -301,6 +302,10 @@ pub struct StudyOptions {
     /// The rectification constraint used when
     /// [`StudyOptions::repair_side`] rectifies.
     pub rectify: RectifySpec,
+    /// Worker threads for the study's units (1 is the serial reference,
+    /// and every count exports the same bytes). Defaults to
+    /// `DEMODQ_THREADS`, else the machine's available parallelism.
+    pub threads: usize,
 }
 
 impl Default for StudyOptions {
@@ -315,8 +320,24 @@ impl Default for StudyOptions {
             on_task_complete: None,
             repair_side: RepairSide::Data,
             rectify: RectifySpec::default(),
+            threads: default_threads(),
         }
     }
+}
+
+/// `DEMODQ_THREADS` when it is a positive integer (anything else warns
+/// and is ignored), else the available parallelism; read once.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(value) = std::env::var("DEMODQ_THREADS") {
+            match value.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => return n,
+                _ => eprintln!("DEMODQ_THREADS='{value}' is not a positive integer; ignoring"),
+            }
+        }
+        std::thread::available_parallelism().map_or(1, usize::from)
+    })
 }
 
 #[cfg(test)]

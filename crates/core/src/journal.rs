@@ -20,7 +20,7 @@
 //!
 //! Durability: each record is serialised to one newline-terminated line
 //! and written with a **single `write_all` + flush** while holding the
-//! writer lock, so concurrent pool workers can never interleave records
+//! writer lock, so concurrent runner workers can never interleave records
 //! and a `kill -9` can leave at most one truncated trailing line — which
 //! the loader tolerates (the affected task is simply re-run).
 
@@ -105,7 +105,7 @@ fn io_error(context: &str, e: std::io::Error) -> TabularError {
     TabularError::InvalidArgument(format!("journal {context}: {e}"))
 }
 
-/// Appends records to a journal file; safe to share across pool workers.
+/// Appends records to a journal file; safe to share across runner workers.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: Mutex<File>,

@@ -15,9 +15,9 @@
 //!   repaired versions → two models → paired scoring with group-wise
 //!   confusion matrices;
 //! * [`runner`] — multi-split, multi-model-seed execution of whole
-//!   configuration grids on a persistent work-stealing pool, parallel at
-//!   the granularity of single model evaluations, sharing the dirty
-//!   baseline across repair variants exactly like CleanML;
+//!   configuration grids as one flat queue of single model evaluations
+//!   over scoped worker threads, sharing the dirty baseline across repair
+//!   variants exactly like CleanML;
 //! * [`impact`] — the paired-t-test + Bonferroni classification of each
 //!   configuration's impact on accuracy and fairness into
 //!   worse / insignificant / better;

@@ -1,8 +1,8 @@
 //! Progress telemetry and per-phase wall-time accounting for study runs.
 //!
-//! The study runner schedules individual evaluation units — one (model,
-//! variant-arm, seed) fit per unit — across the persistent worker pool;
-//! both helpers here are lock-free so any worker can report:
+//! The study runner hands individual evaluation units — one (model,
+//! variant-arm, seed) fit per unit — to its scoped worker threads; both
+//! helpers here are lock-free so any worker can report:
 //!
 //! * [`ProgressTracker`] — atomic done/total + evaluation counters that
 //!   emit periodic one-line progress reports (units done, evals/s, ETA)

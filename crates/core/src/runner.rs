@@ -12,23 +12,22 @@
 //!
 //! # Parallel decomposition
 //!
-//! Work is scheduled on the persistent work-stealing pool at **evaluation
-//! unit** granularity, not task granularity. Tasks prepare (sample +
-//! detect/repair + encode) in parallel; each prepared task then fans its
-//! (model × model-seed × arm) grid out as individual units — one tuned
-//! fit-and-score each — through a nested indexed parallel map on the same
-//! pool, so idle workers steal units (and the CV folds inside them) from
-//! whichever task is still running instead of idling behind the slowest
-//! task. A task's encoded matrices live only while its units are in
-//! flight, which keeps memory bounded by the number of workers rather
-//! than the grid size.
+//! A study is one flat queue of **evaluation units**, one tuned
+//! fit-and-score of a (model, model seed, arm) each, in grid order over
+//! the tasks the journal did not replay. [`StudyOptions::threads`]
+//! scoped workers take the next unit index from one atomic counter, so a
+//! worker never idles behind a slow task while units are left. The first
+//! worker to reach a task prepares it (sample + detect/repair + encode)
+//! under the task's lock while later arrivals wait on it; the task's
+//! encoded arms live only until its last unit finishes, which bounds
+//! memory by the worker count rather than the grid size.
 //!
 //! Determinism is by construction, not by scheduling: every unit's RNG
 //! seed derives purely from `(study_seed, dataset, split, model,
-//! seed_idx)` — see [`split_seed`] and the model-seed derivation in the
-//! unit loop — and unit results return through an order-preserving
-//! indexed collect, so any thread count (including the serial 1-worker
-//! reference pool) produces byte-identical exports.
+//! seed_idx)` (see [`split_seed`] and the model-seed derivation in
+//! `run_unit`), and a task's unit scores are assembled by grid
+//! position, so any thread count (1 is the serial reference) produces
+//! byte-identical exports.
 //!
 //! # Durable execution
 //!
@@ -48,8 +47,8 @@
 //!   string + seeds) and excluded from assembly, and only when more than
 //!   [`StudyOptions::failure_threshold`] of the tasks fail does the run
 //!   return an `Err` — past the threshold a halt flag stops workers from
-//!   picking up new tasks promptly (idle workers park on the pool's
-//!   condvar; nothing busy-spins);
+//!   starting new tasks: a task whose first unit comes up after the halt
+//!   is skipped, and tasks already started finish;
 //! * an atomic [`crate::progress::ProgressTracker`] reports units
 //!   done/total, evals/s and ETA, and per-phase wall time is aggregated
 //!   into the study result.
@@ -65,9 +64,10 @@ use crate::results::FailedTask;
 use datasets::{DatasetId, ErrorType};
 use fairness::{FairnessMetric, GroupSpec};
 use mlcore::ModelKind;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tabular::{BlockStore, Result, TabularError};
 
@@ -97,9 +97,6 @@ pub struct ConfigScores {
     pub repaired_accuracy: Vec<f64>,
     /// Fairness score pairs per group × metric.
     pub fairness: Vec<GroupMetricScores>,
-}
-
-impl ConfigScores {
 }
 
 /// Results of a study over one error type.
@@ -212,14 +209,6 @@ pub(crate) fn split_seed(study_seed: u64, dataset: DatasetId, split: usize) -> u
 /// variant (repaired accuracy, repaired disparities).
 pub(crate) type SeedScores = (f64, Vec<f64>, Vec<(f64, Vec<f64>)>);
 
-/// Output of one (dataset, split) task: per model, one [`SeedScores`]
-/// per model seed (seeds in ascending order).
-pub(crate) struct TaskOutput {
-    pub(crate) dataset_idx: usize,
-    pub(crate) split_idx: usize,
-    pub(crate) runs_by_model: Vec<Vec<SeedScores>>,
-}
-
 /// The model-independent product of one (dataset, split) task: the dirty
 /// arm and every variant arm, encoded once. Holds the matrices the
 /// task's evaluation units all read; dropped as soon as the last unit
@@ -271,10 +260,6 @@ fn prepare_task(
     Ok(EncodedTask { dirty_arm, variant_arms })
 }
 
-/// Evaluates a prepared task's full (model × model-seed × arm) grid as
-/// individual units on the ambient pool and assembles the results in
-/// grid order.
-///
 /// Read-only evaluation context shared by every unit of every task:
 /// rosters, scale, fairness bookkeeping and the telemetry sinks.
 struct UnitCtx<'a> {
@@ -287,12 +272,16 @@ struct UnitCtx<'a> {
     rectify: &'a RectifySpec,
 }
 
-/// Each unit derives its model seed from `(sseed, model, seed_idx)`
-/// alone and writes to its own index of the collected vector, so the
-/// assembly — and therefore the export — is invariant to which worker
-/// ran which unit. Arm index 0 is the dirty arm, `1 + v` is variant `v`;
-/// the dirty and every variant arm of a (model, seed) pair share one
-/// model seed, preserving the paper's paired design.
+/// One unit's scores: accuracy and the disparities per group × metric.
+type UnitScores = (f64, Vec<f64>);
+
+/// Runs unit `unit` of a prepared task's (model × model-seed × arm) grid.
+///
+/// The unit derives its model seed from `(sseed, model, seed_idx)` alone,
+/// so its scores are invariant to which worker ran it. Arm index 0 is the
+/// dirty arm, `1 + v` is variant `v`; the dirty and every variant arm of
+/// a (model, seed) pair share one model seed, preserving the paper's
+/// paired design.
 ///
 /// [`RepairSide`] decides what a variant unit trains on and whether its
 /// fitted model is rectified afterwards; the dirty baseline (arm 0) is
@@ -303,88 +292,95 @@ struct UnitCtx<'a> {
 /// * `Model` — the **dirty** arm refit per variant slot, then rectified
 ///   (isolates the model-side repair from any data cleaning);
 /// * `Both`  — variant arm, then rectified (composition of the two).
-fn evaluate_task_units(
-    d: usize,
-    s: usize,
+fn run_unit(
+    unit: usize,
     sseed: u64,
     arms: &EncodedTask,
     group_labels: &[(String, bool)],
     ctx: &UnitCtx<'_>,
-) -> TaskOutput {
+) -> UnitScores {
     let UnitCtx { models, scale, metrics, phases, tracker, side, rectify } = *ctx;
     let n_arms = 1 + arms.variant_arms.len();
-    let unit_scores: Vec<(f64, Vec<f64>)> = (0..models.len() * scale.n_model_seeds * n_arms)
-        .into_par_iter()
-        .map(|unit| {
-            let m = unit / (scale.n_model_seeds * n_arms);
-            let k = (unit / n_arms) % scale.n_model_seeds;
-            let a = unit % n_arms;
-            let model_seed = sseed
-                .wrapping_add(fnv(models[m].name()))
-                .wrapping_add(k as u64 * 0x2545F4914F6CDD1D);
-            let use_variant = a > 0 && side.repairs_data();
-            let arm = if use_variant { &arms.variant_arms[a - 1] } else { &arms.dirty_arm };
-            let scores = if a > 0 && side.rectifies() {
-                // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-                let start = Instant::now();
-                let mut tuned = fit_unit(arm, models[m], scale.cv_folds, model_seed);
-                phases.add(StudyPhase::TrainEval, start.elapsed());
-                // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-                let rectify_start = Instant::now();
-                let _report = rectify_unit_model(tuned.model.as_mut(), arm, model_seed, rectify);
-                phases.add(StudyPhase::Rectify, rectify_start.elapsed());
-                // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-                let score_start = Instant::now();
-                let scores = score_unit(arm, &tuned, group_labels, metrics);
-                phases.add(StudyPhase::TrainEval, score_start.elapsed());
-                scores
-            } else {
-                // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-                let start = Instant::now();
-                let scores = evaluate_unit(
-                    arm,
-                    models[m],
-                    scale.cv_folds,
-                    model_seed,
-                    group_labels,
-                    metrics,
-                );
-                phases.add(StudyPhase::TrainEval, start.elapsed());
-                scores
-            };
-            tracker.advance(1, 1);
-            scores
-        })
-        .collect();
-    let mut units = unit_scores.into_iter();
-    let runs_by_model = models
-        .iter()
-        .map(|_| {
-            (0..scale.n_model_seeds)
-                .map(|_| {
-                    // lint:allow(P001, unit_scores has exactly n_models*n_seeds*n_arms entries by construction)
-                    let (dirty_acc, dirty_disp) = units.next().expect("dirty unit present");
-                    let per_variant: Vec<(f64, Vec<f64>)> = (1..n_arms)
-                        // lint:allow(P001, unit_scores has exactly n_models*n_seeds*n_arms entries by construction)
-                        .map(|_| units.next().expect("variant unit present"))
-                        .collect();
-                    (dirty_acc, dirty_disp, per_variant)
-                })
-                .collect()
-        })
-        .collect();
-    TaskOutput { dataset_idx: d, split_idx: s, runs_by_model }
+    let m = unit / (scale.n_model_seeds * n_arms);
+    let k = (unit / n_arms) % scale.n_model_seeds;
+    let a = unit % n_arms;
+    let model_seed = sseed
+        .wrapping_add(fnv(models[m].name()))
+        .wrapping_add(k as u64 * 0x2545F4914F6CDD1D);
+    let use_variant = a > 0 && side.repairs_data();
+    let arm = if use_variant { &arms.variant_arms[a - 1] } else { &arms.dirty_arm };
+    let scores = if a > 0 && side.rectifies() {
+        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
+        let start = Instant::now();
+        let mut tuned = fit_unit(arm, models[m], scale.cv_folds, model_seed);
+        phases.add(StudyPhase::TrainEval, start.elapsed());
+        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
+        let rectify_start = Instant::now();
+        let _report = rectify_unit_model(tuned.model.as_mut(), arm, model_seed, rectify);
+        phases.add(StudyPhase::Rectify, rectify_start.elapsed());
+        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
+        let score_start = Instant::now();
+        let scores = score_unit(arm, &tuned, group_labels, metrics);
+        phases.add(StudyPhase::TrainEval, score_start.elapsed());
+        scores
+    } else {
+        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
+        let start = Instant::now();
+        let scores =
+            evaluate_unit(arm, models[m], scale.cv_folds, model_seed, group_labels, metrics);
+        phases.add(StudyPhase::TrainEval, start.elapsed());
+        scores
+    };
+    tracker.advance(1, 1);
+    scores
 }
 
-/// Per-task result of the parallel phase.
+/// Where a pending task stands. The first worker to reach a `Pending`
+/// task prepares it under the task's lock while later arrivals wait; the
+/// worker that finishes its last unit closes it, dropping the arms.
+enum TaskState {
+    Pending,
+    /// Units in flight: the arms, the scores of the units that finished
+    /// (by unit index) and how many units are left.
+    Live { arms: Arc<EncodedTask>, scores: Vec<Option<UnitScores>>, left: usize },
+    /// Finished, failed, or skipped after a halt.
+    Closed,
+}
+
+impl TaskState {
+    /// Records unit `unit`'s scores. When it was the task's last unit,
+    /// closes the task and returns every unit's scores in unit order.
+    fn finish_unit(&mut self, unit: usize, unit_scores: UnitScores) -> Option<Vec<UnitScores>> {
+        let TaskState::Live { scores, left, .. } = self else { return None };
+        scores[unit] = Some(unit_scores);
+        *left -= 1;
+        if *left > 0 {
+            return None;
+        }
+        match std::mem::replace(self, TaskState::Closed) {
+            TaskState::Live { scores, .. } => Some(scores.into_iter().flatten().collect()),
+            _ => None,
+        }
+    }
+}
+
+/// Locks a task's state, ignoring poison: a panicked worker is re-raised
+/// at the join, and no update leaves the state invalid midway.
+fn lock(cell: &Mutex<TaskState>) -> MutexGuard<'_, TaskState> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Per-task result of the parallel phase. A task's runs hold, per model,
+/// one [`SeedScores`] per model seed (seeds in ascending order).
 enum TaskOutcome {
     /// Executed this run.
-    Done(TaskOutput),
+    Done(Vec<Vec<SeedScores>>),
     /// Restored from the journal (counts as a journal hit).
-    Replayed(TaskOutput),
+    Replayed(Vec<Vec<SeedScores>>),
     /// Failed; recorded and excluded from assembly.
     Failed(FailedTask),
-    /// Not started because the `on_task_complete` hook asked to stop.
+    /// Not started because the study halted (the `on_task_complete` hook
+    /// asked to stop, or too many tasks failed).
     Interrupted,
 }
 
@@ -515,7 +511,8 @@ pub fn run_error_type_study_with(
 
     // One evaluation unit = one tuned fit-and-score of a single
     // (model, seed, arm); the unit grid is the progress denominator.
-    let units_per_task = models.len() * scale.n_model_seeds * (1 + variants.len());
+    let n_arms = 1 + variants.len();
+    let units_per_task = models.len() * scale.n_model_seeds * n_arms;
     let tracker = ProgressTracker::new(
         tasks.len() * units_per_task,
         options.progress,
@@ -524,113 +521,167 @@ pub fn run_error_type_study_with(
     let phases = PhaseAccumulator::default();
     let executed = AtomicUsize::new(0);
     let failed_count = AtomicUsize::new(0);
-    // Why a task stopped picking up work. Tasks already in flight finish
-    // all their units (so their journal record stays all-or-nothing);
-    // not-yet-started tasks see the flag at entry and return immediately
-    // — the pool's workers then park on its condvar, nothing spins.
-    const HALT_NONE: usize = 0;
-    const HALT_STOP: usize = 1;
-    const HALT_THRESHOLD: usize = 2;
-    let halt = AtomicUsize::new(HALT_NONE);
+    // Set when the hook asks to stop or too many tasks failed. Tasks
+    // already started finish all their units (so their journal record
+    // stays all-or-nothing); a task whose first unit comes up after the
+    // halt is skipped.
+    let halt = AtomicBool::new(false);
 
-    let outcomes: Vec<TaskOutcome> = tasks
-        .par_iter()
-        .map(|&(d, s)| {
-            let name = datasets[d].name();
-            let sseed = split_seed(study_seed, datasets[d], s);
-            if let Some(runs) = replayed.get(&(d, s)) {
-                tracker.advance(units_per_task, 0);
-                return TaskOutcome::Replayed(TaskOutput {
-                    dataset_idx: d,
-                    split_idx: s,
-                    runs_by_model: runs.clone(),
-                });
-            }
-            if halt.load(Ordering::Relaxed) != HALT_NONE {
-                return TaskOutcome::Interrupted;
-            }
-            let prepared: Result<EncodedTask> = if options
-                .inject_task_failure
-                .is_some_and(|should_fail| should_fail(name, s))
-            {
-                Err(TabularError::InvalidArgument(format!(
-                    "injected prepare_variants failure for {name} split {s}"
-                )))
-            } else {
-                prepare_task(sseed, &pools[d], error, &variants, scale, &group_specs[d], &phases)
-            };
-            let arms = match prepared {
-                Ok(arms) => arms,
-                Err(e) => {
-                    let message = e.to_string();
-                    if let Some(writer) = &writer {
-                        let _ = writer.record_failure(name, s, sseed, &message);
-                    }
-                    tracker.advance(units_per_task, 0);
-                    let failed = failed_count.fetch_add(1, Ordering::SeqCst) + 1;
-                    if failed as f64 / tasks.len() as f64 > options.failure_threshold {
-                        let _ = halt.compare_exchange(
-                            HALT_NONE,
-                            HALT_THRESHOLD,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
-                    }
-                    return TaskOutcome::Failed(FailedTask {
-                        dataset: name.to_string(),
-                        split: s,
-                        seed: sseed,
-                        error: message,
-                    });
-                }
-            };
-            let ctx = UnitCtx {
-                models,
-                scale,
-                metrics: &metrics,
-                phases: &phases,
-                tracker: &tracker,
-                side: options.repair_side,
-                rectify: &options.rectify,
-            };
-            let output = evaluate_task_units(d, s, sseed, &arms, &group_labels[d], &ctx);
-            // Journal only now, with every unit of the task complete:
-            // exactly-once, all-or-nothing records.
+    // Journaled tasks replay; the others are pending, in grid order.
+    let mut outcomes: Vec<Option<TaskOutcome>> = Vec::with_capacity(tasks.len());
+    for key in &tasks {
+        outcomes.push(replayed.remove(key).map(|runs| {
+            tracker.advance(units_per_task, 0);
+            TaskOutcome::Replayed(runs)
+        }));
+    }
+    let pending: Vec<usize> = (0..tasks.len()).filter(|&t| outcomes[t].is_none()).collect();
+
+    // Run by the first worker to reach task `t`: its arms, or the outcome
+    // that closes it unstarted (halted, or failed and recorded).
+    let start_task = |t: usize| -> std::result::Result<EncodedTask, TaskOutcome> {
+        let (d, s) = tasks[t];
+        let name = datasets[d].name();
+        let sseed = split_seed(study_seed, datasets[d], s);
+        if halt.load(Ordering::Relaxed) {
+            return Err(TaskOutcome::Interrupted);
+        }
+        let prepared: Result<EncodedTask> = if options
+            .inject_task_failure
+            .is_some_and(|should_fail| should_fail(name, s))
+        {
+            Err(TabularError::InvalidArgument(format!(
+                "injected prepare_variants failure for {name} split {s}"
+            )))
+        } else {
+            prepare_task(sseed, &pools[d], error, &variants, scale, &group_specs[d], &phases)
+        };
+        prepared.map_err(|e| {
+            let message = e.to_string();
             if let Some(writer) = &writer {
-                if let Err(e) = writer.record_task(name, s, sseed, &output.runs_by_model) {
-                    eprintln!("journal write failed for {name}#{s}: {e}");
-                }
+                let _ = writer.record_failure(name, s, sseed, &message);
             }
-            let done = executed.fetch_add(1, Ordering::SeqCst) + 1;
-            if options.on_task_complete.is_some_and(|hook| hook(done, tasks.len())) {
-                let _ =
-                    halt.compare_exchange(HALT_NONE, HALT_STOP, Ordering::SeqCst, Ordering::SeqCst);
+            tracker.advance(units_per_task, 0);
+            let failed = failed_count.fetch_add(1, Ordering::SeqCst) + 1;
+            if failed as f64 / tasks.len() as f64 > options.failure_threshold {
+                halt.store(true, Ordering::SeqCst);
             }
-            TaskOutcome::Done(output)
+            let dataset = name.to_string();
+            TaskOutcome::Failed(FailedTask { dataset, split: s, seed: sseed, error: message })
         })
-        .collect();
+    };
+    // Run by the worker that finished task `t`'s last unit.
+    let finish_task = |t: usize, unit_scores: Vec<UnitScores>| -> TaskOutcome {
+        let (d, s) = tasks[t];
+        let name = datasets[d].name();
+        // Units run in (model, seed, arm) order; regroup them per model
+        // into one SeedScores per seed.
+        let mut units = unit_scores.into_iter();
+        let mut seeds = std::iter::from_fn(|| {
+            let (dirty_acc, dirty_disp) = units.next()?;
+            Some((dirty_acc, dirty_disp, units.by_ref().take(n_arms - 1).collect()))
+        });
+        let runs: Vec<Vec<SeedScores>> =
+            models.iter().map(|_| seeds.by_ref().take(scale.n_model_seeds).collect()).collect();
+        // Journal only now, with every unit of the task complete:
+        // exactly-once, all-or-nothing records.
+        if let Some(writer) = &writer {
+            let sseed = split_seed(study_seed, datasets[d], s);
+            if let Err(e) = writer.record_task(name, s, sseed, &runs) {
+                eprintln!("journal write failed for {name}#{s}: {e}");
+            }
+        }
+        let done = executed.fetch_add(1, Ordering::SeqCst) + 1;
+        if options.on_task_complete.is_some_and(|hook| hook(done, tasks.len())) {
+            halt.store(true, Ordering::SeqCst);
+        }
+        TaskOutcome::Done(runs)
+    };
+
+    // The pending tasks' units form one flat queue in grid order; each
+    // worker takes the next unit index from `next_unit` until none is left.
+    let ctx = UnitCtx {
+        models,
+        scale,
+        metrics: &metrics,
+        phases: &phases,
+        tracker: &tracker,
+        side: options.repair_side,
+        rectify: &options.rectify,
+    };
+    let cells: Vec<Mutex<TaskState>> =
+        pending.iter().map(|_| Mutex::new(TaskState::Pending)).collect();
+    let n_units = pending.len() * units_per_task;
+    let next_unit = AtomicUsize::new(0);
+    let work = || {
+        let mut closed: Vec<(usize, TaskOutcome)> = Vec::new();
+        loop {
+            let u = next_unit.fetch_add(1, Ordering::Relaxed);
+            if u >= n_units {
+                break closed;
+            }
+            let (p, unit) = (u / units_per_task, u % units_per_task);
+            let (t, cell) = (pending[p], &cells[p]);
+            let arms = {
+                let mut state = lock(cell);
+                if let TaskState::Pending = *state {
+                    *state = match start_task(t) {
+                        Ok(arms) => TaskState::Live {
+                            arms: Arc::new(arms),
+                            scores: vec![None; units_per_task],
+                            left: units_per_task,
+                        },
+                        Err(outcome) => {
+                            closed.push((t, outcome));
+                            TaskState::Closed
+                        }
+                    };
+                }
+                let TaskState::Live { arms, .. } = &*state else { continue };
+                Arc::clone(arms)
+            };
+            let (d, s) = tasks[t];
+            let sseed = split_seed(study_seed, datasets[d], s);
+            let scores = run_unit(unit, sseed, &arms, &group_labels[d], &ctx);
+            drop(arms);
+            let finished = lock(cell).finish_unit(unit, scores);
+            if let Some(unit_scores) = finished {
+                closed.push((t, finish_task(t, unit_scores)));
+            }
+        }
+    };
+    let workers = 0..options.threads.clamp(1, n_units.max(1));
+    let closed: Vec<(usize, TaskOutcome)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers.map(|_| scope.spawn(work)).collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    for (t, outcome) in closed {
+        outcomes[t] = Some(outcome);
+    }
 
     // Triage the outcomes. Graceful degradation: failed tasks are
     // recorded and excluded; only past the threshold (or on a simulated
-    // interruption) does the study error out. The outcome vector is in
+    // interruption) does the study error out. The outcomes are in
     // task-grid order, so `failed_tasks` is deterministic regardless of
     // which worker hit each failure first.
-    let mut slots: Vec<Option<TaskOutput>> = Vec::with_capacity(tasks.len());
-    slots.resize_with(tasks.len(), || None);
+    let journal_hits =
+        outcomes.iter().filter(|o| matches!(o, Some(TaskOutcome::Replayed(_)))).count();
+    let interrupted = outcomes.iter().any(|o| matches!(o, Some(TaskOutcome::Interrupted)));
     let mut failed_tasks: Vec<FailedTask> = Vec::new();
-    let mut journal_hits = 0usize;
-    let mut interrupted = false;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            TaskOutcome::Done(output) => slots[i] = Some(output),
-            TaskOutcome::Replayed(output) => {
-                journal_hits += 1;
-                slots[i] = Some(output);
+    let slots: Vec<Option<Vec<Vec<SeedScores>>>> = outcomes
+        .into_iter()
+        .map(|outcome| match outcome? {
+            TaskOutcome::Done(runs) | TaskOutcome::Replayed(runs) => Some(runs),
+            TaskOutcome::Failed(task) => {
+                failed_tasks.push(task);
+                None
             }
-            TaskOutcome::Failed(task) => failed_tasks.push(task),
-            TaskOutcome::Interrupted => interrupted = true,
-        }
-    }
+            TaskOutcome::Interrupted => None,
+        })
+        .collect();
     // The threshold error outranks the interruption error: a
     // threshold-triggered halt interrupts the remaining tasks as a side
     // effect, and the failure is the part worth reporting.
@@ -686,11 +737,10 @@ pub fn run_error_type_study_with(
                         .collect(),
                 };
                 for s in 0..scale.n_splits {
-                    let Some(output) = &slots[d * scale.n_splits + s] else {
+                    let Some(runs) = &slots[d * scale.n_splits + s] else {
                         continue;
                     };
-                    debug_assert_eq!((output.dataset_idx, output.split_idx), (d, s));
-                    for (dirty_acc, dirty_disp, per_variant) in &output.runs_by_model[m] {
+                    for (dirty_acc, dirty_disp, per_variant) in &runs[m] {
                         let (rep_acc, rep_disp) = &per_variant[v];
                         cs.dirty_accuracy.push(*dirty_acc);
                         cs.repaired_accuracy.push(*rep_acc);
@@ -912,12 +962,19 @@ mod tests {
 
     #[test]
     fn failure_threshold_zero_restores_abort_semantics() {
+        for threads in [1, 8] {
+            failure_threshold_zero_aborts_on(threads);
+        }
+    }
+
+    fn failure_threshold_zero_aborts_on(threads: usize) {
         fn fail_any(_dataset: &str, split: usize) -> bool {
             split == 0
         }
         let options = StudyOptions {
             failure_threshold: 0.0,
             inject_task_failure: Some(fail_any),
+            threads,
             ..StudyOptions::default()
         };
         let err = run_error_type_study_with(

@@ -78,8 +78,8 @@ impl GbdtClassifier {
         let base_score = (rate / (1.0 - rate)).ln();
         // Global-indexed buffers: only the entries named by `rows` are
         // read, so one allocation serves any subset. Pulled from the
-        // per-thread scratch pool — one persistent pool worker runs many
-        // fits back to back and reuses the same allocations.
+        // per-thread scratch pool — one runner worker runs many fits back
+        // to back and reuses the same allocations.
         let n_global = x.n_rows();
         let mut scores = scratch::take_f64();
         scores.resize(n_global, base_score);

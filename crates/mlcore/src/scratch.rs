@@ -1,8 +1,8 @@
 //! Per-worker scratch arenas for hot training loops.
 //!
 //! With the study grid flattened to per-evaluation work units, thousands
-//! of short-lived model fits run on a handful of persistent pool
-//! workers. The big temporaries (GBDT gradient/score vectors, tree row
+//! of short-lived model fits run on a handful of study worker threads,
+//! each alive for a whole study. The big temporaries (GBDT gradient/score vectors, tree row
 //! partitions, kNN neighbour candidates) used to be allocated fresh per fit
 //! or per prediction; these thread-local pools let each worker reuse the
 //! same buffers across units instead.

@@ -9,7 +9,6 @@ pub use demodq_rectify;
 pub use demodq_serve;
 pub use fairness;
 pub use mlcore;
-pub use rayon;
 pub use serde_json;
 pub use statskit;
 pub use tabular;

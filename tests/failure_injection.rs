@@ -163,9 +163,16 @@ fn isolation_forest_rejects_fewer_than_two_rows() {
 /// A dataset failing on exactly one split no longer aborts the study:
 /// the run completes degraded, the other configurations keep their full
 /// score vectors, the failure is recorded with its seeds, and the
-/// failure threshold is respected.
+/// failure threshold is respected, on one worker and on eight (where
+/// the failure happens while other workers wait for the task's arms).
 #[test]
 fn single_task_failure_degrades_instead_of_aborting() {
+    for threads in [1, 8] {
+        single_task_failure_degrades_on(threads);
+    }
+}
+
+fn single_task_failure_degrades_on(threads: usize) {
     fn german_split_one_fails(dataset: &str, split: usize) -> bool {
         dataset == "german" && split == 1
     }
@@ -174,6 +181,7 @@ fn single_task_failure_degrades_instead_of_aborting() {
     let options = StudyOptions {
         failure_threshold: 0.5,
         inject_task_failure: Some(german_split_one_fails),
+        threads,
         ..StudyOptions::default()
     };
     let results = run_error_type_study_with(
@@ -216,6 +224,7 @@ fn single_task_failure_degrades_instead_of_aborting() {
     let strict = StudyOptions {
         failure_threshold: 0.1,
         inject_task_failure: Some(german_split_one_fails),
+        threads,
         ..StudyOptions::default()
     };
     let err = run_error_type_study_with(

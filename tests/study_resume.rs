@@ -9,7 +9,6 @@ use demodq_repro::demodq::config::{StudyOptions, StudyScale};
 use demodq_repro::demodq::export::study_results_json;
 use demodq_repro::demodq::runner::run_error_type_study_with;
 use demodq_repro::mlcore::ModelKind;
-use demodq_repro::rayon::ThreadPool;
 use demodq_repro::serde_json;
 use std::path::PathBuf;
 
@@ -123,7 +122,7 @@ fn interrupted_then_resumed_study_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same study run on 1-, 2- and 8-thread pools exports byte-identical
+/// The same study run on 1, 2 and 8 worker threads exports byte-identical
 /// JSON: every evaluation unit's RNG seed derives from its grid position
 /// (study seed, dataset, split, model, model-seed index), never from the
 /// schedule, and result assembly is order-preserving.
@@ -131,8 +130,7 @@ fn interrupted_then_resumed_study_is_byte_identical() {
 fn exports_byte_identical_across_thread_counts() {
     let datasets = [DatasetId::German, DatasetId::Adult];
     let mut exports = [1usize, 2, 8].map(|threads| {
-        let pool = ThreadPool::new(threads);
-        pool.install(|| study_results_json(&run(&datasets, &StudyOptions::default())))
+        study_results_json(&run(&datasets, &StudyOptions { threads, ..StudyOptions::default() }))
     });
     let reference = exports[0].clone();
     for (threads, export) in [1usize, 2, 8].iter().zip(&mut exports) {
@@ -143,7 +141,7 @@ fn exports_byte_identical_across_thread_counts() {
     }
 }
 
-/// An interrupt-then-resume cycle executed entirely on an 8-thread pool
+/// An interrupt-then-resume cycle executed entirely on 8 worker threads
 /// matches the undisturbed serial run byte-for-byte: the journal records
 /// a task only after every one of its units completed, so replay never
 /// observes a half-evaluated task regardless of worker interleaving.
@@ -152,25 +150,23 @@ fn resume_under_parallel_pool_matches_serial_run() {
     let datasets = [DatasetId::German, DatasetId::Adult];
 
     // Serial reference.
-    let clean = ThreadPool::new(1)
-        .install(|| study_results_json(&run(&datasets, &StudyOptions::default())));
+    let serial = StudyOptions { threads: 1, ..StudyOptions::default() };
+    let clean = study_results_json(&run(&datasets, &serial));
 
-    let pool = ThreadPool::new(8);
     let dir = temp_journal_dir("parallel-resume");
-    let first = pool.install(|| {
-        run_error_type_study_with(
-            ErrorType::Mislabels,
-            &datasets,
-            &[ModelKind::LogReg],
-            &StudyScale::smoke(),
-            SEED,
-            &StudyOptions {
-                journal_dir: Some(dir.clone()),
-                on_task_complete: Some(|done, _| done >= 1),
-                ..StudyOptions::default()
-            },
-        )
-    });
+    let first = run_error_type_study_with(
+        ErrorType::Mislabels,
+        &datasets,
+        &[ModelKind::LogReg],
+        &StudyScale::smoke(),
+        SEED,
+        &StudyOptions {
+            journal_dir: Some(dir.clone()),
+            on_task_complete: Some(|done, _| done >= 1),
+            threads: 8,
+            ..StudyOptions::default()
+        },
+    );
     if let Err(e) = &first {
         assert!(e.to_string().contains("interrupted"), "{e}");
     }
@@ -178,16 +174,15 @@ fn resume_under_parallel_pool_matches_serial_run() {
     // a task is recorded only after all its units finish).
     assert!(!task_keys(&journal_file(&dir)).is_empty(), "halt still journals finished tasks");
 
-    let resumed = pool.install(|| {
-        run(
-            &datasets,
-            &StudyOptions {
-                journal_dir: Some(dir.clone()),
-                resume: true,
-                ..StudyOptions::default()
-            },
-        )
-    });
+    let resumed = run(
+        &datasets,
+        &StudyOptions {
+            journal_dir: Some(dir.clone()),
+            resume: true,
+            threads: 8,
+            ..StudyOptions::default()
+        },
+    );
     assert_eq!(resumed.journal_warnings, 0);
     assert_eq!(study_results_json(&resumed), clean);
 
@@ -398,15 +393,15 @@ fn pre_rectification_v1_journal_is_rejected_with_versioned_shape_warning() {
 }
 
 /// The rectifying arms (`repair_side: both`) preserve the
-/// schedule-independence guarantee: the same study on 1-, 2- and
-/// 8-thread pools exports byte-identical JSON even though the repaired
+/// schedule-independence guarantee: the same study on 1, 2 and 8 worker
+/// threads exports byte-identical JSON even though the repaired
 /// arms now refit and leaf-rectify tree models inside each unit.
 #[test]
 fn rectifying_study_exports_byte_identical_across_thread_counts() {
     use demodq_repro::demodq::config::RepairSide;
 
     let datasets = [DatasetId::German];
-    let run_both = || {
+    let run_both = |threads| {
         study_results_json(
             &run_error_type_study_with(
                 ErrorType::Mislabels,
@@ -414,15 +409,16 @@ fn rectifying_study_exports_byte_identical_across_thread_counts() {
                 &[ModelKind::LogReg, ModelKind::DecisionTree],
                 &StudyScale::smoke(),
                 SEED,
-                &StudyOptions { repair_side: RepairSide::Both, ..StudyOptions::default() },
+                &StudyOptions {
+                    repair_side: RepairSide::Both,
+                    threads,
+                    ..StudyOptions::default()
+                },
             )
             .expect("rectifying study should complete"),
         )
     };
-    let mut exports = [1usize, 2, 8].map(|threads| {
-        let pool = ThreadPool::new(threads);
-        pool.install(run_both)
-    });
+    let mut exports = [1usize, 2, 8].map(run_both);
     assert!(exports[0].contains("\"repair_side\": \"both\""), "{}", exports[0]);
     let reference = exports[0].clone();
     for (threads, export) in [1usize, 2, 8].iter().zip(&mut exports) {
