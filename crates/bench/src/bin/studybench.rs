@@ -15,7 +15,7 @@
 //!   (~112 MiB at 8 B per cell) fails the gate.
 //! * **micro** — GBDT training on encoded Adult data (best of three
 //!   runs), one training run per model kind, and one leaf-rectification
-//!   run per tree-family model (`rectify_ms`). The exact splitter GBDT
+//!   run of the xgboost model (`rectify_ms`). The exact splitter GBDT
 //!   was once timed against is now only the reference of
 //!   `tests/hist_parity.rs`; a baseline's leftover `gbdt_exact_ms` and
 //!   `gbdt_speedup` fields are ignored.
@@ -28,8 +28,8 @@
 //!   state, which raw milliseconds do not.
 //! * **study** — the end-to-end error-type study over all datasets,
 //!   models and error types at the chosen scale, with
-//!   `repair_side: both` so the repaired arms also leaf-rectify tree
-//!   models, reported as wall time and model evaluations per second,
+//!   `repair_side: both` so the repaired arms also leaf-rectify the
+//!   xgboost models, reported as wall time and model evaluations per second,
 //!   plus cumulative per-phase wall time (sample / prepare / encode /
 //!   train_eval / rectify, the last also surfaced as
 //!   `study.rectify_seconds`) and the failed-task count. This section
@@ -55,7 +55,7 @@ use demodq::progress::PhaseSeconds;
 use demodq_rectify::{rectify_classifier, RectifyOptions};
 use fairness::Groups;
 use mlcore::kernels::{self, HistF32, QUERY_BLOCK, TRAIN_BLOCK};
-use mlcore::{BinnedMatrix, Classifier, GbdtClassifier, ModelKind, DEFAULT_N_BINS};
+use mlcore::{BinnedMatrix, GbdtClassifier, ModelKind, DEFAULT_N_BINS};
 use serde_json::{json, Value};
 use std::time::Instant;
 use tabular::{DenseMatrix, FeatureEncoder, Rng64};
@@ -214,7 +214,7 @@ fn micro_section(seed: u64) -> Value {
     eprintln!("micro: gbdt hist {gbdt_hist_ms:.1}ms");
 
     let mut train_ms = serde_json::Map::new();
-    for kind in ModelKind::extended() {
+    for kind in ModelKind::all() {
         let spec = kind.default_grid().into_iter().next().expect("non-empty grid");
         let ms = time_ms(1, || {
             std::hint::black_box(spec.fit(&x, &y, 7));
@@ -223,21 +223,19 @@ fn micro_section(seed: u64) -> Value {
         train_ms.insert(kind.name().to_string(), json!(ms));
     }
 
-    // Leaf rectification per tree family: fit once, then time one
-    // branch-and-bound repair pass against the default constraint. Each
-    // kind gets a fresh model — rectification mutates its leaves, and a
-    // second pass on an already-fair model would time a no-op.
+    // Leaf rectification of the one tree family: fit once, then time one
+    // branch-and-bound repair pass against the default constraint (once
+    // only — rectification mutates the leaves, and a second pass on an
+    // already-fair model would time a no-op).
     let opts = RectifyOptions::default();
+    let kind = ModelKind::Gbdt;
+    let mut model = kind.default_grid()[0].fit(&x, &y, 7);
+    let ms = time_ms(1, || {
+        std::hint::black_box(rectify_classifier(model.as_mut(), &x, &y, &groups, &opts));
+    });
+    eprintln!("micro: {} rectify {ms:.1}ms", kind.name());
     let mut rectify_ms = serde_json::Map::new();
-    for kind in [ModelKind::DecisionTree, ModelKind::RandomForest, ModelKind::Gbdt] {
-        let spec = kind.default_grid().into_iter().next().expect("non-empty grid");
-        let mut model: Box<dyn Classifier> = spec.fit(&x, &y, 7);
-        let ms = time_ms(1, || {
-            std::hint::black_box(rectify_classifier(model.as_mut(), &x, &y, &groups, &opts));
-        });
-        eprintln!("micro: {} rectify {ms:.1}ms", kind.name());
-        rectify_ms.insert(kind.name().to_string(), json!(ms));
-    }
+    rectify_ms.insert(kind.name().to_string(), json!(ms));
 
     json!({
         "gbdt_hist_ms": gbdt_hist_ms,
@@ -341,7 +339,8 @@ fn kernels_section(seed: u64) -> Value {
 /// configuration, and returns the section JSON.
 fn study_section(scale: &StudyScale, seed: u64) -> Value {
     // `both` exercises the full repair surface: data repairs on the
-    // variant arms plus post-training leaf rectification of tree models.
+    // variant arms plus post-training leaf rectification of the xgboost
+    // models.
     let options = StudyOptions {
         progress: true,
         repair_side: RepairSide::Both,

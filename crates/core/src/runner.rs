@@ -825,7 +825,7 @@ mod tests {
             run_error_type_study_with(
                 ErrorType::Mislabels,
                 &[DatasetId::German],
-                &[ModelKind::DecisionTree],
+                &[ModelKind::Gbdt],
                 &scale,
                 7,
                 &options,

@@ -92,7 +92,7 @@ pub struct ServingModel {
     /// group specs of the dataset.
     pub groups: Vec<GroupSpec>,
     /// Post-training rectification summary; `Some` exactly when the
-    /// classifier is a tree family and its leaves were searched.
+    /// classifier is the GBDT, the one family with leaves to search.
     pub rectification: Option<ServingRectification>,
     /// Test-split disparities of the classifier actually served (post
     /// rectification where applicable), one entry per group spec — the
@@ -253,8 +253,7 @@ mod tests {
     #[test]
     fn tree_serving_models_are_rectified_with_test_split_gaps() {
         let scale = StudyScale::smoke();
-        let served =
-            train_serving_model(DatasetId::German, ModelKind::DecisionTree, &scale, 7).unwrap();
+        let served = train_serving_model(DatasetId::German, ModelKind::Gbdt, &scale, 7).unwrap();
         let rect = served.rectification.as_ref().expect("trees are rectified before serving");
         assert_eq!(rect.gaps.len(), served.groups.len());
         for (gap, gs) in rect.gaps.iter().zip(&served.groups) {

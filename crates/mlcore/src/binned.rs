@@ -5,7 +5,7 @@
 //! points. Tree learners then find splits by accumulating per-bin
 //! statistics in a single O(n) pass per node instead of re-sorting every
 //! feature at every node, and the binned representation is shared across
-//! boosting rounds, bagged trees, CV folds and the hyperparameter grid.
+//! boosting rounds, CV folds and the hyperparameter grid.
 //!
 //! Binning preserves order (cut points are strictly increasing) and ties:
 //! equal feature values always land in the same bin, so a histogram split

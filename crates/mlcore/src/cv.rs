@@ -74,7 +74,7 @@ pub fn tune_and_fit(
         };
     }
 
-    // Tree-based families train on quantile bins: bin the full training
+    // The GBDT trains on quantile bins: bin the full training
     // matrix once and share it across every fold and every grid
     // configuration. (Bin edges come from the full matrix, LightGBM-style
     // dataset-level binning.)

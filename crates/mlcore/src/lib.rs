@@ -19,7 +19,6 @@
 
 pub mod binned;
 pub mod cv;
-pub mod dtree;
 pub mod gbdt;
 pub mod kernels;
 pub mod knn;
@@ -32,7 +31,6 @@ pub mod tree;
 
 pub use binned::{BinnedMatrix, DEFAULT_N_BINS};
 pub use cv::{tune_and_fit, TunedModel};
-pub use dtree::{DecisionTreeClassifier, RandomForestClassifier};
 pub use gbdt::GbdtClassifier;
 pub use knn::KnnClassifier;
 pub use logreg::LogRegClassifier;

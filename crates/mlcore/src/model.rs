@@ -2,11 +2,10 @@
 //! the experimentation framework tunes over.
 
 use crate::binned::BinnedMatrix;
-use crate::dtree::{DTreeParams, DecisionTreeClassifier, RandomForestClassifier};
 use crate::gbdt::GbdtClassifier;
 use crate::knn::KnnClassifier;
 use crate::logreg::LogRegClassifier;
-use tabular::{DenseMatrix, Rng64};
+use tabular::DenseMatrix;
 
 /// A trained binary classifier.
 pub trait Classifier: Send + Sync {
@@ -33,13 +32,15 @@ pub trait Classifier: Send + Sync {
 
     /// Mutable access to the concrete model for post-training edits
     /// (leaf rectification). `None` for families without editable
-    /// structure; the tree learners override this with `Some(self)`.
+    /// structure; the GBDT overrides this with `Some(self)`.
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
     }
 }
 
-/// The three model families of the study (paper Section V).
+/// The three model families of the study (paper Section V). CleanML's
+/// wider zoo also trains a decision tree and a random forest; the paper
+/// leaves them out, and so does this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Logistic regression with a tuned inverse regularisation strength `C`.
@@ -49,12 +50,6 @@ pub enum ModelKind {
     /// Gradient-boosted decision trees with a tuned maximum depth
     /// (the study's "xgboost").
     Gbdt,
-    /// Single decision tree with a tuned maximum depth (CleanML model zoo;
-    /// not part of the paper's three-model study).
-    DecisionTree,
-    /// Bagged random forest with a tuned maximum depth (CleanML model zoo;
-    /// not part of the paper's three-model study).
-    RandomForest,
 }
 
 impl ModelKind {
@@ -64,25 +59,12 @@ impl ModelKind {
         [ModelKind::LogReg, ModelKind::Knn, ModelKind::Gbdt]
     }
 
-    /// The full CleanML model zoo, including the two extension families.
-    pub fn extended() -> [ModelKind; 5] {
-        [
-            ModelKind::LogReg,
-            ModelKind::Knn,
-            ModelKind::Gbdt,
-            ModelKind::DecisionTree,
-            ModelKind::RandomForest,
-        ]
-    }
-
     /// The paper's short name for the model.
     pub fn name(&self) -> &'static str {
         match self {
             ModelKind::LogReg => "log-reg",
             ModelKind::Knn => "knn",
             ModelKind::Gbdt => "xgboost",
-            ModelKind::DecisionTree => "decision-tree",
-            ModelKind::RandomForest => "random-forest",
         }
     }
 
@@ -92,17 +74,15 @@ impl ModelKind {
             "log-reg" | "logreg" | "logistic-regression" => Some(ModelKind::LogReg),
             "knn" | "nearest-neighbors" => Some(ModelKind::Knn),
             "xgboost" | "gbdt" | "gradient-boosted-trees" => Some(ModelKind::Gbdt),
-            "decision-tree" | "dtree" => Some(ModelKind::DecisionTree),
-            "random-forest" | "forest" => Some(ModelKind::RandomForest),
             _ => None,
         }
     }
 
-    /// Whether the family trains on quantile-binned features. Tree-based
-    /// families share one [`BinnedMatrix`] across CV folds and grid
+    /// Whether the family trains on quantile-binned features: the GBDT
+    /// shares one [`BinnedMatrix`] across CV folds and grid
     /// configurations; the others consume dense matrices directly.
     pub fn is_tree_based(&self) -> bool {
-        matches!(self, ModelKind::Gbdt | ModelKind::DecisionTree | ModelKind::RandomForest)
+        matches!(self, ModelKind::Gbdt)
     }
 
     /// The hyperparameter grid searched during 5-fold cross-validation.
@@ -125,14 +105,6 @@ impl ModelKind {
                     learning_rate: 0.3,
                     reg_lambda: 1.0,
                 })
-                .collect(),
-            ModelKind::DecisionTree => [3, 6, 10]
-                .iter()
-                .map(|&max_depth| ModelSpec::DecisionTree { max_depth })
-                .collect(),
-            ModelKind::RandomForest => [4, 8, 12]
-                .iter()
-                .map(|&max_depth| ModelSpec::RandomForest { n_trees: 50, max_depth })
                 .collect(),
         }
     }
@@ -170,18 +142,6 @@ pub enum ModelSpec {
         /// L2 regularisation on leaf weights.
         reg_lambda: f64,
     },
-    /// Single decision tree (extension).
-    DecisionTree {
-        /// Maximum tree depth (the tuned hyperparameter).
-        max_depth: usize,
-    },
-    /// Bagged random forest (extension).
-    RandomForest {
-        /// Number of bagged trees.
-        n_trees: usize,
-        /// Maximum tree depth (the tuned hyperparameter).
-        max_depth: usize,
-    },
 }
 
 impl ModelSpec {
@@ -191,8 +151,6 @@ impl ModelSpec {
             ModelSpec::LogReg { .. } => ModelKind::LogReg,
             ModelSpec::Knn { .. } => ModelKind::Knn,
             ModelSpec::Gbdt { .. } => ModelKind::Gbdt,
-            ModelSpec::DecisionTree { .. } => ModelKind::DecisionTree,
-            ModelSpec::RandomForest { .. } => ModelKind::RandomForest,
         }
     }
 
@@ -203,8 +161,6 @@ impl ModelSpec {
             ModelSpec::LogReg { c, .. } => format!("C={c}"),
             ModelSpec::Knn { k } => format!("n_neighbors={k}"),
             ModelSpec::Gbdt { max_depth, .. } => format!("max_depth={max_depth}"),
-            ModelSpec::DecisionTree { max_depth } => format!("max_depth={max_depth}"),
-            ModelSpec::RandomForest { max_depth, .. } => format!("max_depth={max_depth}"),
         }
     }
 
@@ -230,24 +186,15 @@ impl ModelSpec {
                     seed,
                 ))
             }
-            ModelSpec::DecisionTree { max_depth } => Box::new(DecisionTreeClassifier::fit(
-                x,
-                y,
-                DTreeParams { max_depth, ..Default::default() },
-                seed,
-            )),
-            ModelSpec::RandomForest { n_trees, max_depth } => {
-                Box::new(RandomForestClassifier::fit(x, y, n_trees, max_depth, seed))
-            }
         }
     }
 
     /// Trains the specified model on the rows `rows` of a pre-binned
     /// matrix (`x` and `y` are the full matrix/labels backing `binned`).
     ///
-    /// Tree-based families train directly on the shared bins — for the
-    /// full row set this produces the same model as [`ModelSpec::fit`].
-    /// The non-tree families have no binned path and fall back to
+    /// The GBDT trains directly on the shared bins — for the full row
+    /// set this produces the same model as [`ModelSpec::fit`]. The
+    /// other families have no binned path and fall back to
     /// materialising the row subset.
     pub fn fit_binned(
         &self,
@@ -272,22 +219,6 @@ impl ModelSpec {
                     seed,
                 ))
             }
-            ModelSpec::DecisionTree { max_depth } => {
-                let mut rng = Rng64::seed_from_u64(seed);
-                Box::new(DecisionTreeClassifier::fit_binned(
-                    binned,
-                    rows,
-                    y,
-                    DTreeParams { max_depth, ..Default::default() },
-                    &mut rng,
-                ))
-            }
-            ModelSpec::RandomForest { n_trees, max_depth } => {
-                let mut rng = Rng64::seed_from_u64(seed);
-                Box::new(RandomForestClassifier::fit_binned(
-                    binned, rows, y, n_trees, max_depth, &mut rng,
-                ))
-            }
             ModelSpec::LogReg { .. } | ModelSpec::Knn { .. } => {
                 let sub_x = x.take_rows(rows);
                 let sub_y: Vec<u8> = rows.iter().map(|&i| y[i]).collect();
@@ -303,7 +234,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for kind in ModelKind::extended() {
+        for kind in ModelKind::all() {
             assert_eq!(ModelKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(ModelKind::parse("nope"), None);
@@ -311,7 +242,7 @@ mod tests {
 
     #[test]
     fn grids_are_nonempty_and_consistent() {
-        for kind in ModelKind::extended() {
+        for kind in ModelKind::all() {
             let grid = kind.default_grid();
             assert!(!grid.is_empty());
             assert!(grid.iter().all(|s| s.kind() == kind));
@@ -329,12 +260,7 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(ModelKind::Gbdt.to_string(), "xgboost");
-        assert_eq!(ModelKind::RandomForest.to_string(), "random-forest");
-    }
-
-    #[test]
-    fn paper_models_are_a_prefix_of_extended() {
-        assert_eq!(ModelKind::extended()[..3], ModelKind::all());
+        assert_eq!(ModelKind::LogReg.to_string(), "log-reg");
     }
 
     #[test]
@@ -345,25 +271,9 @@ mod tests {
         let y: Vec<u8> = (0..30).map(|i| u8::from(i >= 15)).collect();
         let binned = BinnedMatrix::from_matrix(&x, DEFAULT_N_BINS);
         let rows: Vec<usize> = (0..30).collect();
-        for kind in [ModelKind::Gbdt, ModelKind::DecisionTree, ModelKind::RandomForest] {
-            let spec = kind.default_grid()[0];
-            let dense = spec.fit(&x, &y, 9);
-            let shared = spec.fit_binned(&binned, &x, &rows, &y, 9);
-            assert_eq!(dense.predict_proba(&x), shared.predict_proba(&x), "{kind}");
-        }
-    }
-
-    #[test]
-    fn extension_models_fit_and_predict() {
-        use tabular::DenseMatrix;
-        let x = DenseMatrix::from_vec(20, 1, (0..20).map(f64::from).collect());
-        let y: Vec<u8> = (0..20).map(|i| u8::from(i >= 10)).collect();
-        for kind in [ModelKind::DecisionTree, ModelKind::RandomForest] {
-            let spec = kind.default_grid()[1];
-            let model = spec.fit(&x, &y, 3);
-            let preds = model.predict(&x);
-            let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
-            assert!(correct >= 18, "{kind}: {correct}/20");
-        }
+        let spec = ModelKind::Gbdt.default_grid()[0];
+        let dense = spec.fit(&x, &y, 9);
+        let shared = spec.fit_binned(&binned, &x, &rows, &y, 9);
+        assert_eq!(dense.predict_proba(&x), shared.predict_proba(&x));
     }
 }

@@ -1,9 +1,9 @@
 //! Regression trees over (gradient, hessian) targets — the weak learner of
 //! the gradient-boosted classifier, using the second-order gain and leaf
-//! weight formulas of the XGBoost paper — and the one tree arena of the
-//! crate: [`RegressionTree`] also stores the decision tree's and the
-//! random forest's trees (leaf values are then probabilities), so
-//! prediction and leaf rectification walk every tree family the same way.
+//! weight formulas of the XGBoost paper. [`RegressionTree`] is the crate's
+//! one tree arena and [`RegressionTree::fit_binned`] its one tree
+//! trainer: prediction and leaf rectification walk the GBDT's trees
+//! through it.
 //!
 //! [`RegressionTree::fit_binned`] finds splits over per-bin (gradient,
 //! hessian) histograms of a shared [`BinnedMatrix`], accumulated in one
@@ -19,7 +19,7 @@ use crate::scratch;
 /// One node of a tree, stored in a flat arena: a split routes a row left
 /// when its value is ≤ the threshold, a leaf holds the tree's output.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+enum Node {
     Split {
         feature: usize,
         threshold: f64,
@@ -33,9 +33,8 @@ pub(crate) enum Node {
     },
 }
 
-/// A depth-limited tree in a flat node arena (root at index 0): a
-/// regression tree fit on per-row gradients and hessians, or a
-/// classification tree whose leaves hold positive-class probabilities.
+/// A depth-limited regression tree fit on per-row gradients and
+/// hessians, in a flat node arena (root at index 0).
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
@@ -61,12 +60,6 @@ impl Default for TreeParams {
 }
 
 impl RegressionTree {
-    /// A tree over a node arena built elsewhere in the crate (root at
-    /// index 0, children after their parent).
-    pub(crate) fn from_nodes(nodes: Vec<Node>) -> Self {
-        RegressionTree { nodes }
-    }
-
     /// Fits a tree with histogram split finding on the rows `rows` of a
     /// pre-binned matrix. `grad` and `hess` are indexed by *global* row
     /// id (`binned.n_rows()` long), so one binned matrix and one
@@ -414,16 +407,17 @@ fn best_split(
     (found != 0).then_some((best_at >> 8, best_at & 0xff))
 }
 
-/// The centred split threshold for "bin ≤ `bin` goes left" on `feature`,
-/// derived from the node histogram's occupancy counts instead of a row
-/// scan, and the lowest occupied bin right of the cut: the adjacent
-/// occupied bins are the highest nonempty bin ≤ `bin` and the lowest
-/// nonempty bin > `bin`. `quads` is the feature's
-/// [`HistF32::feature_quads`] slice; its count cells are `f32` but hold
-/// exact integers (node sizes sit far below 2^24, and sibling
-/// subtraction of exact integers is itself exact), so this picks the
-/// same bins — and therefore the same threshold — as
-/// [`node_split_threshold`]'s scan over the node's rows.
+/// The split threshold for "bin ≤ `bin` goes left" on `feature`, and the
+/// lowest occupied bin right of the cut. The threshold is centred
+/// between the node's values either side of the cut, the highest
+/// nonempty bin ≤ `bin` and the lowest nonempty bin > `bin` (the bin
+/// edge hugs the left values, so unseen rows between the two sides
+/// would all route right). Occupancy comes from the node histogram, not
+/// a row scan: `quads` is the feature's [`HistF32::feature_quads`]
+/// slice, whose count cells are `f32` but hold exact integers (node
+/// sizes sit far below 2^24, and sibling subtraction of exact integers
+/// is itself exact), so this picks the same bins a scan over the node's
+/// rows would.
 fn split_threshold_from_counts(
     binned: &BinnedMatrix,
     feature: usize,
@@ -439,57 +433,6 @@ fn split_threshold_from_counts(
         _ => binned.threshold(feature, bin),
     };
     (threshold, right_bin)
-}
-
-/// In-place stable partition: rows satisfying `pred` move to the front,
-/// preserving relative order on both sides (determinism of the recursion
-/// depends on stable row order). Returns the boundary index.
-pub(crate) fn partition_rows(rows: &mut [usize], pred: impl Fn(usize) -> bool) -> usize {
-    let mut right = scratch::take_usize();
-    right.reserve(rows.len());
-    let mut write = 0;
-    for read in 0..rows.len() {
-        let row = rows[read];
-        if pred(row) {
-            rows[write] = row;
-            write += 1;
-        } else {
-            right.push(row);
-        }
-    }
-    rows[write..].copy_from_slice(&right);
-    write
-}
-
-/// The raw threshold for the chosen split "bin ≤ `bin` goes left",
-/// centred between the node's actual values either side of the cut:
-/// the midpoint of the highest occupied bin ≤ `bin` and the lowest
-/// occupied bin > `bin` **among `rows`**. Mirrors the exact greedy
-/// splitter's between-adjacent-values midpoints, which generalise far
-/// better than the bin edge (the edge hugs the left values, so unseen
-/// rows between the two sides all route right).
-pub(crate) fn node_split_threshold(
-    binned: &BinnedMatrix,
-    feature: usize,
-    bin: usize,
-    rows: &[usize],
-) -> f64 {
-    let column = binned.feature_bins(feature);
-    let mut left_bin: Option<usize> = None;
-    let mut right_bin: Option<usize> = None;
-    for &i in rows {
-        let b = usize::from(column[i]);
-        if b <= bin {
-            left_bin = Some(left_bin.map_or(b, |c| c.max(b)));
-        } else {
-            right_bin = Some(right_bin.map_or(b, |c| c.min(b)));
-        }
-    }
-    match (left_bin, right_bin) {
-        (Some(l), Some(r)) => binned.split_threshold(feature, l, r),
-        // One side empty (degenerate split): fall back to the cut edge.
-        _ => binned.threshold(feature, bin),
-    }
 }
 
 #[cfg(test)]
@@ -603,14 +546,6 @@ mod tests {
         for i in 0..300 {
             assert_eq!(a.predict_row(x.row(i)), b.predict_row(x.row(i)));
         }
-    }
-
-    #[test]
-    fn partition_rows_is_stable() {
-        let mut rows = vec![5, 2, 9, 4, 7, 0];
-        let at = partition_rows(&mut rows, |r| r % 2 == 0);
-        assert_eq!(at, 3);
-        assert_eq!(rows, vec![2, 4, 0, 5, 9, 7]);
     }
 
     /// The split scan as a plain loop: every bin of every feature in

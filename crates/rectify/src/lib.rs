@@ -36,20 +36,12 @@
 //!
 //! ## Model families
 //!
-//! * **Decision tree** — a cell is a leaf; forcing sets the leaf
-//!   probability to 0.0 or 1.0.
-//! * **Random forest** — cells are the leaves of tree 0; forcing
-//!   adjusts tree 0's leaf probability past the worst-row ensemble
-//!   margin so the *mean* vote crosses 0.5 for every validation row of
-//!   the cell.
-//! * **GBDT** — cells are the leaves of the first boosting round;
-//!   forcing shifts that leaf's value past the worst-row margin of
-//!   `base_score + lr·Σ trees`, flipping the sign of the decision
-//!   function for the whole cell.
-//!
-//! All three store their trees as `mlcore::RegressionTree`s, so every
-//! family is edited through the same `leaf_for_row` / `leaf_value` /
-//! `set_leaf_value`; only what a leaf value means differs.
+//! The study trains one tree family, the GBDT (the paper's "xgboost"),
+//! and only it has leaves to edit. Cells are the leaves of the first
+//! boosting round; forcing shifts that leaf's value past the worst-row
+//! margin of `base_score + lr·Σ trees`, flipping the sign of the
+//! decision function for the whole cell. Log-reg and kNN have no
+//! editable structure, and [`rectify_classifier`] passes them through.
 //!
 //! Post-edit metrics are recomputed from the **mutated model's actual
 //! predictions**, never from the search's algebra, so the report's
@@ -62,12 +54,12 @@ use fairness::{
     group_confusions, per_leaf_accounting, FairnessMetric, GroupConfusions, Groups,
     LeafAccounting,
 };
-use mlcore::{Classifier, DecisionTreeClassifier, GbdtClassifier, RandomForestClassifier};
+use mlcore::{Classifier, GbdtClassifier};
 use std::cmp::Reverse;
 use tabular::DenseMatrix;
 
 /// Margin added past the worst-row decision boundary when forcing a
-/// forest or GBDT cell, absorbing float rounding in the margin algebra.
+/// cell, absorbing float rounding in the margin algebra.
 const FORCE_MARGIN: f64 = 1e-6;
 
 /// Knobs of one rectification run.
@@ -99,15 +91,11 @@ impl Default for RectifyOptions {
 /// One applied leaf edit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafEdit {
-    /// Index of the edited tree within the model (always 0 for the
-    /// current single-tree cell scheme).
-    pub tree: usize,
-    /// Arena index of the edited leaf.
+    /// Arena index of the edited leaf of the first boosting round.
     pub leaf: usize,
     /// The label the cell's validation rows are forced to.
     pub to_label: u8,
-    /// The leaf's score before the edit (probability for classification
-    /// trees, additive value for GBDT regression trees).
+    /// The leaf's additive value before the edit.
     pub old_score: f64,
     /// The leaf's score after the edit.
     pub new_score: f64,
@@ -135,15 +123,13 @@ pub struct BoundProof {
 /// rectification: what was edited, what it cost, and the proof.
 #[derive(Debug, Clone)]
 pub struct RectificationReport {
-    /// Model family name (paper short name).
-    pub model: &'static str,
     /// The constrained metric.
     pub metric: FairnessMetric,
     /// The gap tolerance.
     pub epsilon: f64,
     /// Editable cells the search ran over.
     pub n_cells: usize,
-    /// Applied leaf edits, ascending by (tree, leaf).
+    /// Applied leaf edits, ascending by leaf.
     pub edits: Vec<LeafEdit>,
     /// Validation group confusions before editing.
     pub pre: GroupConfusions,
@@ -258,159 +244,6 @@ fn decide(accountings: &[LeafAccounting], opts: &RectifyOptions) -> Decision {
     }
 }
 
-/// Pre-edit state shared by every model family.
-struct PreState {
-    pre: GroupConfusions,
-    pre_gap: Option<f64>,
-    pre_accuracy: f64,
-}
-
-fn pre_state(y_true: &[u8], y_pred: &[u8], groups: &Groups, metric: FairnessMetric) -> PreState {
-    let pre = group_confusions(y_true, y_pred, groups);
-    PreState {
-        pre,
-        pre_gap: metric.absolute_disparity(&pre),
-        pre_accuracy: accuracy_of(y_true, y_pred),
-    }
-}
-
-/// A report for the no-edit case (constraint already met, empty split,
-/// or a model with no editable structure).
-fn untouched_report(
-    model: &'static str,
-    opts: &RectifyOptions,
-    state: &PreState,
-) -> RectificationReport {
-    RectificationReport {
-        model,
-        metric: opts.metric,
-        epsilon: opts.epsilon,
-        n_cells: 0,
-        edits: Vec::new(),
-        pre: state.pre,
-        post: state.pre,
-        pre_gap: state.pre_gap,
-        post_gap: state.pre_gap,
-        pre_accuracy: state.pre_accuracy,
-        post_accuracy: state.pre_accuracy,
-        constraint_met: gap_ok(state.pre_gap, opts.epsilon),
-        bound: BoundProof { optimal: true, ..BoundProof::default() },
-    }
-}
-
-/// Assembles the final report from the mutated model's actual
-/// predictions — the honesty check on the search algebra.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    model: &'static str,
-    opts: &RectifyOptions,
-    state: PreState,
-    decision: Decision,
-    edits: Vec<LeafEdit>,
-    y_true: &[u8],
-    post_pred: &[u8],
-    groups: &Groups,
-) -> RectificationReport {
-    let post = group_confusions(y_true, post_pred, groups);
-    let post_gap = opts.metric.absolute_disparity(&post);
-    RectificationReport {
-        model,
-        metric: opts.metric,
-        epsilon: opts.epsilon,
-        n_cells: decision.n_cells,
-        edits,
-        pre: state.pre,
-        post,
-        pre_gap: state.pre_gap,
-        post_gap,
-        pre_accuracy: state.pre_accuracy,
-        post_accuracy: accuracy_of(y_true, post_pred),
-        constraint_met: gap_ok(post_gap, opts.epsilon),
-        bound: decision.bound,
-    }
-}
-
-/// Rectifies a decision tree in place against the validation split.
-pub fn rectify_tree(
-    model: &mut DecisionTreeClassifier,
-    x_val: &DenseMatrix,
-    y_val: &[u8],
-    groups: &Groups,
-    opts: &RectifyOptions,
-) -> RectificationReport {
-    let pre_pred = model.predict(x_val);
-    let state = pre_state(y_val, &pre_pred, groups, opts.metric);
-    if y_val.is_empty() || gap_ok(state.pre_gap, opts.epsilon) {
-        return untouched_report("decision-tree", opts, &state);
-    }
-    let leaf_per_row: Vec<usize> =
-        (0..x_val.n_rows()).map(|i| model.tree().leaf_for_row(x_val.row(i))).collect();
-    let cells = build_cells(&leaf_per_row);
-    let accountings =
-        per_leaf_accounting(&cells.assignment, cells.leaves.len(), y_val, &pre_pred, groups);
-    let decision = decide(&accountings, opts);
-    let mut edits = Vec::with_capacity(decision.flips.len());
-    for &(cell, label) in &decision.flips {
-        let leaf = cells.leaves[cell];
-        let old = model.tree().leaf_value(leaf).unwrap_or(0.5);
-        let new = f64::from(label);
-        if model.tree_mut().set_leaf_value(leaf, new) {
-            edits.push(LeafEdit { tree: 0, leaf, to_label: label, old_score: old, new_score: new });
-        }
-    }
-    let post_pred = model.predict(x_val);
-    finish_report("decision-tree", opts, state, decision, edits, y_val, &post_pred, groups)
-}
-
-/// Rectifies a random forest in place. Cells are the leaves of tree 0;
-/// forcing moves tree 0's leaf probability past the worst-row margin of
-/// the ensemble mean, so the whole cell's majority vote flips.
-pub fn rectify_forest(
-    model: &mut RandomForestClassifier,
-    x_val: &DenseMatrix,
-    y_val: &[u8],
-    groups: &Groups,
-    opts: &RectifyOptions,
-) -> RectificationReport {
-    let pre_pred = model.predict(x_val);
-    let state = pre_state(y_val, &pre_pred, groups, opts.metric);
-    if y_val.is_empty() || gap_ok(state.pre_gap, opts.epsilon) {
-        return untouched_report("random-forest", opts, &state);
-    }
-    if model.trees().is_empty() {
-        return untouched_report("random-forest", opts, &state);
-    }
-    let n_trees = model.trees().len() as f64;
-    let leaf_per_row: Vec<usize> =
-        (0..x_val.n_rows()).map(|i| model.trees()[0].leaf_for_row(x_val.row(i))).collect();
-    let cells = build_cells(&leaf_per_row);
-    let accountings =
-        per_leaf_accounting(&cells.assignment, cells.leaves.len(), y_val, &pre_pred, groups);
-    let decision = decide(&accountings, opts);
-    // Per-row vote mass of trees 1.. — what tree 0's new leaf score has
-    // to overcome so the mean crosses 0.5 for every row of the cell.
-    let mean = model.predict_proba(x_val);
-    let others: Vec<f64> = (0..x_val.n_rows())
-        .map(|i| mean[i] * n_trees - model.trees()[0].predict_row(x_val.row(i)))
-        .collect();
-    let mut edits = Vec::with_capacity(decision.flips.len());
-    for &(cell, label) in &decision.flips {
-        let leaf = cells.leaves[cell];
-        let thresholds = cells.rows[cell].iter().map(|&r| 0.5 * n_trees - others[r]);
-        let new = if label == 1 {
-            thresholds.fold(f64::NEG_INFINITY, f64::max) + FORCE_MARGIN
-        } else {
-            thresholds.fold(f64::INFINITY, f64::min) - FORCE_MARGIN
-        };
-        let old = model.trees()[0].leaf_value(leaf).unwrap_or(0.5);
-        if model.trees_mut()[0].set_leaf_value(leaf, new) {
-            edits.push(LeafEdit { tree: 0, leaf, to_label: label, old_score: old, new_score: new });
-        }
-    }
-    let post_pred = model.predict(x_val);
-    finish_report("random-forest", opts, state, decision, edits, y_val, &post_pred, groups)
-}
-
 /// Rectifies a GBDT in place. Cells are the leaves of the first boosting
 /// round; forcing shifts that leaf's additive value past the worst-row
 /// margin of the decision function `base_score + lr·Σ trees`.
@@ -422,15 +255,29 @@ pub fn rectify_gbdt(
     opts: &RectifyOptions,
 ) -> RectificationReport {
     let pre_pred = model.predict(x_val);
-    let state = pre_state(y_val, &pre_pred, groups, opts.metric);
-    if y_val.is_empty() || gap_ok(state.pre_gap, opts.epsilon) {
-        return untouched_report("xgboost", opts, &state);
-    }
+    let pre = group_confusions(y_val, &pre_pred, groups);
+    let pre_gap = opts.metric.absolute_disparity(&pre);
+    let pre_accuracy = accuracy_of(y_val, &pre_pred);
+    let untouched = RectificationReport {
+        metric: opts.metric,
+        epsilon: opts.epsilon,
+        n_cells: 0,
+        edits: Vec::new(),
+        pre,
+        post: pre,
+        pre_gap,
+        post_gap: pre_gap,
+        pre_accuracy,
+        post_accuracy: pre_accuracy,
+        constraint_met: gap_ok(pre_gap, opts.epsilon),
+        bound: BoundProof { optimal: true, ..BoundProof::default() },
+    };
     let lr = model.learning_rate();
-    if model.trees().is_empty() || lr <= 0.0 {
-        // Degenerate boost (no rounds survived, or no shrinkage): there
-        // is no leaf whose value moves the decision function.
-        return untouched_report("xgboost", opts, &state);
+    // Nothing to repair (the constraint already holds or the split is
+    // empty), or a degenerate boost (no rounds survived, or no
+    // shrinkage) with no leaf whose value moves the decision function.
+    if y_val.is_empty() || untouched.constraint_met || model.trees().is_empty() || lr <= 0.0 {
+        return untouched;
     }
     let base = model.base_score();
     let leaf_per_row: Vec<usize> =
@@ -458,16 +305,29 @@ pub fn rectify_gbdt(
         };
         let old = model.trees()[0].leaf_value(leaf).unwrap_or(0.0);
         if model.trees_mut()[0].set_leaf_value(leaf, new) {
-            edits.push(LeafEdit { tree: 0, leaf, to_label: label, old_score: old, new_score: new });
+            edits.push(LeafEdit { leaf, to_label: label, old_score: old, new_score: new });
         }
     }
+    // Post-edit metrics come from the mutated model's actual
+    // predictions — the honesty check on the search algebra.
     let post_pred = model.predict(x_val);
-    finish_report("xgboost", opts, state, decision, edits, y_val, &post_pred, groups)
+    let post = group_confusions(y_val, &post_pred, groups);
+    let post_gap = opts.metric.absolute_disparity(&post);
+    RectificationReport {
+        n_cells: decision.n_cells,
+        edits,
+        post,
+        post_gap,
+        post_accuracy: accuracy_of(y_val, &post_pred),
+        constraint_met: gap_ok(post_gap, opts.epsilon),
+        bound: decision.bound,
+        ..untouched
+    }
 }
 
-/// Rectifies any classifier that exposes editable tree structure.
-/// Returns `None` for families without one (log-reg, kNN) — the study
-/// treats those as pass-through on the model side.
+/// Rectifies a classifier that exposes editable tree structure (the
+/// GBDT). Returns `None` for families without one (log-reg, kNN) — the
+/// study treats those as pass-through on the model side.
 pub fn rectify_classifier(
     model: &mut dyn Classifier,
     x_val: &DenseMatrix,
@@ -475,29 +335,19 @@ pub fn rectify_classifier(
     groups: &Groups,
     opts: &RectifyOptions,
 ) -> Option<RectificationReport> {
-    let any = model.as_any_mut()?;
-    if let Some(m) = any.downcast_mut::<DecisionTreeClassifier>() {
-        return Some(rectify_tree(m, x_val, y_val, groups, opts));
-    }
-    if let Some(m) = any.downcast_mut::<RandomForestClassifier>() {
-        return Some(rectify_forest(m, x_val, y_val, groups, opts));
-    }
-    if let Some(m) = any.downcast_mut::<GbdtClassifier>() {
-        return Some(rectify_gbdt(m, x_val, y_val, groups, opts));
-    }
-    None
+    let model = model.as_any_mut()?.downcast_mut::<GbdtClassifier>()?;
+    Some(rectify_gbdt(model, x_val, y_val, groups, opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcore::dtree::DTreeParams;
 
     /// A synthetic split where the model learns to under-select the
     /// disadvantaged group: feature 0 is the group attribute, feature 1
     /// is signal. Labels depend only on the signal, but the training
-    /// labels for the disadvantaged group are flipped toward 0 so every
-    /// tree family picks up the bias.
+    /// labels for the disadvantaged group are flipped toward 0 so the
+    /// model picks up the bias.
     fn biased_data(n: usize) -> (DenseMatrix, Vec<u8>, DenseMatrix, Vec<u8>, Groups) {
         let gen_row = |i: usize| -> (f64, f64) {
             let group = f64::from(i.is_multiple_of(2)); // 1.0 = privileged
@@ -544,52 +394,23 @@ mod tests {
         RectifyOptions { epsilon, ..RectifyOptions::default() }
     }
 
+    fn gbdt(x: &DenseMatrix, y: &[u8]) -> GbdtClassifier {
+        GbdtClassifier::fit(x, y, 3, 20, 0.3, 1.0, 7)
+    }
+
     fn assert_constraint(report: &RectificationReport, x: &DenseMatrix) {
         assert!(
             report.constraint_met,
-            "{}: post gap {:?} must satisfy eps {} (pre {:?})",
-            report.model, report.post_gap, report.epsilon, report.pre_gap
+            "post gap {:?} must satisfy eps {} (pre {:?})",
+            report.post_gap, report.epsilon, report.pre_gap
         );
         assert!(x.n_rows() > 0);
     }
 
     #[test]
-    fn tree_rectification_meets_epsilon_on_validation() {
-        let (xt, yt, xv, yv, groups) = biased_data(160);
-        let mut model = DecisionTreeClassifier::fit(&xt, &yt, DTreeParams::default(), 7);
-        let o = opts(0.05);
-        let report = rectify_tree(&mut model, &xv, &yv, &groups, &o);
-        assert_constraint(&report, &xv);
-        // The post confusions must match the mutated model's actual
-        // predictions (the report is computed from them).
-        let gap = o.metric.absolute_disparity(&group_confusions(
-            &yv,
-            &model.predict(&xv),
-            &groups,
-        ));
-        assert_eq!(report.post_gap, gap);
-        assert!(
-            report.pre_gap.is_some_and(|g| g > 0.05),
-            "scenario must start unfair (pre gap {:?})",
-            report.pre_gap
-        );
-        assert!(!report.edits.is_empty(), "a violating model needs edits");
-    }
-
-    #[test]
-    fn forest_rectification_meets_epsilon_on_validation() {
-        let (xt, yt, xv, yv, groups) = biased_data(160);
-        let mut model = RandomForestClassifier::fit(&xt, &yt, 7, 4, 7);
-        let report = rectify_forest(&mut model, &xv, &yv, &groups, &opts(0.05));
-        assert_constraint(&report, &xv);
-        let post = group_confusions(&yv, &model.predict(&xv), &groups);
-        assert_eq!(report.post, post, "report must reflect the mutated ensemble");
-    }
-
-    #[test]
     fn gbdt_rectification_meets_epsilon_on_validation() {
         let (xt, yt, xv, yv, groups) = biased_data(160);
-        let mut model = GbdtClassifier::fit(&xt, &yt, 3, 20, 0.3, 1.0, 7);
+        let mut model = gbdt(&xt, &yt);
         let report = rectify_gbdt(&mut model, &xv, &yv, &groups, &opts(0.05));
         assert_constraint(&report, &xv);
         let post = group_confusions(&yv, &model.predict(&xv), &groups);
@@ -599,8 +420,8 @@ mod tests {
     #[test]
     fn bound_proof_is_admissible() {
         let (xt, yt, xv, yv, groups) = biased_data(160);
-        let mut model = DecisionTreeClassifier::fit(&xt, &yt, DTreeParams::default(), 7);
-        let report = rectify_tree(&mut model, &xv, &yv, &groups, &opts(0.0));
+        let mut model = gbdt(&xt, &yt);
+        let report = rectify_gbdt(&mut model, &xv, &yv, &groups, &opts(0.0));
         if report.bound.optimal {
             if let Some(b) = report.bound.min_pruned_bound {
                 assert!(
@@ -615,9 +436,9 @@ mod tests {
     #[test]
     fn already_fair_model_is_untouched() {
         let (xt, yt, xv, yv, groups) = biased_data(120);
-        let mut model = DecisionTreeClassifier::fit(&xt, &yt, DTreeParams::default(), 7);
+        let mut model = gbdt(&xt, &yt);
         // Epsilon 1.0 is always satisfied: no edits, identical pre/post.
-        let report = rectify_tree(&mut model, &xv, &yv, &groups, &opts(1.0));
+        let report = rectify_gbdt(&mut model, &xv, &yv, &groups, &opts(1.0));
         assert!(report.edits.is_empty());
         assert_eq!(report.pre, report.post);
         assert!(report.constraint_met);
@@ -628,10 +449,8 @@ mod tests {
     fn rectify_classifier_dispatches_and_skips_non_trees() {
         let (xt, yt, xv, yv, groups) = biased_data(160);
         let o = opts(0.05);
-        let mut tree: Box<dyn Classifier> =
-            Box::new(DecisionTreeClassifier::fit(&xt, &yt, DTreeParams::default(), 7));
-        let report = rectify_classifier(tree.as_mut(), &xv, &yv, &groups, &o);
-        assert_eq!(report.map(|r| r.model), Some("decision-tree"));
+        let mut tree: Box<dyn Classifier> = Box::new(gbdt(&xt, &yt));
+        assert!(rectify_classifier(tree.as_mut(), &xv, &yv, &groups, &o).is_some());
         let mut logreg: Box<dyn Classifier> =
             Box::new(mlcore::LogRegClassifier::fit(&xt, &yt, 1.0, 200));
         assert!(rectify_classifier(logreg.as_mut(), &xv, &yv, &groups, &o).is_none());
@@ -641,7 +460,7 @@ mod tests {
     fn rectification_is_deterministic() {
         let run = || {
             let (xt, yt, xv, yv, groups) = biased_data(160);
-            let mut model = GbdtClassifier::fit(&xt, &yt, 3, 20, 0.3, 1.0, 7);
+            let mut model = gbdt(&xt, &yt);
             let report = rectify_gbdt(&mut model, &xv, &yv, &groups, &opts(0.05));
             (report.edits, report.post_accuracy.to_bits(), report.bound.nodes_expanded)
         };
@@ -651,10 +470,10 @@ mod tests {
     #[test]
     fn empty_validation_split_is_a_noop() {
         let (xt, yt, _, _, _) = biased_data(60);
-        let mut model = DecisionTreeClassifier::fit(&xt, &yt, DTreeParams::default(), 7);
+        let mut model = gbdt(&xt, &yt);
         let empty = DenseMatrix::from_vec(0, 2, Vec::new());
         let groups = Groups { privileged: Vec::new(), disadvantaged: Vec::new() };
-        let report = rectify_tree(&mut model, &empty, &[], &groups, &opts(0.0));
+        let report = rectify_gbdt(&mut model, &empty, &[], &groups, &opts(0.0));
         assert!(report.edits.is_empty());
         assert!(report.constraint_met, "empty split has nothing to violate");
     }

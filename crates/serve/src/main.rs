@@ -50,7 +50,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: demodq-serve [--addr HOST:PORT] [--scale smoke|default|full] \
+        "usage: demodq-serve [--addr HOST:PORT] [--scale smoke|default|full|large] \
          [--seed N] [--datasets a,b] [--models a,b] [--quiet] \
          [--batch-wait-us N] [--batch-max-rows N] [--max-connections N] \
          [--drift-threshold X] [--drift-window N] [--addr-file PATH]"
@@ -123,8 +123,15 @@ fn parse_args() -> Args {
                     Some(value("--max-connections").parse().unwrap_or_else(|_| usage()));
             }
             "--drift-threshold" => {
-                args.drift_threshold =
-                    Some(value("--drift-threshold").parse().unwrap_or_else(|_| usage()));
+                // NaN would switch every alert off and a negative value
+                // would alert on every window; `inf` means never alert.
+                let threshold: f64 =
+                    value("--drift-threshold").parse().unwrap_or_else(|_| usage());
+                if threshold.is_nan() || threshold < 0.0 {
+                    eprintln!("--drift-threshold must be a non-negative number");
+                    usage();
+                }
+                args.drift_threshold = Some(threshold);
             }
             "--drift-window" => {
                 args.drift_window =
@@ -144,7 +151,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let scale = StudyScale::parse(&args.scale_name).unwrap_or_else(|| {
-        eprintln!("unknown scale {:?} (smoke|default|full)", args.scale_name);
+        eprintln!("unknown scale {:?} (smoke|default|full|large)", args.scale_name);
         usage()
     });
     install_signal_handlers();

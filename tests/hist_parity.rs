@@ -16,12 +16,10 @@ use datasets::DatasetId;
 use demodq::pipeline::sample_split;
 use demodq::StudyScale;
 use fairness::{group_confusions, FairnessMetric, GroupConfusions};
-use mlcore::dtree::DTreeParams;
 use mlcore::kernels::{self, HistF32, HIST_QUAD};
 use mlcore::linalg::sigmoid;
 use mlcore::{
-    accuracy, BinnedMatrix, Classifier, DecisionTreeClassifier, GbdtClassifier, RegressionTree,
-    TreeParams, DEFAULT_N_BINS,
+    accuracy, BinnedMatrix, Classifier, GbdtClassifier, RegressionTree, TreeParams, DEFAULT_N_BINS,
 };
 use tabular::{DataFrame, DenseMatrix, FeatureEncoder, Rng64};
 
@@ -34,12 +32,8 @@ enum ExactNode {
 /// The exact greedy regression tree over (gradient, hessian) targets:
 /// every feature re-sorted at every node, every midpoint between adjacent
 /// distinct values a candidate, scored with the second-order gain and
-/// leaf weight of mlcore's histogram trainer ([`TreeParams`]).
-///
-/// Boosted ([`ExactGbdt`]) it is the exact-split GBDT. Fit on g = −y,
-/// h = 1, λ = 0 ([`exact_dtree`]) it is the exact Gini decision tree: for
-/// 0/1 labels its gain is n/2 × the Gini gain, and its leaf value −Σg/Σh
-/// is the leaf's positive fraction.
+/// leaf weight of mlcore's histogram trainer ([`TreeParams`]). Boosted
+/// ([`ExactGbdt`]) it is the exact-split GBDT.
 struct ExactTree(Vec<ExactNode>);
 
 impl ExactTree {
@@ -186,22 +180,6 @@ impl Classifier for ExactGbdt {
     }
 }
 
-/// The exact Gini decision tree of depth ≤ `max_depth` on all rows (see
-/// [`ExactTree`]). `min_gain` sits between rounding noise on a zero gain
-/// and the smallest real gain of these study-sized nodes.
-fn exact_dtree(x: &DenseMatrix, y: &[u8], max_depth: usize) -> ExactTree {
-    let grad: Vec<f64> = y.iter().map(|&v| -f64::from(v)).collect();
-    let rows: Vec<usize> = (0..x.n_rows()).collect();
-    let params = TreeParams { max_depth, reg_lambda: 0.0, min_child_weight: 0.0, min_gain: 1e-9 };
-    ExactTree::fit(x, &grad, &vec![1.0; y.len()], &rows, params)
-}
-
-impl Classifier for ExactTree {
-    fn predict_proba(&self, x: &DenseMatrix) -> Vec<f64> {
-        (0..x.n_rows()).map(|i| self.predict_row(x.row(i))).collect()
-    }
-}
-
 /// Encoded train/test matrices plus the frames for group evaluation.
 struct Encoded {
     x_train: DenseMatrix,
@@ -326,28 +304,6 @@ fn gbdt_hist_matches_exact_on_all_datasets() {
     }
 }
 
-#[test]
-fn dtree_hist_matches_exact_on_all_datasets() {
-    for id in DatasetId::all() {
-        let (mut accs_exact, mut accs_hist) = (Vec::new(), Vec::new());
-        for seed in PARITY_SEEDS {
-            let data = encoded_split(id, seed.wrapping_mul(77));
-            let params = DTreeParams { max_depth: 6, ..Default::default() };
-            let exact = exact_dtree(&data.x_train, &data.y_train, params.max_depth);
-            let hist = DecisionTreeClassifier::fit(&data.x_train, &data.y_train, params, 3);
-            accs_exact.push(accuracy(&data.y_test, &exact.predict(&data.x_test)));
-            accs_hist.push(accuracy(&data.y_test, &hist.predict(&data.x_test)));
-        }
-        let n = PARITY_SEEDS.len() as f64;
-        let acc_exact = accs_exact.iter().sum::<f64>() / n;
-        let acc_hist = accs_hist.iter().sum::<f64>() / n;
-        assert!(
-            (acc_exact - acc_hist).abs() <= 0.02,
-            "{id:?}: exact {acc_exact:.4} vs hist {acc_hist:.4}"
-        );
-    }
-}
-
 /// The `f32` histogram kernel against the `f64` reference accumulator on
 /// every study dataset's real encoded training matrix: gradient/hessian
 /// cells agree to `f32` rounding, and the count lane — exact integers in
@@ -435,25 +391,4 @@ fn gbdt_hist_matches_exact_on_few_distinct_values() {
     for (h, e) in hist.iter().zip(&exact) {
         assert!((h - e).abs() < 1e-9, "hist {h} vs exact {e}");
     }
-}
-
-/// The histogram decision tree tracks the exact one's accuracy on a
-/// jittered XOR, which no single split separates.
-#[test]
-fn dtree_hist_tracks_exact_accuracy_on_xor() {
-    let mut rng = Rng64::seed_from_u64(1);
-    let (mut data, mut y) = (Vec::new(), Vec::new());
-    for _ in 0..300 {
-        let a = f64::from(rng.bernoulli(0.5));
-        let b = f64::from(rng.bernoulli(0.5));
-        data.push(a + rng.normal() * 0.05);
-        data.push(b + rng.normal() * 0.05);
-        y.push(u8::from((a > 0.5) != (b > 0.5)));
-    }
-    let x = DenseMatrix::from_vec(300, 2, data);
-    let params = DTreeParams::default();
-    let hist = DecisionTreeClassifier::fit(&x, &y, params, 3);
-    let exact = exact_dtree(&x, &y, params.max_depth);
-    let (ha, ea) = (accuracy(&y, &hist.predict(&x)), accuracy(&y, &exact.predict(&x)));
-    assert!((ha - ea).abs() <= 0.02, "hist {ha} vs exact {ea}");
 }

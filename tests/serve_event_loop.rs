@@ -159,12 +159,12 @@ fn keep_alive_pipelining_answers_in_request_order() {
 
 #[test]
 fn batched_scoring_is_bit_identical_to_single_row() {
-    let app = Arc::new(App::new(train_registry(&[ModelKind::LogReg, ModelKind::DecisionTree], 7)));
+    let app = Arc::new(App::new(train_registry(&[ModelKind::LogReg, ModelKind::Gbdt], 7)));
     let server = spawn_server(&app, Duration::from_secs(5));
     let addr = server.local_addr();
     let rows = sample_rows(16);
 
-    for model in ["log-reg", "decision-tree"] {
+    for model in ["log-reg", "xgboost"] {
         // One 16-row batch...
         let body = serde_json::to_string(&serde_json::json!({
             "dataset": "german",

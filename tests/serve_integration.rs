@@ -3,9 +3,9 @@
 //! in-test HTTP client.
 //!
 //! The registry is trained once (German credit, logistic regression plus
-//! a decision tree, at smoke scale) and shared across the assertions,
-//! because startup training dominates the test's runtime. The decision
-//! tree exercises the pre-serving leaf rectification path end to end.
+//! xgboost, at smoke scale) and shared across the assertions, because
+//! startup training dominates the test's runtime. The xgboost model
+//! exercises the pre-serving leaf rectification path end to end.
 
 use datasets::DatasetId;
 use demodq::StudyScale;
@@ -61,7 +61,7 @@ fn sample_rows(n: usize) -> Vec<Value> {
 fn serves_predict_clean_audit_over_tcp() {
     let registry = Registry::train(
         &[DatasetId::German],
-        &[ModelKind::LogReg, ModelKind::DecisionTree],
+        &[ModelKind::LogReg, ModelKind::Gbdt],
         &StudyScale::smoke(),
         "smoke",
         7,
@@ -160,11 +160,11 @@ fn serves_predict_clean_audit_over_tcp() {
         assert!(group.get("disparities").and_then(|d| d.get("equal_opportunity")).is_some());
     }
 
-    // --- /v1/audit on the rectified decision tree reports pre/post gaps ---
+    // --- /v1/audit on the rectified xgboost model reports pre/post gaps ---
     let rows = sample_rows(40);
     let body = serde_json::to_string(&serde_json::json!({
         "dataset": "german",
-        "model": "decision-tree",
+        "model": "xgboost",
         "rows": Value::Array(rows),
     }))
     .unwrap();
@@ -265,7 +265,7 @@ fn serves_predict_clean_audit_over_tcp() {
     assert!(metrics.contains("# TYPE serve_rectification_gap gauge"), "{metrics}");
     let gap_line = metrics
         .lines()
-        .find(|l| l.starts_with("serve_rectification_gap{dataset=\"german\",model=\"decision-tree\""))
+        .find(|l| l.starts_with("serve_rectification_gap{dataset=\"german\",model=\"xgboost\""))
         .expect("rectification gauge for the served tree");
     assert!(gap_line.contains("phase=\"pre\"") || gap_line.contains("phase=\"post\""), "{gap_line}");
 

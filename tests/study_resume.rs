@@ -395,19 +395,23 @@ fn pre_rectification_v1_journal_is_rejected_with_versioned_shape_warning() {
 /// The rectifying arms (`repair_side: both`) preserve the
 /// schedule-independence guarantee: the same study on 1, 2 and 8 worker
 /// threads exports byte-identical JSON even though the repaired
-/// arms now refit and leaf-rectify tree models inside each unit.
+/// arms now refit and leaf-rectify the xgboost models inside each unit.
 #[test]
 fn rectifying_study_exports_byte_identical_across_thread_counts() {
     use demodq_repro::demodq::config::RepairSide;
 
     let datasets = [DatasetId::German];
+    // Half the smoke sample and two CV folds: xgboost's 50-round fits
+    // dominate this test's time, and neither changes the units or their
+    // schedule.
+    let scale = StudyScale { pool_size: 450, sample_size: 225, cv_folds: 2, ..StudyScale::smoke() };
     let run_both = |threads| {
         study_results_json(
             &run_error_type_study_with(
                 ErrorType::Mislabels,
                 &datasets,
-                &[ModelKind::LogReg, ModelKind::DecisionTree],
-                &StudyScale::smoke(),
+                &[ModelKind::LogReg, ModelKind::Gbdt],
+                &scale,
                 SEED,
                 &StudyOptions {
                     repair_side: RepairSide::Both,
