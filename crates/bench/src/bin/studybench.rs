@@ -52,7 +52,7 @@
 use datasets::{DatasetId, ErrorType};
 use demodq::config::{RepairSide, StudyOptions, StudyScale};
 use demodq::progress::PhaseSeconds;
-use demodq_rectify::{rectify_classifier, RectifyOptions};
+use demodq_rectify::{rectify_classifier, RectifySpec};
 use fairness::Groups;
 use mlcore::kernels::{self, HistF32, QUERY_BLOCK, TRAIN_BLOCK};
 use mlcore::{BinnedMatrix, GbdtClassifier, ModelKind, DEFAULT_N_BINS};
@@ -227,7 +227,7 @@ fn micro_section(seed: u64) -> Value {
     // branch-and-bound repair pass against the default constraint (once
     // only — rectification mutates the leaves, and a second pass on an
     // already-fair model would time a no-op).
-    let opts = RectifyOptions::default();
+    let opts = RectifySpec::default();
     let kind = ModelKind::Gbdt;
     let mut model = kind.default_grid()[0].fit(&x, &y, 7);
     let ms = time_ms(1, || {

@@ -377,7 +377,7 @@ fn paper_tables(
 /// The (metric, intersectional) cell of each of an error type's four
 /// tables, in the order of [`paper_tables`].
 fn table_layout() -> impl Iterator<Item = (FairnessMetric, bool)> {
-    [false, true].into_iter().flat_map(|i| FairnessMetric::headline().map(|m| (m, i)))
+    [false, true].into_iter().flat_map(|i| FairnessMetric::all().map(|m| (m, i)))
 }
 
 /// Tables II–V, VI–IX or X–XIII: the impact of auto-cleaning one error
@@ -419,7 +419,7 @@ fn render_paper_reference(table: &str, reference: &Percentages) -> String {
 /// categorical-imputation comparisons — and Table XIV, pooled over all
 /// error types and both headline metrics at the single-attribute level.
 fn deepdive(studies: &[StudyResults]) {
-    let entries = pooled_entries(studies, &FairnessMetric::headline(), false, 0.05);
+    let entries = pooled_entries(studies, &FairnessMetric::all(), false, 0.05);
     let (total, non_worsening, improving, win_win) = case_summary(&case_analysis(&entries));
     println!("Case analysis (metric x dataset-attribute x error type):");
     println!("  {total} cases in total (paper: 40)");

@@ -4,11 +4,13 @@
 use cleaning::detect::DetectorKind;
 use cleaning::repair::{MissingRepair, OutlierRepair};
 use datasets::{DatasetId, ErrorType};
-use fairness::FairnessMetric;
 use mlcore::ModelKind;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
+
+/// The fairness constraint model-side rectification restores.
+pub use demodq_rectify::RectifySpec;
 
 /// Which side of the pipeline a study's repairs act on.
 ///
@@ -61,27 +63,6 @@ impl RepairSide {
     /// rectification alone).
     pub fn repairs_data(&self) -> bool {
         !matches!(self, RepairSide::Model)
-    }
-}
-
-/// The fairness constraint model-side rectification restores.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RectifySpec {
-    /// Constrained metric (absolute validation gap).
-    pub metric: FairnessMetric,
-    /// Gap tolerance.
-    pub epsilon: f64,
-    /// Branch-and-bound node budget per rectification.
-    pub max_nodes: usize,
-}
-
-impl Default for RectifySpec {
-    fn default() -> RectifySpec {
-        RectifySpec {
-            metric: FairnessMetric::EqualOpportunity,
-            epsilon: 0.05,
-            max_nodes: 20_000,
-        }
     }
 }
 
@@ -343,6 +324,7 @@ fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairness::FairnessMetric;
 
     #[test]
     fn variant_counts_match_study() {

@@ -60,11 +60,11 @@ pub struct CaseOutcome {
 
 /// Groups classified entries into cases and computes the §VI counts.
 pub fn case_analysis(entries: &[ClassifiedEntry]) -> Vec<CaseOutcome> {
-    let mut cases: BTreeMap<(String, String, String, String), Vec<&ClassifiedEntry>> =
+    let mut cases: BTreeMap<(FairnessMetric, String, String, String), Vec<&ClassifiedEntry>> =
         BTreeMap::new();
     for e in entries {
         let key = (
-            e.metric.name().to_string(),
+            e.metric,
             e.config.dataset.name().to_string(),
             e.group.clone(),
             e.config.repair.error_type().name().to_string(),
@@ -74,8 +74,7 @@ pub fn case_analysis(entries: &[ClassifiedEntry]) -> Vec<CaseOutcome> {
     cases
         .into_iter()
         .map(|((metric, dataset, group, error), entries)| CaseOutcome {
-            // lint:allow(P001, the key was produced by FairnessMetric::name; parse is its inverse)
-            metric: FairnessMetric::parse(&metric).expect("metric name round-trips"),
+            metric,
             dataset,
             group,
             error,

@@ -50,14 +50,16 @@ pub struct StudyFingerprint {
 impl StudyFingerprint {
     /// Computes the fingerprint of a study configuration.
     ///
-    /// The summary's leading `v3` is the **study shape version**: it is
-    /// bumped whenever the semantics of a unit's scores change (v1 → v2
-    /// added the `repair_side` axis and model rectification; v2 → v3
-    /// moved training onto the vectorised kernels — `f32` histogram
-    /// statistics, blocked IRLS accumulation and the division-free split
-    /// scan shift scores by rounding-level amounts), so a journal written
-    /// by an older binary is rejected with an explicit versioned-shape
-    /// warning instead of a bare hash mismatch.
+    /// The summary's leading `v4` is the **study shape version**: it is
+    /// bumped whenever the semantics or the shape of a unit's scores
+    /// change (v1 → v2 added the `repair_side` axis and model
+    /// rectification; v2 → v3 moved training onto the vectorised kernels
+    /// — `f32` histogram statistics, blocked IRLS accumulation and the
+    /// division-free split scan shift scores by rounding-level amounts;
+    /// v3 → v4 scores the paper's two fairness metrics only, so a unit's
+    /// disparity vector holds two scores per group instead of six), so a
+    /// journal written by an older binary is rejected with an explicit
+    /// versioned-shape warning instead of a bare hash mismatch.
     #[allow(clippy::too_many_arguments)]
     pub fn compute(
         error: ErrorType,
@@ -73,7 +75,7 @@ impl StudyFingerprint {
         let model_names: Vec<&str> = models.iter().map(|m| m.name()).collect();
         let variant_names: Vec<String> = variants.iter().map(RepairSpec::name).collect();
         let summary = format!(
-            "v3|error={}|seed={study_seed}|pool={}|sample={}|splits={}|mseeds={}|test={}|cv={}|datasets={}|models={}|variants={}|side={}|rect={},{},{}",
+            "v4|error={}|seed={study_seed}|pool={}|sample={}|splits={}|mseeds={}|test={}|cv={}|datasets={}|models={}|variants={}|side={}|rect={},{},{}",
             error.name(),
             scale.pool_size,
             scale.sample_size,
@@ -440,7 +442,7 @@ mod tests {
         let other_side = compute_fp(7, &[DatasetId::German], RepairSide::Both);
         assert_ne!(base.hex, other_side.hex, "repair side must be part of the identity");
         assert_eq!(base.hex.len(), 16);
-        assert!(base.summary.starts_with("v3|"));
+        assert!(base.summary.starts_with("v4|"));
         assert!(base.summary.contains("error=mislabels"));
         assert!(base.summary.contains("datasets=german"));
         assert!(base.summary.contains("|side=data|"));

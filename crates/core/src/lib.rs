@@ -59,8 +59,8 @@ pub use config::{ExperimentConfig, RectifySpec, RepairSide, RepairSpec, StudyOpt
 pub use fair_tuning::{tune_and_fit_fair, FairTunedModel};
 pub use impact::{classify_pair, Impact};
 pub use pipeline::{
-    encode_arm, evaluate_arm, evaluate_arm_encoded, rectification_split, rectify_unit_model,
-    run_configuration_once, ArmEvaluation, EncodedArm, RunPair,
+    encode_arm, rectification_split, rectify_unit_model, run_configuration_once, ArmEvaluation,
+    EncodedArm, RunPair,
 };
 pub use progress::{PhaseSeconds, ProgressSnapshot, ProgressTracker, StudyPhase};
 pub use results::FailedTask;

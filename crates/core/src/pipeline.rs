@@ -24,9 +24,9 @@ use cleaning::detect::DetectorKind;
 use cleaning::repair::{CatImpute, LabelRepair, MissingRepair, NumImpute};
 use cleaning::DetectionReport;
 use datasets::ErrorType;
-use demodq_rectify::{rectify_classifier, RectificationReport, RectifyOptions};
+use demodq_rectify::{rectify_classifier, RectificationReport};
 use fairness::{group_confusions, FairnessMetric, GroupConfusions, GroupSpec, Groups};
-use mlcore::{f1_score, tune_and_fit, Classifier, ModelKind, TunedModel};
+use mlcore::{tune_and_fit, Classifier, ModelKind, TunedModel};
 use std::collections::BTreeMap;
 use tabular::{
     split::train_test_split, BlockStore, DataFrame, DenseMatrix, FeatureEncoder, Result, Rng64,
@@ -42,14 +42,6 @@ const VALIDATION_SALT: u64 = 0x7EC7_1F1E;
 pub struct ArmEvaluation {
     /// Test-set accuracy.
     pub test_accuracy: f64,
-    /// Test-set F1.
-    pub test_f1: f64,
-    /// Mean validation accuracy of the winning hyperparameters.
-    pub val_accuracy: f64,
-    /// Training accuracy of the refit model.
-    pub train_accuracy: f64,
-    /// Winning hyperparameters (CleanML's `best_params`).
-    pub best_params: String,
     /// Group-wise confusion matrices per group spec, keyed by the spec's
     /// label (e.g. `sex`, `sex*age`).
     pub group_confusions: Vec<(String, GroupConfusions)>,
@@ -118,78 +110,39 @@ pub fn encode_arm(train: &DataFrame, test: &DataFrame, groups: &[GroupSpec]) -> 
     Ok(EncodedArm { x_train, y_train, x_test, y_test, groups: masks, train_groups: train_masks })
 }
 
-/// Scores a fitted unit model's test predictions against an arm.
-fn score_tuned(arm: &EncodedArm, tuned: &TunedModel, preds: &[u8]) -> ArmEvaluation {
-    let accuracy = mlcore::accuracy(&arm.y_test, preds);
-    let f1 = f1_score(&arm.y_test, preds);
-    let per_group = arm
+/// Predicts the arm's test rows once and scores the predictions: test
+/// accuracy plus one confusion pair per group spec.
+fn score_arm(arm: &EncodedArm, tuned: &TunedModel) -> ArmEvaluation {
+    let preds = tuned.model.predict(&arm.x_test);
+    let group_confusions = arm
         .groups
         .iter()
-        .map(|(label, masks)| (label.clone(), group_confusions(&arm.y_test, preds, masks)))
+        .map(|(label, masks)| (label.clone(), group_confusions(&arm.y_test, &preds, masks)))
         .collect();
-    ArmEvaluation {
-        test_accuracy: accuracy,
-        test_f1: f1,
-        val_accuracy: tuned.val_accuracy,
-        train_accuracy: tuned.train_accuracy,
-        best_params: tuned.best_spec.params_string(),
-        group_confusions: per_group,
-    }
+    ArmEvaluation { test_accuracy: mlcore::accuracy(&arm.y_test, &preds), group_confusions }
 }
 
 /// Cross-validates and refits one unit's model on the arm's training
-/// matrix. Split out from [`evaluate_arm_encoded`] so the runner can
-/// rectify the fitted model (and time that phase separately) before
-/// scoring it.
+/// matrix. The runner times it apart from rectification and scoring.
 pub fn fit_unit(arm: &EncodedArm, model: ModelKind, cv_folds: usize, seed: u64) -> TunedModel {
     tune_and_fit(model, &arm.x_train, &arm.y_train, cv_folds, seed)
 }
 
-/// Trains a tuned model of `model` kind on a pre-encoded arm and scores
-/// it on the arm's test matrix.
-pub fn evaluate_arm_encoded(
-    arm: &EncodedArm,
-    model: ModelKind,
-    cv_folds: usize,
-    seed: u64,
-) -> ArmEvaluation {
-    let tuned = fit_unit(arm, model, cv_folds, seed);
-    let preds = tuned.model.predict(&arm.x_test);
-    score_tuned(arm, &tuned, &preds)
-}
-
-/// Trains and scores one **evaluation unit** — the scheduling atom of the
-/// study grid: a single (encoded arm, model, seed) fit — returning the
-/// unit's test accuracy and its absolute disparities per (group, metric)
-/// in `group_labels` × `metrics` order (NaN when a disparity is
-/// undefined for the split).
+/// Scores a fitted (and possibly rectified) unit model: test accuracy
+/// plus absolute disparities in `group_labels` × `metrics` order (NaN
+/// when a disparity is undefined for the split).
 ///
 /// Everything a unit's result depends on is in its arguments; nothing is
 /// read from shared mutable state, which is what lets the runner execute
 /// units in any order on any worker and still assemble byte-identical
 /// studies.
-pub fn evaluate_unit(
-    arm: &EncodedArm,
-    model: ModelKind,
-    cv_folds: usize,
-    seed: u64,
-    group_labels: &[(String, bool)],
-    metrics: &[FairnessMetric],
-) -> (f64, Vec<f64>) {
-    let tuned = fit_unit(arm, model, cv_folds, seed);
-    score_unit(arm, &tuned, group_labels, metrics)
-}
-
-/// Scores a fitted (and possibly rectified) unit model: test accuracy
-/// plus absolute disparities in `group_labels` × `metrics` order.
 pub fn score_unit(
     arm: &EncodedArm,
     tuned: &TunedModel,
     group_labels: &[(String, bool)],
     metrics: &[FairnessMetric],
 ) -> (f64, Vec<f64>) {
-    let preds = tuned.model.predict(&arm.x_test);
-    let eval = score_tuned(arm, tuned, &preds);
+    let eval = score_arm(arm, tuned);
     let mut disp = Vec::with_capacity(group_labels.len() * metrics.len());
     for (label, _) in group_labels {
         let gc = eval.confusions_for(label);
@@ -214,15 +167,6 @@ pub fn rectification_split(n_rows: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-fn take_matrix_rows(x: &DenseMatrix, idx: &[usize]) -> DenseMatrix {
-    let cols = x.n_cols();
-    let mut data = Vec::with_capacity(idx.len() * cols);
-    for &i in idx {
-        data.extend_from_slice(x.row(i));
-    }
-    DenseMatrix::from_vec(idx.len(), cols, data)
-}
-
 /// Rectifies a unit's fitted model in place against the arm's validation
 /// carve-out, constraining the **first** group spec (the dataset's
 /// primary protected attribute). Returns `None` for model families
@@ -238,46 +182,21 @@ pub fn rectify_unit_model(
     if idx.is_empty() {
         return None;
     }
-    let x_val = take_matrix_rows(&arm.x_train, &idx);
+    let x_val = arm.x_train.take_rows(&idx);
     let y_val: Vec<u8> = idx.iter().map(|&i| arm.y_train[i]).collect();
     let groups = Groups {
         privileged: idx.iter().map(|&i| train_groups.privileged[i]).collect(),
         disadvantaged: idx.iter().map(|&i| train_groups.disadvantaged[i]).collect(),
     };
-    let opts = RectifyOptions {
-        metric: rectify.metric,
-        epsilon: rectify.epsilon,
-        max_nodes: rectify.max_nodes,
-        ..RectifyOptions::default()
-    };
-    rectify_classifier(model, &x_val, &y_val, &groups, &opts)
-}
-
-/// Trains a tuned model of `model` kind on `train` and scores it on
-/// `test`, including group-wise confusion matrices for every group spec.
-///
-/// Thin frame-based wrapper over [`encode_arm`] + [`evaluate_arm_encoded`]
-/// for callers that evaluate an arm once (serving, single-shot runs);
-/// the study runner encodes each arm once and reuses it across models
-/// and seeds.
-pub fn evaluate_arm(
-    train: &DataFrame,
-    test: &DataFrame,
-    model: ModelKind,
-    groups: &[GroupSpec],
-    cv_folds: usize,
-    seed: u64,
-) -> Result<ArmEvaluation> {
-    let arm = encode_arm(train, test, groups)?;
-    Ok(evaluate_arm_encoded(&arm, model, cv_folds, seed))
+    rectify_classifier(model, &x_val, &y_val, &groups, rectify)
 }
 
 /// The dirty (train, test) pair plus one repaired pair per variant.
-pub(crate) type PreparedVariants = (DataFrame, DataFrame, Vec<(DataFrame, DataFrame)>);
+pub type PreparedVariants = (DataFrame, DataFrame, Vec<(DataFrame, DataFrame)>);
 
 /// Builds the shared dirty frames and one repaired (train, test) pair per
 /// variant of `error` for one split, running each detector once.
-pub(crate) fn prepare_variants(
+pub fn prepare_variants(
     train: &DataFrame,
     test: &DataFrame,
     error: ErrorType,
@@ -335,25 +254,6 @@ pub(crate) fn prepare_variants(
     }
 }
 
-/// Builds the dirty and repaired train/test frames for a configuration:
-/// [`prepare_variants`] for its one variant.
-///
-/// Returns `(dirty_train, dirty_test, repaired_train, repaired_test)`.
-pub fn prepare_arms(
-    train: &DataFrame,
-    test: &DataFrame,
-    repair: &RepairSpec,
-    seed: u64,
-) -> Result<(DataFrame, DataFrame, DataFrame, DataFrame)> {
-    let variants = std::slice::from_ref(repair);
-    let (dirty_train, dirty_test, mut repaired) =
-        prepare_variants(train, test, repair.error_type(), variants, seed)?;
-    let (repaired_train, repaired_test) = repaired.pop().ok_or_else(|| {
-        TabularError::InvalidArgument("no repaired arm for the variant".to_string())
-    })?;
-    Ok((dirty_train, dirty_test, repaired_train, repaired_test))
-}
-
 /// Removes missing values before outlier/mislabel experiments (a no-op
 /// on complete frames).
 fn preclean_missing(train: &DataFrame, test: &DataFrame) -> Result<(DataFrame, DataFrame)> {
@@ -398,7 +298,8 @@ pub fn sample_split(
     Ok((sample.take(&train_idx)?, sample.take(&test_idx)?))
 }
 
-/// Runs the full Figure 3 pipeline once for one configuration.
+/// Runs the full Figure 3 pipeline once for one configuration, through
+/// the runner's steps: sample, prepare, encode, fit and score each arm.
 pub fn run_configuration_once(
     pool: &BlockStore,
     model: ModelKind,
@@ -409,11 +310,20 @@ pub fn run_configuration_once(
     model_seed: u64,
 ) -> Result<RunPair> {
     let (train, test) = sample_split(pool, scale, split_seed)?;
-    let (dirty_train, dirty_test, rep_train, rep_test) =
-        prepare_arms(&train, &test, repair, split_seed ^ 0x5EED)?;
-    let dirty = evaluate_arm(&dirty_train, &dirty_test, model, groups, scale.cv_folds, model_seed)?;
-    let repaired = evaluate_arm(&rep_train, &rep_test, model, groups, scale.cv_folds, model_seed)?;
-    Ok(RunPair { dirty, repaired })
+    let variants = std::slice::from_ref(repair);
+    let (dirty_train, dirty_test, mut repaired) =
+        prepare_variants(&train, &test, repair.error_type(), variants, split_seed ^ 0x5EED)?;
+    let (rep_train, rep_test) = repaired.pop().ok_or_else(|| {
+        TabularError::InvalidArgument("no repaired arm for the variant".to_string())
+    })?;
+    let evaluate = |train: &DataFrame, test: &DataFrame| -> Result<ArmEvaluation> {
+        let arm = encode_arm(train, test, groups)?;
+        Ok(score_arm(&arm, &fit_unit(&arm, model, scale.cv_folds, model_seed)))
+    };
+    Ok(RunPair {
+        dirty: evaluate(&dirty_train, &dirty_test)?,
+        repaired: evaluate(&rep_train, &rep_test)?,
+    })
 }
 
 #[cfg(test)]
@@ -449,7 +359,9 @@ mod tests {
         let scale = StudyScale::smoke();
         let (train, test) = sample_split(&pool, &scale, 3).unwrap();
         let repair = RepairSpec::Missing(MissingRepair::all()[0]);
-        let (dt, dte, rt, rte) = prepare_arms(&train, &test, &repair, 1).unwrap();
+        let (dt, dte, repaired) =
+            prepare_variants(&train, &test, ErrorType::MissingValues, &[repair], 1).unwrap();
+        let (rt, rte) = &repaired[0];
         // Dirty train drops incomplete rows.
         assert!(dt.n_rows() <= train.n_rows());
         assert_eq!(dt.missing_cells(), 0);
@@ -472,7 +384,9 @@ mod tests {
             detector: DetectorKind::OutliersIqr { k: 1.5 },
             repair: OutlierRepair::all()[0],
         };
-        let (dt, dte, rt, rte) = prepare_arms(&train, &test, &repair, 2).unwrap();
+        let (dt, dte, repaired) =
+            prepare_variants(&train, &test, ErrorType::Outliers, &[repair], 2).unwrap();
+        let (rt, rte) = &repaired[0];
         assert_eq!(dt.n_rows(), rt.n_rows());
         assert_eq!(dte.n_rows(), rte.n_rows());
         // The repaired train differs from the dirty train (outliers exist
@@ -489,7 +403,10 @@ mod tests {
         let pool = german_pool();
         let scale = StudyScale::smoke();
         let (train, test) = sample_split(&pool, &scale, 11).unwrap();
-        let (dt, dte, rt, rte) = prepare_arms(&train, &test, &RepairSpec::Mislabels, 3).unwrap();
+        let (dt, dte, repaired) =
+            prepare_variants(&train, &test, ErrorType::Mislabels, &[RepairSpec::Mislabels], 3)
+                .unwrap();
+        let (rt, rte) = &repaired[0];
         let flipped = dt
             .labels()
             .unwrap()
@@ -499,7 +416,7 @@ mod tests {
             .count();
         assert!(flipped > 0, "confident learning found no mislabels");
         // Test sets are byte-identical across arms.
-        assert_eq!(dte, rte);
+        assert_eq!(&dte, rte);
     }
 
     #[test]
@@ -520,7 +437,6 @@ mod tests {
             assert!(arm.test_accuracy > 0.4, "accuracy {}", arm.test_accuracy);
             assert!(arm.test_accuracy <= 1.0);
             assert_eq!(arm.group_confusions.len(), 3); // age, sex, age*sex
-            assert!(arm.best_params.contains('='));
             // Confusion counts cover the full test set for partitioning
             // (single-attribute) specs.
             let total = arm.confusions_for("age").unwrap().total();

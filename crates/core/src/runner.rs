@@ -56,8 +56,8 @@
 use crate::config::{ExperimentConfig, RectifySpec, RepairSide, RepairSpec, StudyOptions, StudyScale};
 use crate::journal::{self, JournalWriter, StudyFingerprint};
 use crate::pipeline::{
-    encode_arm, evaluate_unit, fit_unit, prepare_variants, rectify_unit_model, sample_split,
-    score_unit, EncodedArm,
+    encode_arm, fit_unit, prepare_variants, rectify_unit_model, sample_split, score_unit,
+    EncodedArm,
 };
 use crate::progress::{PhaseAccumulator, PhaseSeconds, ProgressTracker, StudyPhase};
 use crate::results::FailedTask;
@@ -309,28 +309,22 @@ fn run_unit(
         .wrapping_add(k as u64 * 0x2545F4914F6CDD1D);
     let use_variant = a > 0 && side.repairs_data();
     let arm = if use_variant { &arms.variant_arms[a - 1] } else { &arms.dirty_arm };
-    let scores = if a > 0 && side.rectifies() {
+    // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
+    let mut mark = Instant::now();
+    let mut lap = |phase: StudyPhase| {
         // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-        let start = Instant::now();
-        let mut tuned = fit_unit(arm, models[m], scale.cv_folds, model_seed);
-        phases.add(StudyPhase::TrainEval, start.elapsed());
-        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-        let rectify_start = Instant::now();
-        let _report = rectify_unit_model(tuned.model.as_mut(), arm, model_seed, rectify);
-        phases.add(StudyPhase::Rectify, rectify_start.elapsed());
-        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-        let score_start = Instant::now();
-        let scores = score_unit(arm, &tuned, group_labels, metrics);
-        phases.add(StudyPhase::TrainEval, score_start.elapsed());
-        scores
-    } else {
-        // lint:allow(D002, unit timing is telemetry only; never feeds seeds or exports)
-        let start = Instant::now();
-        let scores =
-            evaluate_unit(arm, models[m], scale.cv_folds, model_seed, group_labels, metrics);
-        phases.add(StudyPhase::TrainEval, start.elapsed());
-        scores
+        let now = Instant::now();
+        phases.add(phase, now - mark);
+        mark = now;
     };
+    let mut tuned = fit_unit(arm, models[m], scale.cv_folds, model_seed);
+    lap(StudyPhase::TrainEval);
+    if a > 0 && side.rectifies() {
+        let _report = rectify_unit_model(tuned.model.as_mut(), arm, model_seed, rectify);
+        lap(StudyPhase::Rectify);
+    }
+    let scores = score_unit(arm, &tuned, group_labels, metrics);
+    lap(StudyPhase::TrainEval);
     tracker.advance(1, 1);
     scores
 }
@@ -411,7 +405,7 @@ pub fn run_error_type_study_with(
     study_seed: u64,
     options: &StudyOptions,
 ) -> Result<StudyResults> {
-    let metrics = FairnessMetric::all().to_vec();
+    let metrics = FairnessMetric::all();
     let variants = RepairSpec::variants_for(error);
 
     // Keep only datasets that declare the error type.
@@ -491,11 +485,18 @@ pub fn run_error_type_study_with(
                         journal_warnings += 1;
                         continue;
                     }
+                    // Every model seed holds one disparity vector per arm,
+                    // each with a score per group × metric.
+                    let n_disp = group_labels[d].len() * metrics.len();
+                    let seed_ok = |(_, disp, per_variant): &SeedScores| {
+                        disp.len() == n_disp
+                            && per_variant.len() == variants.len()
+                            && per_variant.iter().all(|(_, disp)| disp.len() == n_disp)
+                    };
                     let shape_ok = record.runs_by_model.len() == models.len()
-                        && record
-                            .runs_by_model
-                            .iter()
-                            .all(|runs| runs.len() == scale.n_model_seeds);
+                        && record.runs_by_model.iter().all(|runs| {
+                            runs.len() == scale.n_model_seeds && runs.iter().all(seed_ok)
+                        });
                     if !shape_ok {
                         eprintln!("journal warning: task {name}#{split} has a mismatched run grid; re-running");
                         journal_warnings += 1;
@@ -795,8 +796,8 @@ mod tests {
         let expected_runs = StudyScale::smoke().scores_per_config();
         assert_eq!(cs.dirty_accuracy.len(), expected_runs);
         assert_eq!(cs.repaired_accuracy.len(), expected_runs);
-        // 3 groups (age, sex, age*sex) × 6 metrics.
-        assert_eq!(cs.fairness.len(), 18);
+        // 3 groups (age, sex, age*sex) × 2 metrics.
+        assert_eq!(cs.fairness.len(), 6);
         let scored = |group: &str, metric| {
             cs.fairness.iter().any(|f| f.group == group && f.metric == metric)
         };

@@ -11,7 +11,7 @@
 use crate::config::{RectifySpec, StudyScale};
 use crate::pipeline::sample_split;
 use datasets::{DatasetId, DatasetSpec};
-use demodq_rectify::{rectify_classifier, RectifyOptions};
+use demodq_rectify::rectify_classifier;
 use fairness::{group_confusions, FairnessMetric, GroupSpec};
 use mlcore::{accuracy, tune_and_fit, Classifier, ModelKind};
 use tabular::{DataFrame, FeatureEncoder, Result};
@@ -149,13 +149,7 @@ pub fn train_serving_model(
     let y_test = test.labels()?;
     let mut classifier = tuned.model;
     let pre_preds = classifier.predict(&x_test);
-    let rect_spec = RectifySpec::default();
-    let opts = RectifyOptions {
-        metric: rect_spec.metric,
-        epsilon: rect_spec.epsilon,
-        max_nodes: rect_spec.max_nodes,
-        ..RectifyOptions::default()
-    };
+    let opts = RectifySpec::default();
     let report = match groups.first() {
         Some(gs) => {
             let membership = gs.evaluate(&train)?;

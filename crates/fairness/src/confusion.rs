@@ -5,7 +5,38 @@
 //! fairness metric can be computed afterwards without re-running models.
 
 use crate::groups::Groups;
-use crate::ConfusionMatrix;
+
+/// Counts of a binary confusion matrix (group-restricted).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ConfusionMatrix {
+    /// True negatives.
+    pub tn: u64,
+    /// False positives.
+    pub fp: u64,
+    /// False negatives.
+    pub fn_: u64,
+    /// True positives.
+    pub tp: u64,
+}
+
+impl ConfusionMatrix {
+    /// Total number of tallied examples.
+    pub fn total(&self) -> u64 {
+        self.tn + self.fp + self.fn_ + self.tp
+    }
+
+    /// Precision; `None` when no positive predictions exist.
+    pub fn precision(&self) -> Option<f64> {
+        let d = self.tp + self.fp;
+        (d > 0).then(|| self.tp as f64 / d as f64)
+    }
+
+    /// Recall; `None` when no actual positives exist.
+    pub fn recall(&self) -> Option<f64> {
+        let d = self.tp + self.fn_;
+        (d > 0).then(|| self.tp as f64 / d as f64)
+    }
+}
 
 /// The pair of confusion matrices a fairness metric compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

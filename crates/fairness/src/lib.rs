@@ -11,10 +11,9 @@
 //!   tuples privileged along one axis and disadvantaged along another are
 //!   *excluded* (the paper's intersectional definitions deliberately do not
 //!   partition the data);
-//! * **group-wise confusion matrices** and the fairness metrics computed
-//!   from them — predictive parity and equal opportunity (the two headline
-//!   metrics), plus demographic parity, false-positive-rate parity,
-//!   equalized odds and accuracy parity for follow-up analyses.
+//! * **group-wise confusion matrices** and the paper's two fairness
+//!   metrics computed from them: predictive parity (precision parity) and
+//!   equal opportunity (recall parity).
 //!
 //! ```
 //! use fairness::{group_confusions, CmpOp, FairnessMetric, GroupPredicate, GroupSpec};
@@ -42,67 +41,8 @@ pub mod leaf;
 pub mod metrics;
 pub mod window;
 
-pub use confusion::{group_confusions, GroupConfusions};
+pub use confusion::{group_confusions, ConfusionMatrix, GroupConfusions};
 pub use groups::{CmpOp, GroupPredicate, GroupSpec, Groups, PredicateValue};
 pub use leaf::{per_leaf_accounting, LeafAccounting};
 pub use metrics::FairnessMetric;
 pub use window::{disparity_drift, SlidingGroupWindow};
-
-/// Re-export: the confusion-matrix type the metrics consume.
-pub use mlcore_types::ConfusionMatrix;
-
-/// Internal shim so `fairness` does not depend on all of `mlcore`:
-/// the confusion matrix lives here in a tiny leaf module and `mlcore`'s
-/// version is structurally identical. We re-implement it to keep the
-/// crate graph acyclic (mlcore must not depend on fairness and vice versa).
-mod mlcore_types {
-    /// Counts of a binary confusion matrix (group-restricted).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct ConfusionMatrix {
-        /// True negatives.
-        pub tn: u64,
-        /// False positives.
-        pub fp: u64,
-        /// False negatives.
-        pub fn_: u64,
-        /// True positives.
-        pub tp: u64,
-    }
-
-    impl ConfusionMatrix {
-        /// Total number of tallied examples.
-        pub fn total(&self) -> u64 {
-            self.tn + self.fp + self.fn_ + self.tp
-        }
-
-        /// Precision; `None` when no positive predictions exist.
-        pub fn precision(&self) -> Option<f64> {
-            let d = self.tp + self.fp;
-            (d > 0).then(|| self.tp as f64 / d as f64)
-        }
-
-        /// Recall; `None` when no actual positives exist.
-        pub fn recall(&self) -> Option<f64> {
-            let d = self.tp + self.fn_;
-            (d > 0).then(|| self.tp as f64 / d as f64)
-        }
-
-        /// False positive rate; `None` when no actual negatives exist.
-        pub fn false_positive_rate(&self) -> Option<f64> {
-            let d = self.fp + self.tn;
-            (d > 0).then(|| self.fp as f64 / d as f64)
-        }
-
-        /// Fraction predicted positive; `None` when empty.
-        pub fn selection_rate(&self) -> Option<f64> {
-            let n = self.total();
-            (n > 0).then(|| (self.tp + self.fp) as f64 / n as f64)
-        }
-
-        /// Accuracy; `None` when empty.
-        pub fn accuracy(&self) -> Option<f64> {
-            let n = self.total();
-            (n > 0).then(|| (self.tp + self.tn) as f64 / n as f64)
-        }
-    }
-}

@@ -1,4 +1,4 @@
-//! Group fairness metrics for binary classification.
+//! The paper's two group fairness metrics for binary classification.
 //!
 //! Each metric is a *signed disparity* `metric(privileged) −
 //! metric(disadvantaged)`; 0 means the metric is satisfied. The study's
@@ -8,45 +8,20 @@
 
 use crate::confusion::GroupConfusions;
 
-/// The group fairness metrics available to analyses.
-///
-/// The paper's headline metrics are [`FairnessMetric::PredictiveParity`]
-/// (precision parity — the vendor's interest) and
-/// [`FairnessMetric::EqualOpportunity`] (recall parity — the applicant's
-/// interest); the rest are included for the commonly-reported set of group
-/// fairness metrics the raw confusion counts enable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The group fairness metrics the paper reports: predictive parity
+/// (precision parity, the vendor's interest) and equal opportunity
+/// (recall parity, the applicant's interest).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FairnessMetric {
     /// Precision difference: TPpriv/(TPpriv+FPpriv) − TPdis/(TPdis+FPdis).
     PredictiveParity,
     /// Recall difference: TPpriv/(TPpriv+FNpriv) − TPdis/(TPdis+FNdis).
     EqualOpportunity,
-    /// Selection-rate difference (a.k.a. statistical parity difference).
-    DemographicParity,
-    /// False-positive-rate difference.
-    FprParity,
-    /// Mean of the absolute recall and FPR differences (equalized odds
-    /// reduces to 0 iff both TPR and FPR match across groups).
-    EqualizedOdds,
-    /// Accuracy difference.
-    AccuracyParity,
 }
 
 impl FairnessMetric {
-    /// All metrics.
-    pub fn all() -> [FairnessMetric; 6] {
-        [
-            FairnessMetric::PredictiveParity,
-            FairnessMetric::EqualOpportunity,
-            FairnessMetric::DemographicParity,
-            FairnessMetric::FprParity,
-            FairnessMetric::EqualizedOdds,
-            FairnessMetric::AccuracyParity,
-        ]
-    }
-
-    /// The two headline metrics of the paper's evaluation.
-    pub fn headline() -> [FairnessMetric; 2] {
+    /// Both metrics, in table order.
+    pub fn all() -> [FairnessMetric; 2] {
         [FairnessMetric::PredictiveParity, FairnessMetric::EqualOpportunity]
     }
 
@@ -55,23 +30,6 @@ impl FairnessMetric {
         match self {
             FairnessMetric::PredictiveParity => "PP",
             FairnessMetric::EqualOpportunity => "EO",
-            FairnessMetric::DemographicParity => "DP",
-            FairnessMetric::FprParity => "FPRP",
-            FairnessMetric::EqualizedOdds => "EOdds",
-            FairnessMetric::AccuracyParity => "AccP",
-        }
-    }
-
-    /// Parses a short metric name.
-    pub fn parse(name: &str) -> Option<FairnessMetric> {
-        match name {
-            "PP" | "predictive-parity" => Some(FairnessMetric::PredictiveParity),
-            "EO" | "equal-opportunity" => Some(FairnessMetric::EqualOpportunity),
-            "DP" | "demographic-parity" => Some(FairnessMetric::DemographicParity),
-            "FPRP" | "fpr-parity" => Some(FairnessMetric::FprParity),
-            "EOdds" | "equalized-odds" => Some(FairnessMetric::EqualizedOdds),
-            "AccP" | "accuracy-parity" => Some(FairnessMetric::AccuracyParity),
-            _ => None,
         }
     }
 
@@ -85,16 +43,6 @@ impl FairnessMetric {
         match self {
             FairnessMetric::PredictiveParity => Some(p.precision()? - d.precision()?),
             FairnessMetric::EqualOpportunity => Some(p.recall()? - d.recall()?),
-            FairnessMetric::DemographicParity => Some(p.selection_rate()? - d.selection_rate()?),
-            FairnessMetric::FprParity => {
-                Some(p.false_positive_rate()? - d.false_positive_rate()?)
-            }
-            FairnessMetric::EqualizedOdds => {
-                let tpr = (p.recall()? - d.recall()?).abs();
-                let fpr = (p.false_positive_rate()? - d.false_positive_rate()?).abs();
-                Some((tpr + fpr) / 2.0)
-            }
-            FairnessMetric::AccuracyParity => Some(p.accuracy()? - d.accuracy()?),
         }
     }
 
@@ -166,38 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn demographic_parity_uses_selection_rates() {
-        // priv selects 6/12, dis selects 3/12.
-        let g = gc(
-            ConfusionMatrix { tn: 4, fp: 2, fn_: 2, tp: 4 },
-            ConfusionMatrix { tn: 7, fp: 1, fn_: 2, tp: 2 },
-        );
-        let dp = FairnessMetric::DemographicParity.signed_disparity(&g).unwrap();
-        assert!((dp - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equalized_odds_combines_tpr_and_fpr() {
-        // TPR gap = |0.8 - 0.6| = 0.2; FPR gap = |0.1 - 0.3| = 0.2 -> 0.2.
-        let g = gc(
-            ConfusionMatrix { tn: 9, fp: 1, fn_: 2, tp: 8 },
-            ConfusionMatrix { tn: 7, fp: 3, fn_: 4, tp: 6 },
-        );
-        let eo = FairnessMetric::EqualizedOdds.signed_disparity(&g).unwrap();
-        assert!((eo - 0.2).abs() < 1e-12);
-        // EqualizedOdds is already non-negative.
-        assert_eq!(
-            FairnessMetric::EqualizedOdds.absolute_disparity(&g).unwrap(),
-            eo
-        );
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for metric in FairnessMetric::all() {
-            assert_eq!(FairnessMetric::parse(metric.name()), Some(metric));
-        }
-        assert_eq!(FairnessMetric::parse("nope"), None);
-        assert_eq!(FairnessMetric::headline().len(), 2);
+    fn names_are_the_table_labels() {
+        assert_eq!(FairnessMetric::all().map(|m| m.name()), ["PP", "EO"]);
+        assert!(FairnessMetric::PredictiveParity < FairnessMetric::EqualOpportunity);
     }
 }

@@ -6,8 +6,8 @@
 //! trees** (second-order boosting with logistic loss, the XGBoost
 //! formulation) — plus k-fold cross-validated grid search over each
 //! family's tuned hyperparameter (regularisation strength `C`, number of
-//! neighbours `k`, and maximum tree depth, respectively), and the
-//! classification metrics the benchmark reports.
+//! neighbours `k`, and maximum tree depth, respectively), scored by
+//! [`accuracy`].
 //!
 //! All models consume the dense matrices produced by
 //! [`tabular::FeatureEncoder`] and expose a common [`Classifier`] object
@@ -34,6 +34,6 @@ pub use cv::{tune_and_fit, TunedModel};
 pub use gbdt::GbdtClassifier;
 pub use knn::KnnClassifier;
 pub use logreg::LogRegClassifier;
-pub use metrics::{accuracy, f1_score, ConfusionMatrix};
+pub use metrics::accuracy;
 pub use model::{Classifier, ModelKind, ModelSpec};
 pub use tree::{RegressionTree, TreeParams};

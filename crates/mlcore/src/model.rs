@@ -68,14 +68,10 @@ impl ModelKind {
         }
     }
 
-    /// Parses a paper-style model name.
+    /// Parses a model name: exactly one of the three [`ModelKind::name`]
+    /// spellings.
     pub fn parse(name: &str) -> Option<ModelKind> {
-        match name {
-            "log-reg" | "logreg" | "logistic-regression" => Some(ModelKind::LogReg),
-            "knn" | "nearest-neighbors" => Some(ModelKind::Knn),
-            "xgboost" | "gbdt" | "gradient-boosted-trees" => Some(ModelKind::Gbdt),
-            _ => None,
-        }
+        ModelKind::all().into_iter().find(|kind| kind.name() == name)
     }
 
     /// Whether the family trains on quantile-binned features: the GBDT
@@ -238,6 +234,7 @@ mod tests {
             assert_eq!(ModelKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(ModelKind::parse("nope"), None);
+        assert_eq!(ModelKind::parse("gbdt"), None, "only the name() spellings parse");
     }
 
     #[test]

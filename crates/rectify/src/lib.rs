@@ -27,7 +27,7 @@
 //! optimality in well under the default node budget.
 //!
 //! To keep edits fairness-targeted (and the search space small), only
-//! the `max_cells` leaves carrying the most privileged/disadvantaged
+//! the `MAX_CELLS` (12) leaves carrying the most privileged/disadvantaged
 //! validation rows are editable; the rest are frozen at *keep*. The
 //! search is exact over that editable set, and the returned
 //! [`BoundProof`] records the evidence: nodes expanded, nodes pruned,
@@ -54,7 +54,7 @@ use fairness::{
     group_confusions, per_leaf_accounting, FairnessMetric, GroupConfusions, Groups,
     LeafAccounting,
 };
-use mlcore::{Classifier, GbdtClassifier};
+use mlcore::{accuracy, Classifier, GbdtClassifier};
 use std::cmp::Reverse;
 use tabular::DenseMatrix;
 
@@ -62,29 +62,27 @@ use tabular::DenseMatrix;
 /// cell, absorbing float rounding in the margin algebra.
 const FORCE_MARGIN: f64 = 1e-6;
 
-/// Knobs of one rectification run.
-#[derive(Debug, Clone, Copy)]
-pub struct RectifyOptions {
-    /// The fairness constraint to restore (absolute disparity gap).
+/// Editable-cell cap: only the leaves carrying the most grouped
+/// validation rows enter the search.
+const MAX_CELLS: usize = 12;
+
+/// The fairness constraint one rectification restores, and its search
+/// budget. The study's `StudyOptions::rectify` and the serving models
+/// both use it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RectifySpec {
+    /// The constrained metric (absolute validation gap).
     pub metric: FairnessMetric,
     /// Maximum tolerated validation gap.
     pub epsilon: f64,
     /// Branch-and-bound node budget; exhaustion degrades to the best
     /// complete assignment seen and marks the proof non-optimal.
     pub max_nodes: usize,
-    /// Editable-cell cap: only the leaves carrying the most grouped
-    /// validation rows enter the search.
-    pub max_cells: usize,
 }
 
-impl Default for RectifyOptions {
+impl Default for RectifySpec {
     fn default() -> Self {
-        RectifyOptions {
-            metric: FairnessMetric::EqualOpportunity,
-            epsilon: 0.05,
-            max_nodes: 20_000,
-            max_cells: 12,
-        }
+        RectifySpec { metric: FairnessMetric::EqualOpportunity, epsilon: 0.05, max_nodes: 20_000 }
     }
 }
 
@@ -157,14 +155,6 @@ fn gap_ok(gap: Option<f64>, epsilon: f64) -> bool {
     gap.is_none_or(|g| g <= epsilon + 1e-12)
 }
 
-fn accuracy_of(y_true: &[u8], y_pred: &[u8]) -> f64 {
-    if y_true.is_empty() {
-        return 1.0;
-    }
-    let hits = y_true.iter().zip(y_pred).filter(|(t, p)| t == p).count();
-    hits as f64 / y_true.len() as f64
-}
-
 /// Dense-cell view of a validation split: which leaf each row routes to.
 struct CellModel {
     /// Leaf arena id per dense cell, ascending.
@@ -200,7 +190,7 @@ struct Decision {
 
 /// Selects the editable cells, runs the search, and maps the chosen
 /// actions back onto dense cell ids.
-fn decide(accountings: &[LeafAccounting], opts: &RectifyOptions) -> Decision {
+fn decide(accountings: &[LeafAccounting], opts: &RectifySpec) -> Decision {
     // Editable = the cells with the most grouped validation rows (only
     // those can move the gap); deterministic leverage order with cell id
     // as the tie-break. The rest are frozen at keep.
@@ -213,7 +203,7 @@ fn decide(accountings: &[LeafAccounting], opts: &RectifyOptions) -> Decision {
         let a = &accountings[c];
         (Reverse(a.privileged.total() + a.disadvantaged.total()), c)
     });
-    candidates.truncate(opts.max_cells);
+    candidates.truncate(MAX_CELLS);
 
     let mut base = LeafAccounting::default();
     for (c, acc) in accountings.iter().enumerate() {
@@ -252,12 +242,12 @@ pub fn rectify_gbdt(
     x_val: &DenseMatrix,
     y_val: &[u8],
     groups: &Groups,
-    opts: &RectifyOptions,
+    opts: &RectifySpec,
 ) -> RectificationReport {
     let pre_pred = model.predict(x_val);
     let pre = group_confusions(y_val, &pre_pred, groups);
     let pre_gap = opts.metric.absolute_disparity(&pre);
-    let pre_accuracy = accuracy_of(y_val, &pre_pred);
+    let pre_accuracy = accuracy(y_val, &pre_pred);
     let untouched = RectificationReport {
         metric: opts.metric,
         epsilon: opts.epsilon,
@@ -318,7 +308,7 @@ pub fn rectify_gbdt(
         edits,
         post,
         post_gap,
-        post_accuracy: accuracy_of(y_val, &post_pred),
+        post_accuracy: accuracy(y_val, &post_pred),
         constraint_met: gap_ok(post_gap, opts.epsilon),
         bound: decision.bound,
         ..untouched
@@ -333,7 +323,7 @@ pub fn rectify_classifier(
     x_val: &DenseMatrix,
     y_val: &[u8],
     groups: &Groups,
-    opts: &RectifyOptions,
+    opts: &RectifySpec,
 ) -> Option<RectificationReport> {
     let model = model.as_any_mut()?.downcast_mut::<GbdtClassifier>()?;
     Some(rectify_gbdt(model, x_val, y_val, groups, opts))
@@ -390,8 +380,8 @@ mod tests {
         )
     }
 
-    fn opts(epsilon: f64) -> RectifyOptions {
-        RectifyOptions { epsilon, ..RectifyOptions::default() }
+    fn opts(epsilon: f64) -> RectifySpec {
+        RectifySpec { epsilon, ..RectifySpec::default() }
     }
 
     fn gbdt(x: &DenseMatrix, y: &[u8]) -> GbdtClassifier {

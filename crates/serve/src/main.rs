@@ -58,6 +58,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A count flag's value: anything but a positive integer is a usage
+/// error.
+fn positive(flag: &str, value: String) -> usize {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("{flag} must be a positive integer");
+            usage()
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:8080".to_string(),
@@ -115,12 +127,10 @@ fn parse_args() -> Args {
                     Some(value("--batch-wait-us").parse().unwrap_or_else(|_| usage()));
             }
             "--batch-max-rows" => {
-                args.batch_max_rows =
-                    Some(value("--batch-max-rows").parse().unwrap_or_else(|_| usage()));
+                args.batch_max_rows = Some(positive(&flag, value(&flag)));
             }
             "--max-connections" => {
-                args.max_connections =
-                    Some(value("--max-connections").parse().unwrap_or_else(|_| usage()));
+                args.max_connections = Some(positive(&flag, value(&flag)));
             }
             "--drift-threshold" => {
                 // NaN would switch every alert off and a negative value
@@ -134,8 +144,7 @@ fn parse_args() -> Args {
                 args.drift_threshold = Some(threshold);
             }
             "--drift-window" => {
-                args.drift_window =
-                    Some(value("--drift-window").parse().unwrap_or_else(|_| usage()));
+                args.drift_window = Some(positive(&flag, value(&flag)));
             }
             "--addr-file" => args.addr_file = Some(value("--addr-file")),
             "--help" | "-h" => usage(),
@@ -188,17 +197,17 @@ fn main() {
         config.batch_wait = Duration::from_micros(us);
     }
     if let Some(rows) = args.batch_max_rows {
-        config.batch_max_rows = rows.max(1);
+        config.batch_max_rows = rows;
     }
     if let Some(conns) = args.max_connections {
-        config.max_connections = conns.max(1);
+        config.max_connections = conns;
     }
     let mut drift = DriftConfig::default();
     if let Some(threshold) = args.drift_threshold {
         drift.alert_threshold = threshold;
     }
     if let Some(window) = args.drift_window {
-        drift.window = window.max(1);
+        drift.window = window;
     }
     let app = Arc::new(App::with_drift(registry, drift));
     let server = Server::spawn(Arc::clone(&app), config).unwrap_or_else(|e| {

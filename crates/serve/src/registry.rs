@@ -248,7 +248,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trains_and_resolves_aliases() {
+    fn trains_and_resolves_model_names() {
         let registry = Registry::train(
             &[DatasetId::German],
             &[ModelKind::LogReg],
@@ -259,9 +259,9 @@ mod tests {
         .unwrap();
         assert_eq!(registry.len(), 1);
         assert!(!registry.is_empty());
-        // Model aliases resolve through ModelKind::parse.
+        // Models resolve by ModelKind::name only; aliases do not.
         assert!(registry.get("german", "log-reg").is_some());
-        assert!(registry.get("german", "logreg").is_some());
+        assert!(registry.get("german", "logreg").is_none());
         assert!(registry.get("german", "knn").is_none());
         assert!(registry.get("nope", "log-reg").is_none());
         assert!(registry.any_for_dataset("german").is_some());

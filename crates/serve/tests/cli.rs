@@ -36,12 +36,16 @@ fn demodq_serve(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flag_values_exit_2_with_usage() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 9] = [
         &["--models", "decision-tree"],
         &["--models", "random-forest"],
+        &["--models", "gbdt"],
         &["--drift-threshold", "nan"],
         &["--drift-threshold", "-0.5"],
         &["--scale", "huge"],
+        &["--batch-max-rows", "0"],
+        &["--max-connections", "0"],
+        &["--drift-window", "0"],
     ];
     for args in cases {
         let (code, stderr) = demodq_serve(args);

@@ -101,7 +101,7 @@ fn main() {
         "\naccuracy: dirty {:.3} -> repaired {:.3}",
         pair.dirty.test_accuracy, pair.repaired.test_accuracy
     );
-    for metric in FairnessMetric::headline() {
+    for metric in FairnessMetric::all() {
         let d = pair
             .dirty
             .confusions_for("gender")

@@ -61,7 +61,7 @@ fn main() {
         "accuracy      {:>7.3}  {:>9.3}",
         pair.dirty.test_accuracy, pair.repaired.test_accuracy
     );
-    for metric in FairnessMetric::headline() {
+    for metric in FairnessMetric::all() {
         for group in ["age", "sex", "age*sex"] {
             let dirty = pair
                 .dirty

@@ -8,7 +8,7 @@ use demodq_repro::demodq::config::StudyScale;
 use demodq_repro::demodq::fair_tuning::tune_and_fit_fair;
 use demodq_repro::demodq::runner::run_error_type_study;
 use demodq_repro::demodq::selector::{recommend_dual_metric, SelectionPolicy, SelectorChoice};
-use demodq_repro::demodq_rectify::{rectify_classifier, RectifyOptions};
+use demodq_repro::demodq_rectify::{rectify_classifier, RectifySpec};
 use demodq_repro::fairness::FairnessMetric;
 use demodq_repro::mlcore::{tune_and_fit, BinnedMatrix, ModelKind, DEFAULT_N_BINS};
 use demodq_repro::tabular::FeatureEncoder;
@@ -97,7 +97,7 @@ fn xgboost_model_is_bit_stable() {
         }
         let mut tuned = tune_and_fit(ModelKind::Gbdt, &x, &y, 3, 11);
         fnv_words(&mut hash, tuned.model.predict_proba(&x).iter().map(|p| p.to_bits()));
-        let opts = RectifyOptions { epsilon: 0.0, ..RectifyOptions::default() };
+        let opts = RectifySpec { epsilon: 0.0, ..RectifySpec::default() };
         let report = rectify_classifier(tuned.model.as_mut(), &x, &y, &groups, &opts)
             .expect("xgboost is rectifiable");
         assert!(!report.edits.is_empty(), "{id:?}: no edit, so nothing pinned");

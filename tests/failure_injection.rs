@@ -5,7 +5,7 @@ use demodq_repro::cleaning::detect::DetectorKind;
 use demodq_repro::cleaning::repair::{CatImpute, MissingRepair, NumImpute};
 use demodq_repro::datasets::{DatasetId, ErrorType};
 use demodq_repro::demodq::config::{RepairSpec, StudyOptions, StudyScale};
-use demodq_repro::demodq::pipeline::{prepare_arms, run_configuration_once, sample_split};
+use demodq_repro::demodq::pipeline::{prepare_variants, run_configuration_once, sample_split};
 use demodq_repro::demodq::runner::run_error_type_study_with;
 use demodq_repro::fairness::{CmpOp, GroupPredicate, GroupSpec};
 use demodq_repro::mlcore::ModelKind;
@@ -27,7 +27,7 @@ fn all_rows_incomplete_is_a_clean_error() {
         (frame.take(&a).unwrap(), frame.take(&b).unwrap())
     };
     let repair = RepairSpec::Missing(MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy });
-    let result = prepare_arms(&train, &test, &repair, 1);
+    let result = prepare_variants(&train, &test, ErrorType::MissingValues, &[repair], 1);
     assert!(result.is_err(), "expected an error, got a silent success");
 }
 
@@ -142,7 +142,7 @@ fn tiny_frames_are_rejected_cleanly() {
         .unwrap();
     assert!(DetectorKind::Mislabels.fit(&frame, 1).is_err());
     let repair = RepairSpec::Missing(MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy });
-    assert!(prepare_arms(&frame, &frame, &repair, 1).is_err());
+    assert!(prepare_variants(&frame, &frame, ErrorType::MissingValues, &[repair], 1).is_err());
 }
 
 /// The isolation forest subsamples at least 2 rows per tree, so a frame

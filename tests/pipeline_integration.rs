@@ -4,9 +4,9 @@
 
 use demodq_repro::cleaning::detect::DetectorKind;
 use demodq_repro::cleaning::repair::{CatImpute, MissingRepair, NumImpute, OutlierRepair};
-use demodq_repro::datasets::DatasetId;
+use demodq_repro::datasets::{DatasetId, ErrorType};
 use demodq_repro::demodq::config::{RepairSpec, StudyScale};
-use demodq_repro::demodq::pipeline::{prepare_arms, run_configuration_once, sample_split};
+use demodq_repro::demodq::pipeline::{prepare_variants, run_configuration_once, sample_split};
 use demodq_repro::fairness::FairnessMetric;
 use demodq_repro::mlcore::ModelKind;
 
@@ -47,7 +47,9 @@ fn dirty_baseline_semantics_match_the_paper() {
     // imputed (never dropped).
     let missing =
         RepairSpec::Missing(MissingRepair { num: NumImpute::Mean, cat: CatImpute::Dummy });
-    let (dt, dte, rt, rte) = prepare_arms(&train, &test, &missing, 2).unwrap();
+    let (dt, dte, repaired) =
+        prepare_variants(&train, &test, ErrorType::MissingValues, &[missing], 2).unwrap();
+    let (rt, rte) = &repaired[0];
     assert!(dt.n_rows() < train.n_rows(), "credit has ~20% missing income");
     assert_eq!(dte.n_rows(), test.n_rows());
     assert_eq!(rt.n_rows(), train.n_rows());
@@ -55,8 +57,10 @@ fn dirty_baseline_semantics_match_the_paper() {
     assert_eq!(rte.missing_cells(), 0);
 
     // Mislabels: test frames identical across arms, train labels differ.
-    let (dt, dte, rt, rte) = prepare_arms(&train, &test, &RepairSpec::Mislabels, 3).unwrap();
-    assert_eq!(dte, rte, "test set must never change for label repair");
+    let (dt, dte, repaired) =
+        prepare_variants(&train, &test, ErrorType::Mislabels, &[RepairSpec::Mislabels], 3).unwrap();
+    let (rt, rte) = &repaired[0];
+    assert_eq!(&dte, rte, "test set must never change for label repair");
     assert_ne!(dt.labels().unwrap(), rt.labels().unwrap());
 
     // Outliers: row counts equal, labels equal, some cells changed.
@@ -64,7 +68,9 @@ fn dirty_baseline_semantics_match_the_paper() {
         detector: DetectorKind::OutliersIqr { k: 1.5 },
         repair: OutlierRepair { strategy: NumImpute::Median },
     };
-    let (dt, _dte, rt, _rte) = prepare_arms(&train, &test, &outlier, 4).unwrap();
+    let (dt, _dte, repaired) =
+        prepare_variants(&train, &test, ErrorType::Outliers, &[outlier], 4).unwrap();
+    let (rt, _rte) = &repaired[0];
     assert_eq!(dt.n_rows(), rt.n_rows());
     assert_eq!(dt.labels().unwrap(), rt.labels().unwrap());
 }
@@ -116,7 +122,8 @@ fn fairness_metrics_computable_from_pipeline_output() {
             }
         }
     }
-    assert!(defined >= 8, "most metrics should be defined on heart, got {defined}");
+    // Both metrics are defined for both of heart's attributes (age, sex).
+    assert_eq!(defined, 4, "PP and EO should be defined on heart");
 }
 
 #[test]
@@ -129,6 +136,5 @@ fn all_three_models_run_the_same_configuration() {
         let pair =
             run_configuration_once(&pool, model, &missing, &groups, &smoke(), 2, 3).unwrap();
         assert!(pair.dirty.test_accuracy > 0.4, "{model}");
-        assert!(!pair.repaired.best_params.is_empty());
     }
 }

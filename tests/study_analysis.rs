@@ -38,7 +38,7 @@ fn impact_tables_from_real_study_are_consistent() {
     // 2 models x 6 repairs = 12 configs; german has 2 single attributes
     // -> 24 single-attribute entries per metric.
     assert_eq!(results.configs.len(), 12);
-    for metric in FairnessMetric::headline() {
+    for metric in FairnessMetric::all() {
         let single = build_table(&results, metric, false, 0.05);
         assert_eq!(single.total(), 24, "{metric}");
         let inter = build_table(&results, metric, true, 0.05);
@@ -72,7 +72,7 @@ fn deepdive_over_two_error_types() {
         )
         .unwrap(),
     ];
-    let entries = pooled_entries(&studies, &FairnessMetric::headline(), false, 0.05);
+    let entries = pooled_entries(&studies, &FairnessMetric::all(), false, 0.05);
     // mislabels: 1 config x 2 groups x 2 metrics = 4;
     // missing: 6 configs x 2 groups x 2 metrics = 24.
     assert_eq!(entries.len(), 28);

@@ -9,7 +9,7 @@ use demodq_repro::demodq::config::{StudyOptions, StudyScale};
 use demodq_repro::demodq::export::study_results_json;
 use demodq_repro::demodq::runner::run_error_type_study_with;
 use demodq_repro::mlcore::ModelKind;
-use demodq_repro::serde_json;
+use demodq_repro::serde_json::{self, Map, Value};
 use std::path::PathBuf;
 
 const SEED: u64 = 7;
@@ -273,13 +273,13 @@ fn truncated_trailing_line_is_rerun_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A journal record whose recorded seed does not match the seed derived
-/// from (study seed, dataset, split) — seed drift — is rejected with a
-/// warning and its task re-executed; results stay byte-identical.
-#[test]
-fn seed_drift_record_is_rejected_and_rerun() {
+/// Runs the german study with a journal, rewrites the journal's first
+/// task record with `edit` and resumes: the damaged record warns once and
+/// its task re-runs, the intact record replays, and the export equals the
+/// undisturbed run's bytes.
+fn damaged_first_record_is_rerun(name: &str, edit: fn(&mut Map<String, Value>)) {
     let datasets = [DatasetId::German];
-    let dir = temp_journal_dir("drift");
+    let dir = temp_journal_dir(name);
     let complete = run(
         &datasets,
         &StudyOptions { journal_dir: Some(dir.clone()), ..StudyOptions::default() },
@@ -288,25 +288,15 @@ fn seed_drift_record_is_rejected_and_rerun() {
     let path = journal_file(&dir);
     let total_tasks = task_keys(&path).len();
 
-    // Corrupt the seed of the first task record.
     let text = std::fs::read_to_string(&path).unwrap();
-    let mut corrupted = Vec::new();
-    let mut done = false;
-    for line in text.lines() {
-        if !done && line.contains("\"kind\":\"task\"") {
-            let start = line.find("\"seed\":").expect("task record has a seed") + 7;
-            let end = start
-                + line[start..]
-                    .find(|c: char| !c.is_ascii_digit())
-                    .expect("seed is followed by more JSON");
-            corrupted.push(format!("{}1{}", &line[..start], &line[end..]));
-            done = true;
-        } else {
-            corrupted.push(line.to_string());
-        }
-    }
-    assert!(done, "journal must contain a task record");
-    std::fs::write(&path, corrupted.join("\n") + "\n").unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let first = lines.iter().position(|l| l.contains("\"kind\":\"task\"")).expect("a task record");
+    let Ok(Value::Object(mut record)) = serde_json::from_str(&lines[first]) else {
+        panic!("a task record is a JSON object");
+    };
+    edit(&mut record);
+    lines[first] = serde_json::to_string(&Value::Object(record)).unwrap();
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
 
     let resumed = run(
         &datasets,
@@ -316,10 +306,56 @@ fn seed_drift_record_is_rejected_and_rerun() {
             ..StudyOptions::default()
         },
     );
-    assert_eq!(resumed.journal_warnings, 1, "seed drift warns");
-    assert_eq!(resumed.journal_hits, total_tasks - 1, "only the intact records replay");
-    assert_eq!(study_results_json(&resumed), clean);
+    assert_eq!(resumed.journal_warnings, 1, "{name}: the damaged record warns once");
+    assert_eq!(resumed.journal_hits, total_tasks - 1, "{name}: only the intact records replay");
+    assert_eq!(study_results_json(&resumed), clean, "{name}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Applies `edit` to the first run of a task record's grid: `[dirty_acc,
+/// [dirty disparities...], [[repaired_acc, [repaired disparities...]],
+/// ...]]`.
+fn edit_first_run(record: &mut Map<String, Value>, edit: impl FnOnce(&mut Vec<Value>)) {
+    let Some(Value::Array(mut models)) = record.remove("runs") else { panic!("runs is an array") };
+    let Some(Value::Array(seeds)) = models.first_mut() else { panic!("a model's runs") };
+    let Some(Value::Array(run)) = seeds.first_mut() else { panic!("a model seed's run") };
+    edit(run);
+    record.insert("runs".to_string(), Value::Array(models));
+}
+
+/// A run's dirty disparity vector.
+fn dirty_disparities(run: &mut [Value]) -> &mut Vec<Value> {
+    let Value::Array(disp) = &mut run[1] else { panic!("a disparity vector") };
+    disp
+}
+
+/// A journal record whose recorded seed does not match the seed derived
+/// from (study seed, dataset, split) — seed drift — is rejected with a
+/// warning and its task re-executed; results stay byte-identical.
+#[test]
+fn seed_drift_record_is_rejected_and_rerun() {
+    damaged_first_record_is_rerun("drift", |record| {
+        record.insert("seed".to_string(), Value::from(1u64));
+    });
+}
+
+/// A record whose score grid has the wrong shape, though its fingerprint
+/// and seed are valid, is rejected and re-run rather than replayed: one
+/// disparity too few or too many in a vector, or a run missing its
+/// variant pair.
+#[test]
+fn mismatched_score_grid_record_is_rejected_and_rerun() {
+    damaged_first_record_is_rerun("short-disparities", |record| {
+        edit_first_run(record, |run| {
+            dirty_disparities(run).pop();
+        });
+    });
+    damaged_first_record_is_rerun("long-disparities", |record| {
+        edit_first_run(record, |run| dirty_disparities(run).push(Value::from(0u64)));
+    });
+    damaged_first_record_is_rerun("missing-pair", |record| {
+        edit_first_run(record, |run| run[2] = Value::Array(Vec::new()));
+    });
 }
 
 /// A journal left behind by a pre-rectification (v1 study shape) binary
@@ -356,7 +392,7 @@ fn pre_rectification_v1_journal_is_rejected_with_versioned_shape_warning() {
         options.repair_side,
         &options.rectify,
     );
-    let mut v1_summary = fp.summary.replacen("v3|", "v1|", 1);
+    let mut v1_summary = fp.summary.replacen("v4|", "v1|", 1);
     if let Some(cut) = v1_summary.find("|side=") {
         v1_summary.truncate(cut);
     }
