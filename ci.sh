@@ -344,8 +344,19 @@ stage "perfbench builds against the crates (cargo test --release, its own worksp
 # FeatureEncoder::transform_with_report, App::route_or_defer and
 # App::predict_batch among others. Building it and running its own tests
 # here turns a signature change that would break the benchmark into a
-# CI failure instead of a broken benchmark run.
-cargo test -q --release --manifest-path perfbench/Cargo.toml
+# CI failure instead of a broken benchmark run. Cargo rewrites
+# perfbench/Cargo.lock when it resolves perfbench against the crates, and
+# only a change to the benchmark itself may change that file, so the
+# lock is put back as it was whether the stage passes or fails.
+PERFBENCH_LOCK=target/perfbench-Cargo.lock.orig
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+perfbench_status=0
+cargo test -q --release --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+if [ "$perfbench_status" -ne 0 ]; then
+    echo "FAIL: perfbench tests (exit $perfbench_status); perfbench/Cargo.lock restored"
+    exit "$perfbench_status"
+fi
 
 # The perf gates run last: on a loaded or slow box they can fail on
 # timing alone, and the byte-identity smokes above must still have run

@@ -67,7 +67,7 @@ use mlcore::ModelKind;
 use std::collections::BTreeMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use tabular::{BlockStore, Result, TabularError};
 
@@ -358,12 +358,6 @@ impl TaskState {
     }
 }
 
-/// Locks a task's state, ignoring poison: a panicked worker is re-raised
-/// at the join, and no update leaves the state invalid midway.
-fn lock(cell: &Mutex<TaskState>) -> MutexGuard<'_, TaskState> {
-    cell.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Per-task result of the parallel phase. A task's runs hold, per model,
 /// one [`SeedScores`] per model seed (seeds in ascending order).
 enum TaskOutcome {
@@ -623,8 +617,11 @@ pub fn run_error_type_study_with(
             }
             let (p, unit) = (u / units_per_task, u % units_per_task);
             let (t, cell) = (pending[p], &cells[p]);
+            // The task state's lock ignores poison: a panicked worker is
+            // re-raised at the join, and no update leaves the state
+            // invalid midway.
             let arms = {
-                let mut state = lock(cell);
+                let mut state = cell.lock().unwrap_or_else(PoisonError::into_inner);
                 if let TaskState::Pending = *state {
                     *state = match start_task(t) {
                         Ok(arms) => TaskState::Live {
@@ -645,7 +642,10 @@ pub fn run_error_type_study_with(
             let sseed = split_seed(study_seed, datasets[d], s);
             let scores = run_unit(unit, sseed, &arms, &group_labels[d], &ctx);
             drop(arms);
-            let finished = lock(cell).finish_unit(unit, scores);
+            let finished = cell
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .finish_unit(unit, scores);
             if let Some(unit_scores) = finished {
                 closed.push((t, finish_task(t, unit_scores)));
             }

@@ -15,7 +15,7 @@
 //! Integration tests, examples and perfbench are crates downstream of the
 //! libraries, so library and binary code never resolves into them.
 
-use crate::ast::{Expr, File};
+use crate::ast::{Block, Expr, File};
 use crate::FileClass;
 use std::collections::BTreeMap;
 
@@ -97,6 +97,10 @@ pub struct FnNode {
     pub public: bool,
     /// Every call in the body, in source order.
     pub calls: Vec<RawCall>,
+    /// Per call, the index in `calls` one past the last call of the
+    /// innermost block (or block-bodied closure) holding it: the end of
+    /// the scope a guard that call acquires lives in.
+    pub scope_ends: Vec<usize>,
     /// Resolved workspace edges.
     pub edges: Vec<Edge>,
     /// Workspace fns the body names as values, resolved and deduplicated.
@@ -179,6 +183,8 @@ pub fn build(files: &[File]) -> Graph {
                 });
             }
             ref_paths.push(paths);
+            let scope_ends = fr.item.body.as_ref().map_or_else(Vec::new, scope_ends);
+            debug_assert_eq!(scope_ends.len(), calls.len());
             let idx = graph.fns.len();
             graph.by_name.entry(fr.item.name.clone()).or_default().push(idx);
             graph.fns.push(FnNode {
@@ -191,6 +197,7 @@ pub fn build(files: &[File]) -> Graph {
                 in_test: fr.in_test,
                 public: fr.item.is_pub,
                 calls,
+                scope_ends,
                 edges: Vec::new(),
                 refs: Vec::new(),
             });
@@ -198,6 +205,44 @@ pub fn build(files: &[File]) -> Graph {
     }
     resolve_edges(&mut graph, &ref_paths);
     graph
+}
+
+/// [`FnNode::scope_ends`] of a body: its calls are numbered in the order
+/// [`Block::walk`] visits them, and each call's scope ends where the
+/// innermost block or block-bodied closure around it does.
+fn scope_ends(body: &Block) -> Vec<usize> {
+    fn block(exprs: &[Expr], ends: &mut Vec<usize>) {
+        let mut own = Vec::new();
+        visit(exprs, ends, &mut own);
+        let end = ends.len();
+        for i in own {
+            ends[i] = end;
+        }
+    }
+    fn visit(exprs: &[Expr], ends: &mut Vec<usize>, own: &mut Vec<usize>) {
+        for expr in exprs {
+            let args = match expr {
+                Expr::Call(c) => &c.args,
+                Expr::MethodCall(m) => &m.args,
+                Expr::Macro(m) => &m.body,
+                Expr::Closure(c) => {
+                    block(&c.body, ends);
+                    continue;
+                }
+                Expr::Block(b) => {
+                    block(&b.exprs, ends);
+                    continue;
+                }
+                Expr::Ref(_) => continue,
+            };
+            own.push(ends.len());
+            ends.push(0);
+            visit(args, ends, own);
+        }
+    }
+    let mut ends = Vec::new();
+    block(&body.exprs, &mut ends);
+    ends
 }
 
 /// Crate-name match with the `demodq_` lib-name prefix normalized away

@@ -9,15 +9,23 @@
 //! receivers like `deques[i].lock()` have no chain and are skipped —
 //! a documented soundness gap.)
 //!
-//! Per function we record the acquisition order, assuming every guard
-//! is held to the end of the function (an over-approximation — early
-//! `drop(guard)` is invisible here). One call level is inlined:
-//! acquisitions inside a direct callee are appended as **edge targets
-//! only** after the caller's own earlier acquisitions — never as
-//! sources, which would fabricate an ordering between two sibling
-//! callees. A cycle in the resulting lock-order graph (including a
-//! same-lock self-loop from a double acquisition in one function) is
-//! reported once per offending edge-closing function.
+//! Per function we record the acquisition order. A guard is taken to be
+//! held from its acquisition to the end of the innermost block (or
+//! block-bodied closure) around the acquiring call, which is where a
+//! `let`-bound guard drops; a temporary guard drops earlier, at the end
+//! of its statement, so for it this over-approximates. So does an early
+//! `drop(guard)`, which is invisible here. Two acquisitions in disjoint
+//! blocks — one lock taken in a block and again after it — are
+//! therefore no ordering. The one approximation the other way: a block
+//! that returns its guard (`let g = { m.lock() };`) hands it to a scope
+//! that outlives the block, and acquisitions after the block are not
+//! seen under it. One call level is inlined: acquisitions inside a
+//! direct callee called while a guard is held are appended as **edge
+//! targets only** after that guard — never as sources, which would
+//! fabricate an ordering between two sibling callees. A cycle in the
+//! resulting lock-order graph (including a same-lock self-loop from a
+//! double acquisition in one scope) is reported once per offending
+//! edge-closing function.
 
 use crate::callgraph::{Graph, RawCall};
 use crate::{Code, Finding};
@@ -33,6 +41,8 @@ struct Acq {
     /// Source-order index in the fn's call list — lines tie when a
     /// whole body sits on one line, call order never does.
     seq: usize,
+    /// The guard is held over the calls before this index.
+    held_until: usize,
 }
 
 /// The receiver-derived lock name, if this call is an acquisition.
@@ -58,10 +68,11 @@ pub fn run(graph: &Graph, findings: &mut Vec<Finding>) {
             }
             f.calls
                 .iter()
+                .zip(&f.scope_ends)
                 .enumerate()
-                .filter_map(|(seq, call)| {
-                    acquisition(call)
-                        .map(|(field, line)| Acq { id: (f.krate.clone(), field), line, seq })
+                .filter_map(|(seq, (call, &held_until))| {
+                    let (field, line) = acquisition(call)?;
+                    Some(Acq { id: (f.krate.clone(), field), line, seq, held_until })
                 })
                 .collect()
         })
@@ -81,10 +92,11 @@ pub fn run(graph: &Graph, findings: &mut Vec<Finding>) {
         if f.in_test {
             continue;
         }
-        // Own-before-own (includes same-lock self-loops: a double
-        // acquisition of a non-reentrant mutex in one fn).
+        // Own-before-own while the first guard is held (includes
+        // same-lock self-loops: a double acquisition of a non-reentrant
+        // mutex in one scope).
         for (ai, a) in own[i].iter().enumerate() {
-            for b in own[i].iter().skip(ai + 1) {
+            for b in own[i].iter().skip(ai + 1).filter(|b| b.seq < a.held_until) {
                 add_edge(&a.id, &b.id, i, b.line);
             }
         }
@@ -94,8 +106,8 @@ pub fn run(graph: &Graph, findings: &mut Vec<Finding>) {
                 continue;
             }
             for a in &own[i] {
-                if a.seq >= edge.seq {
-                    continue; // acquired after (or by) the call itself
+                if a.seq >= edge.seq || edge.seq >= a.held_until {
+                    continue; // acquired after (or by) the call, or dropped before it
                 }
                 for b in &own[edge.callee] {
                     if a.id == b.id {

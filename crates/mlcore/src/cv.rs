@@ -6,9 +6,25 @@
 //! set. The search-order seed varies between the "five model instances"
 //! the paper evaluates per split, which is how model-seed variance enters
 //! the score samples.
+//!
+//! Work that does not depend on the tuned hyperparameter is done once per
+//! fold and shared across the grid:
+//!
+//! * k-NN scores every `k` from one distance pass ([`knn::knn_grid_scores`]);
+//! * the GBDT bins the training matrix once, and every depth reads one row
+//!   subsample schedule per fold size ([`gbdt`](crate::gbdt));
+//! * every `C` of the logistic regression starts IRLS from one copy of the
+//!   fold's w = 0 system ([`logreg`](crate::logreg)).
+//!
+//! Each shared value holds the bits the unshared fit computes for itself
+//! (`ModelSpec::fit_binned` and `ModelSpec::fit` are that path), so the
+//! winner, the refit model and every score are unchanged;
+//! `tests/tune_parity.rs` checks it bit for bit.
 
 use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
+use crate::gbdt::{GbdtClassifier, Subsamples};
 use crate::knn;
+use crate::logreg::{IrlsStart, LogRegClassifier};
 use crate::metrics::accuracy;
 use crate::model::{Classifier, ModelKind, ModelSpec};
 use tabular::{split::kfold, DenseMatrix, Rng64};
@@ -24,6 +40,9 @@ pub struct TunedModel {
     /// Training accuracy of the refit model.
     pub train_accuracy: f64,
 }
+
+/// The `(train, validation)` row ids of each fold.
+type Folds = [(Vec<usize>, Vec<usize>)];
 
 /// Tunes `kind`'s single hyperparameter by `n_folds`-fold cross-validation
 /// on `(x, y)`, refits the best configuration on the full data.
@@ -81,39 +100,12 @@ pub fn tune_and_fit(
     let binned = kind
         .is_tree_based()
         .then(|| BinnedMatrix::from_matrix(x, DEFAULT_N_BINS));
-    // Materialise each fold once, outside the grid loop. Tree folds only
-    // need the validation side densified; the row indices address the
-    // shared binned matrix directly.
-    let fold_data: Vec<_> = folds
-        .iter()
-        .map(|(train_idx, val_idx)| {
-            let x_val = x.take_rows(val_idx);
-            let y_val: Vec<u8> = val_idx.iter().map(|&i| y[i]).collect();
-            let dense_train = binned.is_none().then(|| {
-                let x_train = x.take_rows(train_idx);
-                let y_train: Vec<u8> = train_idx.iter().map(|&i| y[i]).collect();
-                (x_train, y_train)
-            });
-            (train_idx, x_val, y_val, dense_train)
-        })
-        .collect();
+    let fold_scores = match &binned {
+        Some(b) => gbdt_fold_scores(&grid, b, x, y, &folds, fit_seed),
+        None => logreg_fold_scores(&grid, x, y, &folds),
+    };
 
-    // One validation accuracy per (configuration, fold), grid-major; the
-    // per-spec reduction below sums fold scores in fold order.
-    let n_folds_actual = fold_data.len();
-    let mut fold_scores = Vec::with_capacity(grid.len() * n_folds_actual);
-    for spec in &grid {
-        for (train_idx, x_val, y_val, dense_train) in &fold_data {
-            let model = match (&binned, dense_train) {
-                (Some(b), _) => spec.fit_binned(b, x, train_idx, y, fit_seed),
-                (None, Some((x_train, y_train))) => spec.fit(x_train, y_train, fit_seed),
-                (None, None) => unreachable!("dense folds exist whenever binning is off"),
-            };
-            fold_scores.push(accuracy(y_val, &model.predict(x_val)));
-        }
-    }
-
-    let (best, val_accuracy) = select_best(&fold_scores, n_folds_actual);
+    let (best, val_accuracy) = select_best(&fold_scores, folds.len());
     let best_spec = grid[best];
     let model = match &binned {
         Some(b) => {
@@ -124,6 +116,84 @@ pub fn tune_and_fit(
     };
     let train_accuracy = accuracy(y, &model.predict(x));
     TunedModel { model, best_spec, val_accuracy, train_accuracy }
+}
+
+/// The validation rows and labels of each fold.
+fn validation_sets(x: &DenseMatrix, y: &[u8], folds: &Folds) -> Vec<(DenseMatrix, Vec<u8>)> {
+    folds.iter().map(|(_, val_idx)| (x.take_rows(val_idx), pick(y, val_idx))).collect()
+}
+
+/// The labels of `rows`.
+fn pick(y: &[u8], rows: &[usize]) -> Vec<u8> {
+    rows.iter().map(|&i| y[i]).collect()
+}
+
+/// Grid-major validation accuracies of the GBDT grid, each fit trained on
+/// the shared bins by fold row ids. Every depth boosts with `fit_seed`,
+/// so the folds of one size read one [`Subsamples`] schedule across the
+/// whole grid (`kfold` makes at most two sizes).
+fn gbdt_fold_scores(
+    grid: &[ModelSpec],
+    binned: &BinnedMatrix,
+    x: &DenseMatrix,
+    y: &[u8],
+    folds: &Folds,
+    fit_seed: u64,
+) -> Vec<f64> {
+    let validation = validation_sets(x, y, folds);
+    let mut schedules: Vec<Subsamples> = Vec::new();
+    let mut scores = Vec::with_capacity(grid.len() * folds.len());
+    for spec in grid {
+        let ModelSpec::Gbdt { max_depth, n_rounds, learning_rate, reg_lambda } = *spec else {
+            unreachable!("xgboost grid contains only gbdt specs")
+        };
+        for ((train_idx, _), (x_val, y_val)) in folds.iter().zip(&validation) {
+            let n = train_idx.len();
+            let s = schedules.iter().position(|s| s.n_rows() == n).unwrap_or_else(|| {
+                schedules.push(Subsamples::new(n, fit_seed));
+                schedules.len() - 1
+            });
+            let model = GbdtClassifier::fit_subsampled(
+                binned,
+                x,
+                train_idx,
+                y,
+                max_depth,
+                n_rounds,
+                learning_rate,
+                reg_lambda,
+                &mut schedules[s],
+            );
+            scores.push(accuracy(y_val, &model.predict(x_val)));
+        }
+    }
+    scores
+}
+
+/// Grid-major validation accuracies of the log-reg grid. Each fold's
+/// training rows are materialised, and their w = 0 IRLS system
+/// accumulated, once for every `C`.
+fn logreg_fold_scores(grid: &[ModelSpec], x: &DenseMatrix, y: &[u8], folds: &Folds) -> Vec<f64> {
+    let validation = validation_sets(x, y, folds);
+    let training: Vec<_> = folds
+        .iter()
+        .map(|(train_idx, _)| {
+            let (x_train, y_train) = (x.take_rows(train_idx), pick(y, train_idx));
+            let start = IrlsStart::new(&x_train, &y_train);
+            (x_train, y_train, start)
+        })
+        .collect();
+    let mut scores = Vec::with_capacity(grid.len() * folds.len());
+    for spec in grid {
+        let ModelSpec::LogReg { c, max_iter } = *spec else {
+            unreachable!("log-reg grid contains only log-reg specs")
+        };
+        for ((x_train, y_train, start), (x_val, y_val)) in training.iter().zip(&validation) {
+            let model = LogRegClassifier::fit_from(x_train, y_train, c, max_iter, start);
+            scores.push(accuracy(y_val, &model.predict(x_val)));
+        }
+    }
+    scores
 }
 
 /// The winning grid entry of grid-major per-(spec, fold) scores and its

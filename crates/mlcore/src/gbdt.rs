@@ -10,6 +10,17 @@
 //! grid) can bin once themselves and use [`GbdtClassifier::fit_binned`].
 //! The exact greedy splitter the histograms replaced is the reference of
 //! `tests/hist_parity.rs`.
+//!
+//! A fit's row subsamples depend on its seed and its row count alone:
+//! round `r` draws from a generator seeded by the fit seed after `r`
+//! earlier draws of the same size. Cross-validation boosts every depth of
+//! the grid with one fit seed, so it draws each fold size's schedule once
+//! ([`Subsamples`]) and every fit of that size reads it, mapping the drawn
+//! positions to its own fold's rows. A fit that stops early reads a
+//! prefix. The positions read are the ones the fit would have drawn
+//! itself, so sharing them cannot move a tree. [`GbdtClassifier::fit_binned`]
+//! draws its own, one round at a time, and is the reference the shared
+//! path is tested against.
 
 use crate::binned::{BinnedMatrix, DEFAULT_N_BINS};
 use crate::linalg::sigmoid;
@@ -17,6 +28,59 @@ use crate::model::Classifier;
 use crate::scratch;
 use crate::tree::{RegressionTree, TreeParams};
 use tabular::{DenseMatrix, Rng64};
+
+/// The row subsample of every boosting round of the fits that share a
+/// seed and a row count `n`, as positions into the fit's rows: per round,
+/// the drawn positions ascending, then the rest ascending ([`draw_round`]).
+/// Rounds are drawn on first use and kept as `u32`, so the schedule holds
+/// only the rounds some fit has reached.
+pub(crate) struct Subsamples {
+    rng: Rng64,
+    n: usize,
+    positions: Vec<u32>,
+}
+
+impl Subsamples {
+    /// An empty schedule for fits of `n` rows seeded with `seed`.
+    pub(crate) fn new(n: usize, seed: u64) -> Self {
+        assert!(u32::try_from(n).is_ok(), "{n} rows do not fit u32 positions");
+        Subsamples { rng: Rng64::seed_from_u64(seed), n, positions: Vec::new() }
+    }
+
+    /// The row count the schedule draws from.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n
+    }
+
+    /// Round `round`'s drawn and undrawn positions, drawing the rounds up
+    /// to it first.
+    fn round(&mut self, round: usize) -> (&[u32], &[u32]) {
+        let (n, end) = (self.n, (round + 1) * self.n);
+        if self.positions.len() < end {
+            let (mut drawn, mut rest) = (scratch::take_usize(), scratch::take_usize());
+            while self.positions.len() < end {
+                draw_round(&mut self.rng, n, &mut drawn, &mut rest);
+                self.positions.extend(drawn.iter().chain(rest.iter()).map(|&k| k as u32));
+            }
+        }
+        self.positions[end - n..end].split_at(subsample_size(n))
+    }
+}
+
+/// The rows a boosting round samples out of `n`: 80%, rounded up.
+fn subsample_size(n: usize) -> usize {
+    (((n as f64) * 0.8).ceil() as usize).min(n)
+}
+
+/// Draws one round's subsample (without replacement) of `n` rows from
+/// `rng`: the ascending positions of the drawn rows into `drawn`, of the
+/// others into `rest`.
+fn draw_round(rng: &mut Rng64, n: usize, drawn: &mut Vec<usize>, rest: &mut Vec<usize>) {
+    rng.sample_indices_into(n, subsample_size(n), drawn);
+    let mut next = drawn.iter().peekable();
+    rest.clear();
+    rest.extend((0..n).filter(|&k| next.next_if_eq(&&k).is_none()));
+}
 
 /// A trained gradient-boosted tree ensemble.
 #[derive(Debug, Clone)]
@@ -66,6 +130,56 @@ impl GbdtClassifier {
         reg_lambda: f64,
         seed: u64,
     ) -> Self {
+        // The fit draws its own subsamples, one round at a time.
+        let mut rng = Rng64::seed_from_u64(seed);
+        let next_round = |_: usize, sample: &mut Vec<usize>, unsampled: &mut Vec<usize>| {
+            draw_round(&mut rng, rows.len(), sample, unsampled);
+            sample.iter_mut().chain(unsampled.iter_mut()).for_each(|k| *k = rows[*k]);
+        };
+        Self::boost(binned, x, rows, y, max_depth, n_rounds, learning_rate, reg_lambda, next_round)
+    }
+
+    /// [`GbdtClassifier::fit_binned`] with the rounds' row subsamples read
+    /// from `subsamples`, which must draw from `rows.len()` rows with the
+    /// fit's seed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fit_subsampled(
+        binned: &BinnedMatrix,
+        x: &DenseMatrix,
+        rows: &[usize],
+        y: &[u8],
+        max_depth: usize,
+        n_rounds: usize,
+        learning_rate: f64,
+        reg_lambda: f64,
+        subsamples: &mut Subsamples,
+    ) -> Self {
+        assert_eq!(subsamples.n_rows(), rows.len(), "subsamples of another row count");
+        let next_round = |round: usize, sample: &mut Vec<usize>, unsampled: &mut Vec<usize>| {
+            let (drawn, rest) = subsamples.round(round);
+            sample.clear();
+            sample.extend(drawn.iter().map(|&k| rows[k as usize]));
+            unsampled.clear();
+            unsampled.extend(rest.iter().map(|&k| rows[k as usize]));
+        };
+        Self::boost(binned, x, rows, y, max_depth, n_rounds, learning_rate, reg_lambda, next_round)
+    }
+
+    /// The boosting loop over `rows`. `next_round(r, sample, unsampled)`
+    /// fills round `r`'s sampled and unsampled global row ids, each in
+    /// row order.
+    #[allow(clippy::too_many_arguments)]
+    fn boost(
+        binned: &BinnedMatrix,
+        x: &DenseMatrix,
+        rows: &[usize],
+        y: &[u8],
+        max_depth: usize,
+        n_rounds: usize,
+        learning_rate: f64,
+        reg_lambda: f64,
+        mut next_round: impl FnMut(usize, &mut Vec<usize>, &mut Vec<usize>),
+    ) -> Self {
         assert_eq!(binned.n_rows(), x.n_rows(), "binned/raw row mismatch");
         assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
         let n = rows.len();
@@ -89,23 +203,10 @@ impl GbdtClassifier {
         hess.resize(n_global, 0.0);
         let params = TreeParams { max_depth, reg_lambda, min_child_weight: 1.0, min_gain: 1e-6 };
         let mut trees = Vec::with_capacity(n_rounds);
-        let mut rng = Rng64::seed_from_u64(seed);
-        let subsample = ((n as f64) * 0.8).ceil() as usize;
         let mut sample = scratch::take_usize();
         let mut unsampled = scratch::take_usize();
-        for _ in 0..n_rounds {
-            // Stochastic row subsample (without replacement), drawn into a
-            // pooled buffer as ascending positions into `rows`; the rest
-            // go to `unsampled`, then both become global row ids.
-            rng.sample_indices_into(n, subsample.min(n), &mut sample);
-            unsampled.clear();
-            let mut drawn = sample.iter().peekable();
-            for (k, &row) in rows.iter().enumerate() {
-                if drawn.next_if_eq(&&k).is_none() {
-                    unsampled.push(row);
-                }
-            }
-            sample.iter_mut().for_each(|k| *k = rows[*k]);
+        for round in 0..n_rounds {
+            next_round(round, &mut sample, &mut unsampled);
             // Gradients/hessians are per-row functions of the current
             // score, so only the rows this round's tree will read need a
             // refresh — the unsampled 20% would go unread.
@@ -263,6 +364,39 @@ mod tests {
         let y: Vec<u8> = (0..20).map(|i| u8::from(i % 2 == 0)).collect();
         let model = GbdtClassifier::fit(&x, &y, 3, 50, 0.3, 1.0, 0);
         assert!(model.n_trees() < 50);
+    }
+
+    #[test]
+    fn subsamples_drawn_out_of_order_equal_one_generator_run() {
+        let mut schedule = Subsamples::new(37, 11);
+        let mut rng = Rng64::seed_from_u64(11);
+        let want: Vec<Vec<usize>> = (0..8).map(|_| rng.sample_indices(37, 30)).collect();
+        for round in [3, 0, 7, 5] {
+            let (drawn, rest) = schedule.round(round);
+            let got: Vec<usize> = drawn.iter().map(|&p| p as usize).collect();
+            assert_eq!(got, want[round], "round {round}");
+            let others: Vec<usize> = (0..37).filter(|k| !want[round].contains(k)).collect();
+            assert_eq!(rest.iter().map(|&p| p as usize).collect::<Vec<_>>(), others);
+        }
+    }
+
+    #[test]
+    fn a_schedule_read_as_a_prefix_then_extended_fits_like_a_fresh_one() {
+        let (x, y) = xor_data();
+        let binned = BinnedMatrix::from_matrix(&x, DEFAULT_N_BINS);
+        let rows: Vec<usize> = (0..40).filter(|i| i % 4 != 1).collect();
+        let mut shared = Subsamples::new(rows.len(), 3);
+        for n_rounds in [2, 12, 5] {
+            let a = GbdtClassifier::fit_subsampled(
+                &binned, &x, &rows, &y, 3, n_rounds, 0.3, 1.0, &mut shared,
+            );
+            let b = GbdtClassifier::fit_binned(&binned, &x, &rows, &y, 3, n_rounds, 0.3, 1.0, 3);
+            assert_eq!(a.n_trees(), n_rounds);
+            let bits = |m: &GbdtClassifier| -> Vec<u64> {
+                m.predict_proba(&x).iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{n_rounds} rounds");
+        }
     }
 
     #[test]

@@ -289,15 +289,19 @@ pub fn decision_naive(x: &DenseMatrix, weights: &[f64], bias: f64, out: &mut Vec
 /// multiply-add streams.
 ///
 /// The block structure is part of the fixed accumulation order: each
-/// `grad` / `hess` slot receives its four in-block contributions in row
-/// order before the next block, which reassociates the old strictly
-/// row-sequential sums — scores shift by `f64` rounding, which is why the
-/// study journal fingerprint was bumped (see EXPERIMENTS.md).
+/// `grad` / `hess` slot receives its four in-block contributions as
+/// `(r0 + r1) + (r2 + r3)` before the next block, blocks in row order and
+/// the `n % 4` remainder rows last, one at a time. That reassociates the
+/// strictly row-sequential sums — scores shift by `f64` rounding, which
+/// is why the study journal fingerprint was bumped (see EXPERIMENTS.md) —
+/// and any other order would move them again. The loops run over zipped
+/// slices, so the inner loops carry no per-element bounds checks; the
+/// loop they replaced, with the same arithmetic, is the bit-for-bit
+/// reference of `tests/kernel_parity.rs`.
 ///
 /// `grad` has `d + 1` slots (intercept last), `hess` is `(d+1)²`
-/// row-major with only the upper triangle written — the same contract as
-/// the scalar loop it replaces. Returns nothing; remainder rows (`n % 4`)
-/// accumulate sequentially.
+/// row-major with only the upper triangle written; both accumulate onto
+/// what they hold.
 pub fn irls_accumulate(
     x: &DenseMatrix,
     y: &[u8],
@@ -308,57 +312,61 @@ pub fn irls_accumulate(
     use crate::linalg::sigmoid;
     let n = x.n_rows();
     let d = x.n_cols();
-    debug_assert_eq!(z.len(), n);
-    debug_assert_eq!(grad.len(), d + 1);
-    debug_assert_eq!(hess.len(), (d + 1) * (d + 1));
-    let mut i = 0;
-    while i + 4 <= n {
+    assert_eq!(z.len(), n, "one decision value per row");
+    assert_eq!(y.len(), n, "one label per row");
+    assert_eq!(grad.len(), d + 1, "gradient has d + 1 slots");
+    assert_eq!(hess.len(), (d + 1) * (d + 1), "hessian is (d + 1)²");
+    // Feature slots and the intercept slot; the hessian's first d rows,
+    // and its last row, of which only the intercept diagonal is written.
+    let (grad_w, grad_b) = grad.split_at_mut(d);
+    let (hess_w, hess_b) = hess.split_at_mut(d * (d + 1));
+    let blocked = n - n % 4;
+    let blocks = z[..blocked].chunks_exact(4).zip(y[..blocked].chunks_exact(4));
+    for (i, (zb, yb)) in (0..blocked).step_by(4).zip(blocks) {
         let (r0, r1, r2, r3) = (x.row(i), x.row(i + 1), x.row(i + 2), x.row(i + 3));
         let mut err = [0.0f64; 4];
         let mut wgt = [0.0f64; 4];
-        for s in 0..4 {
-            let p = sigmoid(z[i + s]);
-            err[s] = p - f64::from(y[i + s]);
-            wgt[s] = (p * (1.0 - p)).max(1e-9);
+        for (((e, w), &zs), &ys) in err.iter_mut().zip(&mut wgt).zip(zb).zip(yb) {
+            let p = sigmoid(zs);
+            *e = p - f64::from(ys);
+            *w = (p * (1.0 - p)).max(1e-9);
         }
-        for (j, gj) in grad[..d].iter_mut().enumerate() {
-            *gj += (err[0] * r0[j] + err[1] * r1[j]) + (err[2] * r2[j] + err[3] * r3[j]);
+        for ((((g, &a0), &a1), &a2), &a3) in grad_w.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *g += (err[0] * a0 + err[1] * a1) + (err[2] * a2 + err[3] * a3);
         }
-        grad[d] += (err[0] + err[1]) + (err[2] + err[3]);
-        for j in 0..d {
+        grad_b[0] += (err[0] + err[1]) + (err[2] + err[3]);
+        for (j, hrow) in hess_w.chunks_exact_mut(d + 1).enumerate() {
             let xw0 = wgt[0] * r0[j];
             let xw1 = wgt[1] * r1[j];
             let xw2 = wgt[2] * r2[j];
             let xw3 = wgt[3] * r3[j];
-            let hrow = &mut hess[j * (d + 1)..];
-            for (k, hk) in hrow[j..d].iter_mut().enumerate() {
-                let kk = j + k;
-                *hk += (xw0 * r0[kk] + xw1 * r1[kk]) + (xw2 * r2[kk] + xw3 * r3[kk]);
+            let (upper, intercept) = hrow[j..].split_at_mut(d - j);
+            let cols = r0[j..].iter().zip(&r1[j..]).zip(&r2[j..]).zip(&r3[j..]);
+            for (h, (((&a0, &a1), &a2), &a3)) in upper.iter_mut().zip(cols) {
+                *h += (xw0 * a0 + xw1 * a1) + (xw2 * a2 + xw3 * a3);
             }
-            hrow[d] += (xw0 + xw1) + (xw2 + xw3);
+            intercept[0] += (xw0 + xw1) + (xw2 + xw3);
         }
-        hess[d * (d + 1) + d] += (wgt[0] + wgt[1]) + (wgt[2] + wgt[3]);
-        i += 4;
+        hess_b[d] += (wgt[0] + wgt[1]) + (wgt[2] + wgt[3]);
     }
-    while i < n {
+    for (i, (&zi, &yi)) in (blocked..n).zip(z[blocked..].iter().zip(&y[blocked..])) {
         let row = x.row(i);
-        let p = sigmoid(z[i]);
-        let err = p - f64::from(y[i]);
+        let p = sigmoid(zi);
+        let err = p - f64::from(yi);
         let wgt = (p * (1.0 - p)).max(1e-9);
-        for (gj, &xj) in grad[..d].iter_mut().zip(row) {
-            *gj += err * xj;
+        for (g, &a) in grad_w.iter_mut().zip(row) {
+            *g += err * a;
         }
-        grad[d] += err;
-        for j in 0..d {
+        grad_b[0] += err;
+        for (j, hrow) in hess_w.chunks_exact_mut(d + 1).enumerate() {
             let xw = wgt * row[j];
-            let hrow = &mut hess[j * (d + 1)..];
-            for (hk, &xk) in hrow[j..d].iter_mut().zip(&row[j..d]) {
-                *hk += xw * xk;
+            let (upper, intercept) = hrow[j..].split_at_mut(d - j);
+            for (h, &a) in upper.iter_mut().zip(&row[j..]) {
+                *h += xw * a;
             }
-            hrow[d] += xw;
+            intercept[0] += xw;
         }
-        hess[d * (d + 1) + d] += wgt;
-        i += 1;
+        hess_b[d] += wgt;
     }
 }
 

@@ -1,6 +1,16 @@
 //! L2-regularised logistic regression fitted with iteratively reweighted
 //! least squares (Newton's method), falling back to gradient descent when
 //! the normal equations are ill-conditioned.
+//!
+//! Every fit starts at w = 0, where the decision values depend on the
+//! features alone (they are 0 on finite rows), so the first iteration's
+//! gradient and Hessian do not depend on `C`: the penalty, the mirror of
+//! the upper triangle and the ridge jitter are all applied after the
+//! accumulation.
+//! Cross-validation accumulates that system once per fold ([`IrlsStart`])
+//! and starts every `C` of the grid from a copy. A copy holds the very
+//! bits the fit would have accumulated itself, so sharing it cannot move
+//! a weight.
 
 use crate::kernels;
 use crate::linalg::{cholesky_solve, sigmoid};
@@ -17,6 +27,28 @@ pub struct LogRegClassifier {
     bias: f64,
 }
 
+/// The first IRLS iteration's gradient and upper-triangle Hessian, as
+/// [`kernels::irls_accumulate`] returns them at w = 0 before any
+/// `C`-dependent term is added.
+pub(crate) struct IrlsStart {
+    grad: Vec<f64>,
+    hess: Vec<f64>,
+}
+
+impl IrlsStart {
+    /// Accumulates the w = 0 system of `(x, y)`.
+    pub(crate) fn new(x: &DenseMatrix, y: &[u8]) -> Self {
+        assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
+        let d = x.n_cols();
+        let mut z = scratch::take_f64();
+        kernels::decision_batch(x, &vec![0.0; d], 0.0, &mut z);
+        let mut grad = vec![0.0; d + 1];
+        let mut hess = vec![0.0; (d + 1) * (d + 1)];
+        kernels::irls_accumulate(x, y, &z, &mut grad, &mut hess);
+        IrlsStart { grad, hess }
+    }
+}
+
 impl LogRegClassifier {
     /// Fits by IRLS with L2 penalty `1/C` (scikit-learn convention: larger
     /// `C` means weaker regularisation). The intercept is unpenalised.
@@ -25,22 +57,40 @@ impl LogRegClassifier {
     pub fn fit(x: &DenseMatrix, y: &[u8], c: f64, max_iter: usize) -> Self {
         assert_eq!(x.n_rows(), y.len(), "feature/label length mismatch");
         assert!(c > 0.0, "C must be positive");
+        Self::fit_from(x, y, c, max_iter, &IrlsStart::new(x, y))
+    }
+
+    /// [`LogRegClassifier::fit`] with the first iteration's system taken
+    /// from `start`, which must be [`IrlsStart::new`] of the same `(x, y)`.
+    pub(crate) fn fit_from(
+        x: &DenseMatrix,
+        y: &[u8],
+        c: f64,
+        max_iter: usize,
+        start: &IrlsStart,
+    ) -> Self {
+        assert!(c > 0.0, "C must be positive");
         let n = x.n_rows();
         let d = x.n_cols();
+        assert_eq!(start.grad.len(), d + 1, "start system of another width");
         let lambda = 1.0 / c;
         let mut w = vec![0.0; d + 1]; // last slot is the bias
         if n == 0 {
             return LogRegClassifier { weights: vec![0.0; d], bias: 0.0 };
         }
-        let mut converged = false;
         let mut z = scratch::take_f64();
-        for _ in 0..max_iter {
-            // Batched decision values (bit-identical to the per-row dot),
-            // then the blocked gradient/hessian accumulation kernel.
-            kernels::decision_batch(x, &w[..d], w[d], &mut z);
-            let mut grad = vec![0.0; d + 1];
-            let mut hess = vec![0.0; (d + 1) * (d + 1)];
-            kernels::irls_accumulate(x, y, &z, &mut grad, &mut hess);
+        for iter in 0..max_iter {
+            let (mut grad, mut hess) = if iter == 0 {
+                (start.grad.clone(), start.hess.clone())
+            } else {
+                // Batched decision values (bit-identical to the per-row
+                // dot), then the blocked gradient/hessian accumulation.
+                kernels::decision_batch(x, &w[..d], w[d], &mut z);
+                let mut grad = vec![0.0; d + 1];
+                let mut hess = vec![0.0; (d + 1) * (d + 1)];
+                kernels::irls_accumulate(x, y, &z, &mut grad, &mut hess);
+                (grad, hess)
+            };
             // L2 penalty (not on bias).
             for j in 0..d {
                 grad[j] += lambda * w[j];
@@ -69,11 +119,9 @@ impl LogRegClassifier {
                 max_step = max_step.max(sj.abs());
             }
             if max_step < 1e-8 {
-                converged = true;
                 break;
             }
         }
-        let _ = converged;
         let bias = w[d];
         w.truncate(d);
         LogRegClassifier { weights: w, bias }
@@ -184,6 +232,20 @@ mod tests {
     fn mismatched_inputs_panic() {
         let x = DenseMatrix::zeros(3, 1);
         LogRegClassifier::fit(&x, &[0, 1], 1.0, 5);
+    }
+
+    #[test]
+    fn every_c_from_one_shared_start_fits_like_its_own() {
+        let (x, y) = separable_data();
+        let start = IrlsStart::new(&x, &y);
+        for c in [0.01, 0.1, 1.0, 10.0] {
+            let shared = LogRegClassifier::fit_from(&x, &y, c, 50, &start);
+            let own = LogRegClassifier::fit(&x, &y, c, 50);
+            let bits = |m: &LogRegClassifier| -> Vec<u64> {
+                m.weights.iter().chain([&m.bias]).map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&shared), bits(&own), "C = {c}");
+        }
     }
 
     #[test]

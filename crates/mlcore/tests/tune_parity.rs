@@ -10,12 +10,18 @@
 //!   row through the raw tree.
 //! * `predict_proba_grid` selects neighbours by the `(distance, index)`
 //!   total order; the reference sorts every candidate.
+//! * Each fold's grid-invariant work is shared across the grid: the
+//!   GBDT depths of one fold size read one row-subsample schedule, and
+//!   every log-reg `C` starts IRLS from one copy of the fold's w = 0
+//!   system; the rebuild draws and accumulates its own for every fit.
 //!
 //! The inputs carry the cases these shortcuts must survive: duplicate
 //! rows (tied distances within and across folds), a feature of adjacent
 //! floats (bin boundaries between neighbouring values, where a rounded
-//! midpoint threshold is closest to misrouting a row) and a NaN cell
-//! (which bins to 0 but routes right, so GBDT falls back to the walk).
+//! midpoint threshold is closest to misrouting a row), a NaN cell
+//! (which bins to 0 but routes right, so GBDT falls back to the walk),
+//! constant features (GBDT fits that stop after their first round, so a
+//! shared schedule is read as a prefix) and folds of two sizes.
 
 use mlcore::kernels::logistic_grad_hess;
 use mlcore::{
@@ -70,18 +76,31 @@ fn with_nan(n: usize, seed: u64) -> (DenseMatrix, Vec<u8>) {
     (x, y)
 }
 
+/// Three constant features and coin-flip labels. Every tree is a single
+/// leaf, so a GBDT fit stops after its first round exactly when that
+/// round's subsample keeps the fold's positive rate (the leaf value is
+/// then ~0) and boosts every round otherwise.
+fn constant(n: usize, seed: u64) -> (DenseMatrix, Vec<u8>) {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0xC0);
+    let y = (0..n).map(|_| u8::from(rng.bernoulli(0.5))).collect();
+    let data = (0..n).flat_map(|_| [1.0, -2.5, 0.0]).collect();
+    (DenseMatrix::from_vec(n, 3, data), y)
+}
+
 fn datasets(seed: u64) -> Vec<(&'static str, DenseMatrix, Vec<u8>)> {
     let (a, ya) = blobs(150, 5, seed);
     let (b, yb) = with_duplicates(129, seed);
     let (c, yc) = with_adjacent_floats(140, seed);
     let (d, yd) = with_nan(120, seed);
     let (e, ye) = blobs(7, 2, seed);
+    let (f, yf) = constant(15, seed);
     vec![
         ("blobs", a, ya),
         ("duplicates", b, yb),
         ("adjacent-floats", c, yc),
         ("nan-cell", d, yd),
         ("tiny", e, ye),
+        ("constant", f, yf),
     ]
 }
 
@@ -164,6 +183,45 @@ fn tune_and_fit_matches_per_fold_rebuild_bit_for_bit() {
             }
         }
     }
+}
+
+/// The parity test reads a shared GBDT schedule as a prefix: among its
+/// tunings on the constant input (the same data seeds, tuning seeds and
+/// fold counts), some fit stops after its first round next to a fit of
+/// the same fold size that boosts every round.
+#[test]
+fn constant_features_stop_some_gbdt_fits_after_their_first_round() {
+    let spec = ModelKind::Gbdt.default_grid()[0];
+    let ModelSpec::Gbdt { max_depth, n_rounds, learning_rate, reg_lambda } = spec else {
+        unreachable!("gbdt grid")
+    };
+    let mut prefix_reads = 0;
+    let cases = [1u64, 2].into_iter().flat_map(|d| [0u64, 7, 42].map(|seed| (d, seed)));
+    for (data_seed, seed) in cases {
+        let n_folds = 3 + (seed as usize % 3);
+        let (x, y) = constant(15, data_seed);
+        let binned = BinnedMatrix::from_matrix(&x, DEFAULT_N_BINS);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut grid = ModelKind::Gbdt.default_grid();
+        rng.shuffle(&mut grid);
+        let folds = kfold(x.n_rows(), n_folds, rng.next_u64()).expect("enough rows");
+        let fit_seed = rng.next_u64();
+        let rounds: Vec<(usize, usize)> = folds
+            .iter()
+            .map(|(train_idx, _)| {
+                let model = GbdtClassifier::fit_binned(
+                    &binned, &x, train_idx, &y, max_depth, n_rounds, learning_rate, reg_lambda,
+                    fit_seed,
+                );
+                (train_idx.len(), model.n_trees())
+            })
+            .collect();
+        assert!(rounds.iter().all(|&(_, t)| t == 0 || t == n_rounds), "{rounds:?}");
+        prefix_reads += usize::from(
+            rounds.iter().any(|&(n, t)| t == 0 && rounds.contains(&(n, n_rounds))),
+        );
+    }
+    assert!(prefix_reads > 0, "no tuning stops one fit early beside a full one");
 }
 
 /// The boosting loop as it ran before leaf routing: every round walks
