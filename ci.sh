@@ -281,10 +281,14 @@ if [ "$csvs" -ne 5 ]; then
 fi
 echo "artifact smoke OK"
 
-stage "examples run (every examples/*.rs exits 0 with output)"
+stage "examples run (every examples/*.rs prints results/examples/<name>.txt)"
 # The examples document the library API, and demodq-lint's U001 counts
-# their mains as entries, so each must run, not only compile. None writes
-# a file; each still runs from a throwaway directory under target/.
+# their mains as entries, so each must run, not only compile. Their
+# stdout is deterministic (the same bytes at any DEMODQ_THREADS), so each
+# must also print its committed results/examples/<name>.txt byte for
+# byte: a change that moves a number an example prints has to recommit
+# it. None writes a file; each still runs from a throwaway directory
+# under target/.
 EXAMPLE_DIR=target/examples_run
 rm -rf "$EXAMPLE_DIR"
 mkdir -p "$EXAMPLE_DIR"
@@ -294,12 +298,14 @@ for src in examples/*.rs; do
         echo "FAIL: example $name exited nonzero"
         exit 1
     }
-    [ -s "$EXAMPLE_DIR/$name.log" ] || {
-        echo "FAIL: example $name printed nothing"
+    cmp "$EXAMPLE_DIR/$name.log" "results/examples/$name.txt" || {
+        echo "FAIL: example $name output differs from results/examples/$name.txt. If"
+        echo "the change is meant to move it, regenerate the file from the example's"
+        echo "stdout and record why in CHANGES.md"
         exit 1
     }
 done
-echo "examples OK ($(ls examples/*.rs | wc -l) ran)"
+echo "examples OK ($(ls examples/*.rs | wc -l) ran, cmp-identical to results/examples/)"
 
 stage "RQ1 figures, RQ2 tables and ablation match results/ (default scale)"
 # Figures 1-2 and Tables II-XIII are the committed RQ1/RQ2 outputs, and

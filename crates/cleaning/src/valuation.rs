@@ -17,6 +17,7 @@
 //! contribution to k-NN test accuracy in O(N log N) per test point —
 //! no Monte-Carlo needed.
 
+use fairness::{group_confusions, FairnessMetric, Groups};
 use tabular::DenseMatrix;
 
 /// kNN-Shapley restricted to the test points where `test_mask` is true —
@@ -90,46 +91,32 @@ pub fn knn_shapley_masked(
 /// * **positive influence = the tuple widens the unfairness** — the
 ///   tuples a fairness-aware cleaning method should inspect first;
 /// * negative influence = the tuple narrows it.
+///
+/// `groups` holds the test rows' (disjoint) group masks.
 pub fn fairness_influence(
     x_train: &DenseMatrix,
     y_train: &[u8],
     x_test: &DenseMatrix,
     y_test: &[u8],
     k: usize,
-    privileged: &[bool],
-    disadvantaged: &[bool],
+    groups: &Groups,
 ) -> Vec<f64> {
-    assert_eq!(x_test.n_rows(), privileged.len(), "privileged mask mismatch");
-    assert_eq!(x_test.n_rows(), disadvantaged.len(), "disadvantaged mask mismatch");
-    let priv_pos: Vec<bool> = (0..x_test.n_rows())
-        .map(|i| privileged[i] && y_test[i] == 1)
-        .collect();
-    let dis_pos: Vec<bool> = (0..x_test.n_rows())
-        .map(|i| disadvantaged[i] && y_test[i] == 1)
-        .collect();
-    let to_priv = knn_shapley_masked(x_train, y_train, x_test, y_test, k, &priv_pos);
-    let to_dis = knn_shapley_masked(x_train, y_train, x_test, y_test, k, &dis_pos);
-    // Current signed disparity via the k-NN predictions themselves.
+    assert_eq!(x_test.n_rows(), groups.privileged.len(), "privileged mask mismatch");
+    assert_eq!(x_test.n_rows(), groups.disadvantaged.len(), "disadvantaged mask mismatch");
+    let positives = |mask: &[bool]| -> Vec<bool> {
+        (0..x_test.n_rows()).map(|i| mask[i] && y_test[i] == 1).collect()
+    };
+    let to_priv =
+        knn_shapley_masked(x_train, y_train, x_test, y_test, k, &positives(&groups.privileged));
+    let to_dis =
+        knn_shapley_masked(x_train, y_train, x_test, y_test, k, &positives(&groups.disadvantaged));
+    // Current signed disparity via the k-NN predictions themselves. An
+    // undefined one takes the +1 sign convention, and so does a tie: equal
+    // recalls subtract to +0.0, whose signum is +1.
     let knn = mlcore::KnnClassifier::fit(x_train, y_train, k);
     let preds = mlcore::model::Classifier::predict(&knn, x_test);
-    let recall_of = |mask: &[bool]| {
-        let mut tp = 0usize;
-        let mut pos = 0usize;
-        for i in 0..preds.len() {
-            if mask[i] {
-                pos += 1;
-                tp += usize::from(preds[i] == 1);
-            }
-        }
-        if pos == 0 {
-            f64::NAN
-        } else {
-            tp as f64 / pos as f64
-        }
-    };
-    let disparity = recall_of(&priv_pos) - recall_of(&dis_pos);
-    // lint:allow(F001, exact-zero disparity deliberately maps to the +1 sign convention)
-    let sign = if disparity.is_nan() || disparity == 0.0 { 1.0 } else { disparity.signum() };
+    let gc = group_confusions(y_test, &preds, groups);
+    let sign = FairnessMetric::EqualOpportunity.signed_disparity(&gc).map_or(1.0, f64::signum);
     to_priv
         .iter()
         .zip(&to_dis)
@@ -260,10 +247,11 @@ mod tests {
             y_train[i] = 0;
         }
         let x = DenseMatrix::from_vec(60, 2, data);
-        let privileged: Vec<bool> = (0..60).map(|i| i < 20).collect();
-        let disadvantaged: Vec<bool> = (0..60).map(|i| (20..40).contains(&i)).collect();
-        let influence =
-            fairness_influence(&x, &y_train, &x, &y, 3, &privileged, &disadvantaged);
+        let groups = Groups {
+            privileged: (0..60).map(|i| i < 20).collect(),
+            disadvantaged: (0..60).map(|i| (20..40).contains(&i)).collect(),
+        };
+        let influence = fairness_influence(&x, &y_train, &x, &y, 3, &groups);
         let ranking = rank_by_influence(&influence);
         // The three poisoned points must rank among the top widening
         // influences.

@@ -142,28 +142,30 @@ fn block_distances(
     }
 }
 
-/// The k-NN grid's cross-validation and training accuracies, from
-/// [`knn_grid_scores`].
+/// The k-NN grid's cross-validated predictions and training accuracies,
+/// from [`knn_grid_scores`].
 pub(crate) struct KnnGridScores {
-    /// Validation accuracy per (grid entry, fold), grid-major:
-    /// `fold_accuracy[ki * n_folds + f]`.
-    pub(crate) fold_accuracy: Vec<f64>,
+    /// 0.5-threshold predictions per (grid entry, fold) on the fold's
+    /// validation rows, in row order, grid-major:
+    /// `fold_predictions[ki * n_folds + f]`.
+    pub(crate) fold_predictions: Vec<Vec<u8>>,
     /// Training accuracy of each grid entry refit on all rows.
     pub(crate) train_accuracy: Vec<f64>,
 }
 
 /// Scores every neighbour count of `ks` on `(x, y)` from **one** blocked
-/// distance pass over all row pairs: for each `(k, fold)`, the accuracy a
-/// [`KnnClassifier`] fit on the fold's training rows reaches on its
-/// validation rows (as [`KnnClassifier::predict_proba_grid`] scores
-/// them), and for each `k` the training accuracy of a model fit on every
-/// row, predicting every row.
+/// distance pass over all row pairs: for each `(k, fold)`, the
+/// predictions a [`KnnClassifier`] fit on the fold's training rows makes
+/// on its validation rows (as [`KnnClassifier::predict_proba_grid`]
+/// scores them), and for each `k` the training accuracy of a model fit
+/// on every row, predicting every row.
 ///
 /// Each row's distances to the other folds' rows are exactly those its
 /// fold model sees — distances are per pair, and the fold's training rows
 /// keep ascending global order, so the index tie-break is unchanged — and
 /// merging in its own fold's rows gives the whole-set order.
-/// `folds` are [`tabular::split::kfold`]'s (train, validation) pairs.
+/// `folds` are [`tabular::split::kfold`]'s (train, validation) pairs, on
+/// at least one row.
 pub(crate) fn knn_grid_scores(
     x: &DenseMatrix,
     y: &[u8],
@@ -177,8 +179,10 @@ pub(crate) fn knn_grid_scores(
         val.iter().for_each(|&i| fold_of[i] = f);
     }
     let kmax = ks.iter().copied().max().unwrap_or(1);
-    // Correct counts per (k, fold), then per k on all rows.
-    let mut counts = vec![0u64; ks.len() * (n_folds + 1)];
+    // Queries run in ascending row order, so each fold's predictions come
+    // out in its (ascending) validation-row order.
+    let mut fold_predictions = vec![Vec::new(); ks.len() * n_folds];
+    let mut train_correct = vec![0u64; ks.len()];
     // Per query lane: its other folds' rows fill `cand` from the front,
     // its own fold's rows from the back.
     let mut cand = scratch::take_pairs();
@@ -201,30 +205,17 @@ pub(crate) fn knn_grid_scores(
             select_nearest(own, kmax);
             merge_nearest(others, own, kmax, &mut merged);
             let (f, truth) = (fold_of[q0 + q], y[q0 + q]);
-            // 1 when the 0.5-threshold prediction matches the label.
-            let correct = |nearest: &[(f64, usize)], k| {
-                u64::from((truth == 0) != (positive_fraction(nearest, k, y) >= 0.5))
-            };
             for (ki, &k) in ks.iter().enumerate() {
-                counts[ki * n_folds + f] += correct(others, k);
-                counts[ks.len() * n_folds + ki] += correct(&merged, k);
+                let pred = positive_fraction(others, k, y) >= 0.5;
+                fold_predictions[ki * n_folds + f].push(u8::from(pred));
+                let correct = (truth == 0) != (positive_fraction(&merged, k, y) >= 0.5);
+                train_correct[ki] += u64::from(correct);
             }
         }
     }
     // `metrics::accuracy`'s arithmetic: correct count over rows, in f64.
-    let rate = |correct: u64, rows: usize| {
-        if rows == 0 {
-            0.0
-        } else {
-            correct as f64 / rows as f64
-        }
-    };
-    let fold_accuracy = (0..ks.len() * n_folds)
-        .map(|unit| rate(counts[unit], folds[unit % n_folds].1.len()))
-        .collect();
-    let train_accuracy =
-        (0..ks.len()).map(|ki| rate(counts[ks.len() * n_folds + ki], n)).collect();
-    KnnGridScores { fold_accuracy, train_accuracy }
+    let train_accuracy = train_correct.iter().map(|&c| c as f64 / n as f64).collect();
+    KnnGridScores { fold_predictions, train_accuracy }
 }
 
 /// The fraction of positive labels among the first `k` of the sorted

@@ -36,15 +36,7 @@ fn main() {
     let test_groups = sex_spec.evaluate(&test).expect("groups");
 
     // --- Step 1: fairness influence of every training tuple. ---
-    let influence = fairness_influence(
-        &x_train,
-        &y_train,
-        &x_test,
-        &y_test,
-        5,
-        &test_groups.privileged,
-        &test_groups.disadvantaged,
-    );
+    let influence = fairness_influence(&x_train, &y_train, &x_test, &y_test, 5, &test_groups);
     let ranking = rank_by_influence(&influence);
     let widening = influence.iter().filter(|&&v| v > 0.0).count();
     println!(
@@ -89,21 +81,22 @@ fn main() {
     // --- Step 3: fairness-constrained hyperparameter selection. ---
     let fair = tune_and_fit_fair(
         ModelKind::LogReg,
-        &train,
-        &sex_spec,
+        &x_train,
+        &y_train,
+        &sex_spec.evaluate(&train).expect("groups"),
         FairnessMetric::EqualOpportunity,
         0.05,
         5,
         11,
     )
     .expect("fair tuning");
-    let preds = fair.model.predict(&x_test);
+    let preds = fair.tuned.model.predict(&x_test);
     let gc = group_confusions(&y_test, &preds, &test_groups);
     println!(
         "fair-constrained    {:>7.3}  {:>7.3}   ({}; constraint satisfied: {})",
         accuracy(&y_test, &preds),
         FairnessMetric::EqualOpportunity.absolute_disparity(&gc).unwrap_or(f64::NAN),
-        fair.best_spec.params_string(),
+        fair.tuned.best_spec.params_string(),
         fair.constraint_satisfied
     );
     println!(

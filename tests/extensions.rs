@@ -47,20 +47,13 @@ fn valuation_and_selector_compose_with_the_study() {
 #[test]
 fn fair_tuning_integrates_with_generated_data() {
     let df = DatasetId::Heart.generate(500, 21).unwrap();
-    let spec = DatasetId::Heart.spec();
-    let groups = spec.single_attribute_specs()[0].clone();
-    let tuned = tune_and_fit_fair(
-        ModelKind::Gbdt,
-        &df,
-        &groups,
-        FairnessMetric::EqualOpportunity,
-        0.2,
-        3,
-        17,
-    )
-    .unwrap();
-    assert!(tuned.val_accuracy > 0.5);
-    assert!((0.0..=1.0).contains(&tuned.val_disparity));
+    let x = FeatureEncoder::fit(&df, true).unwrap().transform(&df).unwrap();
+    let groups = DatasetId::Heart.spec().single_attribute_specs()[0].evaluate(&df).unwrap();
+    let eo = FairnessMetric::EqualOpportunity;
+    let y = df.labels().unwrap();
+    let fair = tune_and_fit_fair(ModelKind::Gbdt, &x, &y, &groups, eo, 0.2, 3, 17).unwrap();
+    assert!(fair.tuned.val_accuracy > 0.5);
+    assert!((0.0..=1.0).contains(&fair.val_disparity));
 }
 
 /// FNV-1a over the little-endian bytes of `words`, folded into `hash`.
@@ -115,4 +108,43 @@ fn xgboost_model_is_bit_stable() {
         fnv_words(&mut hash, tuned.model.predict_proba(&x).iter().map(|p| p.to_bits()));
     }
     assert_eq!(hash, 0x88b2_9c23_0ae2_951c, "digest {hash:#018x}");
+}
+
+/// Pins the fairness-constrained tuner's outputs bit for bit: the
+/// winning configuration, its mean validation accuracy and disparity,
+/// the constraint flag and the refit's probabilities. The cases cover
+/// every family and both metrics at three ceilings: 0 (mostly the
+/// least-disparate fallback), 0.05 (where the constraint binds) and 1
+/// (`tune_and_fit`'s winner). The xgboost folds train on the
+/// dataset-level bins, as in `tune_and_fit`.
+#[test]
+fn fair_tuning_is_bit_stable() {
+    let df = DatasetId::German.generate(600, 5).unwrap().drop_incomplete_rows().unwrap();
+    let x = FeatureEncoder::fit(&df, true).unwrap().transform(&df).unwrap();
+    let y = df.labels().unwrap();
+    let groups = DatasetId::German.spec().single_attribute_specs()[1].evaluate(&df).unwrap();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fallbacks = 0;
+    for kind in ModelKind::all() {
+        for metric in FairnessMetric::all() {
+            for epsilon in [0.0, 0.05, 1.0] {
+                let fair = tune_and_fit_fair(kind, &x, &y, &groups, metric, epsilon, 5, 7).unwrap();
+                fallbacks += usize::from(!fair.constraint_satisfied);
+                let spec = fair.tuned.best_spec.params_string();
+                fnv_words(&mut hash, spec.bytes().map(u64::from));
+                fnv_words(
+                    &mut hash,
+                    [
+                        fair.tuned.val_accuracy.to_bits(),
+                        fair.val_disparity.to_bits(),
+                        u64::from(fair.constraint_satisfied),
+                    ],
+                );
+                let proba = fair.tuned.model.predict_proba(&x);
+                fnv_words(&mut hash, proba.iter().map(|p| p.to_bits()));
+            }
+        }
+    }
+    assert!((1..18).contains(&fallbacks), "{fallbacks} of 18 cases fell back");
+    assert_eq!(hash, 0x6206_c3b0_6994_8546, "digest {hash:#018x}");
 }
